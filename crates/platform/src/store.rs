@@ -259,11 +259,13 @@ impl JsonValue {
     }
 
     /// Parses one JSON document from `text` (must consume all input).
+    /// Arrays and objects nested more than 128 levels deep are an error.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let bytes: Vec<char> = text.chars().collect();
         let mut p = JsonParser {
             chars: bytes,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -310,9 +312,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a bound a frame of nothing but
+/// `[` overflows the stack and aborts the process (a `wfd` client's first
+/// frame goes through this parser). Every document the workspace writes
+/// nests a few levels at most.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct JsonParser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl JsonParser {
@@ -362,12 +373,27 @@ impl JsonParser {
             Some('t') => self.literal("true", JsonValue::Bool(true)),
             Some('f') => self.literal("false", JsonValue::Bool(false)),
             Some('"') => self.string().map(JsonValue::Str),
-            Some('[') => self.array(),
-            Some('{') => self.object(),
+            Some('[') => self.nested(Self::array),
+            Some('{') => self.nested(Self::object),
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected {c:?}"))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to open more
+    /// than [`MAX_JSON_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -1569,6 +1595,34 @@ mod tests {
         let v = JsonValue::parse(r#""aé😀b""#).unwrap();
         assert_eq!(v, JsonValue::Str("aé😀b".into()));
         assert!(JsonValue::parse(r#""\ud83d oops""#).is_err());
+    }
+
+    #[test]
+    fn json_rejects_nesting_past_the_depth_limit() {
+        // Deep enough to overflow the stack without the bound.
+        let hostile = "[".repeat(200_000);
+        let err = JsonValue::parse(&hostile).unwrap_err();
+        assert_eq!(err.at, MAX_JSON_DEPTH);
+        let objects = "{\"k\":".repeat(MAX_JSON_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).is_err());
+        // One level past the limit fails even when well-formed; the limit
+        // itself parses.
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nest(MAX_JSON_DEPTH + 1)).is_err());
+        assert!(JsonValue::parse(&nest(MAX_JSON_DEPTH)).is_ok());
+    }
+
+    #[test]
+    fn json_round_trips_a_64_deep_document() {
+        let mut doc = JsonValue::Int(7);
+        for level in 0..64 {
+            doc = if level % 2 == 0 {
+                JsonValue::Arr(vec![doc, JsonValue::Null])
+            } else {
+                JsonValue::Obj(vec![("k".into(), doc)])
+            };
+        }
+        assert_eq!(JsonValue::parse(&doc.encode()).unwrap(), doc);
     }
 
     #[test]

@@ -7,22 +7,22 @@
 //! which re-factors the full kernel matrix on every observation (the
 //! `search/bayes/observe_propose_full` op in `wfctl bench`).
 //!
-//! The default surrogate is smarter about *when* it pays that cost:
+//! The default surrogate never pays that cost unless the matrix needs
+//! jitter:
 //!
-//! * a single [`SearchAlgorithm::observe`] appends one row to the packed
-//!   Cholesky factor (a block update: forward-solve the new off-diagonal
-//!   row, then one scalar pivot) and re-solves `α = K⁻¹y` against the
-//!   extended factor — O(n²) instead of O(n³). The arithmetic performs
-//!   exactly the operations a from-scratch factorization would perform
-//!   for its last row, so the factor, `α`, and every subsequent proposal
-//!   are **bit-for-bit identical** to the full refit (proven by the
-//!   `refit_equivalence` proptests at the workspace root);
-//! * wave boundaries ([`SearchAlgorithm::observe_batch`]) still refit
-//!   from scratch: one O(n³) factorization amortized over the whole wave,
-//!   which doubles as a periodic numerical re-anchor;
-//! * if an incremental pivot ever comes out non-positive (the matrix
-//!   needs jitter), the update falls back to the same jittered full refit
-//!   the from-scratch path would run — the two modes cannot diverge.
+//! * every [`SearchAlgorithm::observe`] and every wave boundary
+//!   ([`SearchAlgorithm::observe_batch`]) appends the new rows to the
+//!   packed Cholesky factor one at a time (per row: forward-solve the new
+//!   off-diagonal row, then one scalar pivot) and solves `α = K⁻¹y` once
+//!   against the extended factor — O(w·n²) for a wave of `w` instead of
+//!   O(n³). Each row performs exactly the operations a from-scratch
+//!   factorization performs for that row, so the factor, `α`, and every
+//!   subsequent proposal are **bit-for-bit identical** to the full refit
+//!   (proven by the `refit_equivalence` proptests at the workspace root);
+//! * if a new pivot comes out non-positive (the matrix needs jitter), the
+//!   update falls back to the same jittered full refit the from-scratch
+//!   path would run, and a jittered factor is always refit from scratch
+//!   — the two modes cannot diverge.
 //!
 //! Unchanged limitations the paper holds against this class: categorical
 //! parameters enter as one-hot features, which the RBF kernel treats
@@ -114,9 +114,9 @@ pub struct BayesOpt {
     pool: usize,
     /// Exploration margin ξ in EI.
     xi: f64,
-    /// Refit from scratch on every single observe (the pre-optimization
-    /// O(n³) path the paper critiques; kept for benches and equivalence
-    /// proofs).
+    /// Refit from scratch on every observe and every wave (the
+    /// pre-optimization O(n³) path the paper critiques; kept for benches
+    /// and equivalence proofs).
     full_refit_only: bool,
     /// Score proposal pools with the per-candidate EI loop instead of the
     /// batched matrix-level solve (bit-identical; kept for benches and
@@ -172,9 +172,10 @@ impl BayesOpt {
         self
     }
 
-    /// Forces a from-scratch O(n³) refit on every `observe` — the
-    /// pre-optimization cost profile §2.3 describes. The default (false)
-    /// performs the bit-equivalent O(n²) incremental factor extension.
+    /// Forces a from-scratch O(n³) refit on every `observe` and
+    /// `observe_batch` — the pre-optimization cost profile §2.3
+    /// describes. The default (false) performs the bit-equivalent O(n²)
+    /// per-row factor extension.
     pub fn with_full_refit(mut self, full: bool) -> Self {
         self.full_refit_only = full;
         self
@@ -240,24 +241,28 @@ impl BayesOpt {
         panic!("kernel matrix is not SPD even after {jitter:e} diagonal jitter");
     }
 
-    /// Extends the factor by the newest observation (O(n²)) — or falls
-    /// back to a full refit when the factor is missing, jittered, or the
-    /// new pivot is not positive. Bit-equivalent to [`BayesOpt::refit`]
-    /// in every case.
-    fn refit_incremental(&mut self) {
+    /// Brings the fit up to date with every stored observation. By
+    /// default it extends the factor by the rows `chol.n()..n` it lacks
+    /// (O(k·n²) for `k` new rows); it runs [`BayesOpt::refit`] instead
+    /// under [`BayesOpt::with_full_refit`], when the factor is missing or
+    /// jittered, or when a new pivot is not positive.
+    ///
+    /// Bit-identical to `refit()` in every case: the rows of an
+    /// unjittered factor are exactly what a jitter-0 refit recomputes,
+    /// and a pivot that fails here fails at the same row of that refit,
+    /// so the jitter ladder starts from the same state.
+    fn extend_or_refit(&mut self) {
         let n = self.xs.len();
-        let extendable =
-            !self.jittered && self.chol.as_ref().is_some_and(|c| n > 0 && c.n() == n - 1);
-        if !extendable {
-            self.refit();
-            return;
-        }
-        let row = self.kernel_row(n - 1, 0.0);
-        let chol = self.chol.as_mut().expect("checked above");
-        if !chol.try_extend(&row) {
-            // The matrix needs jitter: hand over to the retry ladder.
-            self.refit();
-            return;
+        let start = match &self.chol {
+            Some(c) if !self.full_refit_only && !self.jittered => c.n(),
+            _ => return self.refit(),
+        };
+        for i in start..n {
+            let row = self.kernel_row(i, 0.0);
+            if !self.chol.as_mut().expect("checked above").try_extend(&row) {
+                // The matrix needs jitter: hand over to the retry ladder.
+                return self.refit();
+            }
         }
         self.refresh_alpha();
         self.account();
@@ -596,23 +601,18 @@ impl SearchAlgorithm for BayesOpt {
     fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
         let t0 = HostTimer::start();
         self.ingest(ctx, obs);
-        if self.full_refit_only {
-            self.refit();
-        } else {
-            self.refit_incremental();
-        }
+        self.extend_or_refit();
         self.last_update_seconds = t0.seconds();
     }
 
     fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]) {
-        // A wave boundary: one from-scratch refit over the whole wave
-        // amortizes the O(n³) cost across every worker's observation and
-        // re-anchors the incremental factor numerically.
+        // A wave boundary: ingest the whole wave, then extend the factor
+        // by its rows one at a time (O(w·n²)) and solve for α once.
         let t0 = HostTimer::start();
         for obs in batch {
             self.ingest(ctx, obs);
         }
-        self.refit();
+        self.extend_or_refit();
         self.last_update_seconds = t0.seconds();
     }
 
@@ -1002,6 +1002,62 @@ mod tests {
             "alpha diverged"
         );
         assert_eq!(incremental.y_stats, full.y_stats);
+    }
+
+    /// Feeds `waves` of `x` values through `observe_batch` with the noise
+    /// term switched off, so a repeated configuration makes the kernel
+    /// matrix singular.
+    fn feed_noiseless_waves(mut alg: BayesOpt, waves: &[&[i64]]) -> BayesOpt {
+        alg.noise_var = 0.0;
+        let space = one_d_space();
+        let encoder = Encoder::new(&space);
+        let policy = SamplePolicy::Uniform;
+        for (i, wave) in waves.iter().enumerate() {
+            let ctx = SearchContext {
+                space: &space,
+                encoder: &encoder,
+                direction: Direction::Maximize,
+                policy: &policy,
+                history: &[],
+                iteration: i,
+            };
+            let batch: Vec<Observation> = wave
+                .iter()
+                .map(|&x| {
+                    let mut c = space.default_config();
+                    c.set(0, Value::Int(x));
+                    Observation::ok(c, x as f64, 1.0)
+                })
+                .collect();
+            alg.observe_batch(&ctx, &batch);
+        }
+        alg
+    }
+
+    #[test]
+    fn wave_extension_falls_back_to_the_jitter_ladder_bit_for_bit() {
+        // Repeating the first observation gives an exactly zero pivot.
+        // The repeat arrives once inside a wave (after a row that
+        // extends fine) and once in a wave of its own; each time the
+        // extension must hand over to the same jittered refit, and a
+        // later wave must refit the jittered factor again.
+        let within: &[&[i64]] = &[&[10], &[70, 10, 40]];
+        let across: &[&[i64]] = &[&[10, 70], &[40], &[10], &[95, 25]];
+        for waves in [within, across] {
+            let extended = feed_noiseless_waves(BayesOpt::new(), waves);
+            let full = feed_noiseless_waves(BayesOpt::new().with_full_refit(true), waves);
+            assert!(extended.jittered, "{waves:?} never reached the fallback");
+            assert_eq!(extended.jittered, full.jittered);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (ce, cf) = (extended.chol.unwrap(), full.chol.unwrap());
+            assert_eq!(bits(&ce.l), bits(&cf.l), "{waves:?}: factors diverged");
+            assert_eq!(
+                bits(&extended.alpha),
+                bits(&full.alpha),
+                "{waves:?}: alpha diverged"
+            );
+            assert_eq!(extended.y_stats, full.y_stats);
+        }
     }
 
     #[test]

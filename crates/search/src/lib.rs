@@ -7,11 +7,13 @@
 //! * [`random`] — the random-search baseline;
 //! * [`grid`] — systematic coordinate sweeps;
 //! * [`bayes`] — Gaussian-process Bayesian optimization (RBF kernel,
-//!   packed Cholesky, expected improvement). The default maintains the
-//!   factor incrementally (O(n²) per observe) and scores proposal pools
-//!   with one batched matrix-level triangular solve; the from-scratch
-//!   O(n³)-per-observe profile the paper critiques (Fig. 9) survives
-//!   behind `BayesOpt::with_full_refit`, bit-identical by proof;
+//!   packed Cholesky, expected improvement). The default extends the
+//!   factor by the new rows at every observe and every wave boundary
+//!   (O(n²) per row), refitting from scratch only when the matrix needs
+//!   jitter, and scores proposal pools with one batched matrix-level
+//!   triangular solve; the from-scratch O(n³)-per-observe profile the
+//!   paper critiques (Fig. 9) survives behind `BayesOpt::with_full_refit`,
+//!   bit-identical by proof;
 //! * [`causal`] — a Unicorn-style PC-algorithm causal search. The default
 //!   folds column statistics at ingest and persists the skeleton's
 //!   adjacency/sepset state across waves; the recompute-everything cost

@@ -2,10 +2,11 @@
 //! perf work: speeding up the surrogates must not move a single
 //! proposal.
 //!
-//! * `bayes`: an O(n²) incremental Cholesky extension per observe (full
-//!   refit only at wave boundaries) must leave the fitted model — and
-//!   therefore every subsequent `propose`/`propose_batch` — **bit-for-
-//!   bit identical** to the from-scratch O(n³) refit
+//! * `bayes`: extending the Cholesky factor row by row at every observe
+//!   and every wave boundary (O(n²) per row; a full refit only when the
+//!   matrix needs jitter) must leave the fitted model — and therefore
+//!   every subsequent `propose`/`propose_batch` — **bit-for-bit
+//!   identical** to the from-scratch O(n³) refit
 //!   (`BayesOpt::with_full_refit(true)`).
 //! * `bayes` pool scoring: the batched matrix-level EI solve (kernel
 //!   columns packed candidate-interleaved, one forward substitution per
