@@ -403,9 +403,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects where candidate evaluations execute: spawned per-wave
-    /// threads, the persistent in-process pool (the default), or
-    /// `wf-evald` worker processes behind a socket.
+    /// Selects where candidate evaluations execute: the persistent
+    /// in-process pool (the default) or `wf-evald` worker processes
+    /// behind a socket.
     pub fn backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
         self

@@ -129,6 +129,15 @@ impl fmt::Display for YamlError {
 
 impl std::error::Error for YamlError {}
 
+/// Deepest container nesting [`parse`] accepts: block mappings, block
+/// sequences, inline `- key: value` maps and flow sequences all count one
+/// level each, the root included. The parser recurses once per level, so
+/// without a bound a job of nothing but `[` (or ever-deeper indentation)
+/// overflows the stack and aborts the process — and `wfd` parses a
+/// client's submitted job on a connection thread. Every real job file
+/// nests a few levels at most.
+const MAX_YAML_DEPTH: usize = 128;
+
 /// One significant (non-blank, non-comment) line.
 struct Line<'a> {
     number: usize,
@@ -173,7 +182,7 @@ pub fn parse(input: &str) -> Result<Yaml, YamlError> {
     }
     let mut pos = 0;
     let root_indent = lines[0].indent;
-    let value = parse_block(&lines, &mut pos, root_indent)?;
+    let value = parse_block(&lines, &mut pos, root_indent, 0)?;
     if pos != lines.len() {
         return Err(YamlError {
             line: lines[pos].number,
@@ -183,15 +192,39 @@ pub fn parse(input: &str) -> Result<Yaml, YamlError> {
     Ok(value)
 }
 
-fn parse_block(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+/// Opens one more container level below `depth` open ones, refusing to
+/// go past [`MAX_YAML_DEPTH`].
+fn nest(depth: usize, line: usize) -> Result<usize, YamlError> {
+    if depth == MAX_YAML_DEPTH {
+        return Err(YamlError {
+            line,
+            message: format!("nested deeper than {MAX_YAML_DEPTH} levels"),
+        });
+    }
+    Ok(depth + 1)
+}
+
+/// Parses the block at `*pos`; `depth` counts the containers around it.
+fn parse_block(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
+    let depth = nest(depth, lines[*pos].number)?;
     if lines[*pos].content.starts_with("- ") || lines[*pos].content == "-" {
-        parse_sequence(lines, pos, indent)
+        parse_sequence(lines, pos, indent, depth)
     } else {
-        parse_mapping(lines, pos, indent)
+        parse_mapping(lines, pos, indent, depth)
     }
 }
 
-fn parse_sequence(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+fn parse_sequence(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
     let mut items = Vec::new();
     while *pos < lines.len() && lines[*pos].indent == indent {
         let line = &lines[*pos];
@@ -208,40 +241,46 @@ fn parse_sequence(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml
             // Item body is the following deeper block.
             if *pos < lines.len() && lines[*pos].indent > indent {
                 let child_indent = lines[*pos].indent;
-                items.push(parse_block(lines, pos, child_indent)?);
+                items.push(parse_block(lines, pos, child_indent, depth)?);
             } else {
                 items.push(Yaml::Null);
             }
         } else if let Some((key, value_text)) = split_key(rest) {
             // Inline map item: `- key: value`, continued at deeper indent.
             // Continuation keys align under the first key (indent + 2).
+            let depth = nest(depth, number)?;
             let mut pairs = vec![(
                 key.to_string(),
-                inline_value(value_text, lines, pos, indent, number)?,
+                inline_value(value_text, lines, pos, indent, number, depth)?,
             )];
             let cont_indent = indent + 2;
             while *pos < lines.len()
                 && lines[*pos].indent == cont_indent
                 && !lines[*pos].content.starts_with("- ")
             {
-                let (k, v) = parse_mapping_entry(lines, pos)?;
+                let (k, v) = parse_mapping_entry(lines, pos, depth)?;
                 pairs.push((k, v));
             }
             items.push(Yaml::Map(pairs));
         } else {
-            items.push(parse_scalar(rest, number)?);
+            items.push(parse_scalar(rest, number, depth)?);
         }
     }
     Ok(Yaml::Seq(items))
 }
 
-fn parse_mapping(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+fn parse_mapping(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
     let mut pairs = Vec::new();
     while *pos < lines.len()
         && lines[*pos].indent == indent
         && !lines[*pos].content.starts_with("- ")
     {
-        let (k, v) = parse_mapping_entry(lines, pos)?;
+        let (k, v) = parse_mapping_entry(lines, pos, depth)?;
         if pairs.iter().any(|(prev, _)| *prev == k) {
             return Err(YamlError {
                 line: lines[*pos - 1].number,
@@ -260,7 +299,11 @@ fn parse_mapping(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml,
 }
 
 /// Parses one `key: ...` entry (the line at `*pos`) and any nested block.
-fn parse_mapping_entry(lines: &[Line], pos: &mut usize) -> Result<(String, Yaml), YamlError> {
+fn parse_mapping_entry(
+    lines: &[Line],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<(String, Yaml), YamlError> {
     let line = &lines[*pos];
     let indent = line.indent;
     let number = line.number;
@@ -272,12 +315,12 @@ fn parse_mapping_entry(lines: &[Line], pos: &mut usize) -> Result<(String, Yaml)
     let value = if value_text.is_empty() {
         if *pos < lines.len() && lines[*pos].indent > indent {
             let child_indent = lines[*pos].indent;
-            parse_block(lines, pos, child_indent)?
+            parse_block(lines, pos, child_indent, depth)?
         } else {
             Yaml::Null
         }
     } else {
-        parse_scalar(value_text, number)?
+        parse_scalar(value_text, number, depth)?
     };
     Ok((key.to_string(), value))
 }
@@ -289,15 +332,16 @@ fn inline_value(
     pos: &mut usize,
     item_indent: usize,
     number: usize,
+    depth: usize,
 ) -> Result<Yaml, YamlError> {
     if text.is_empty() {
         if *pos < lines.len() && lines[*pos].indent > item_indent + 2 {
             let child_indent = lines[*pos].indent;
-            return parse_block(lines, pos, child_indent);
+            return parse_block(lines, pos, child_indent, depth);
         }
         return Ok(Yaml::Null);
     }
-    parse_scalar(text, number)
+    parse_scalar(text, number, depth)
 }
 
 /// Splits `key: value` (colon must be followed by space or end of line).
@@ -321,10 +365,10 @@ fn split_key(s: &str) -> Option<(&str, &str)> {
     None
 }
 
-fn parse_scalar(s: &str, line: usize) -> Result<Yaml, YamlError> {
+fn parse_scalar(s: &str, line: usize, depth: usize) -> Result<Yaml, YamlError> {
     let s = s.trim();
     if s.starts_with('[') {
-        return parse_flow_seq(s, line);
+        return parse_flow_seq(s, line, depth);
     }
     if let Some(inner) = s.strip_prefix('"') {
         let inner = inner.strip_suffix('"').ok_or_else(|| YamlError {
@@ -367,7 +411,8 @@ fn plain_scalar(s: &str) -> Yaml {
     Yaml::Str(s.to_string())
 }
 
-fn parse_flow_seq(s: &str, line: usize) -> Result<Yaml, YamlError> {
+fn parse_flow_seq(s: &str, line: usize, depth: usize) -> Result<Yaml, YamlError> {
+    let depth = nest(depth, line)?;
     let inner = s
         .strip_prefix('[')
         .and_then(|x| x.strip_suffix(']'))
@@ -380,7 +425,7 @@ fn parse_flow_seq(s: &str, line: usize) -> Result<Yaml, YamlError> {
         return Ok(Yaml::Seq(items));
     }
     for part in split_flow_items(inner) {
-        items.push(parse_scalar(part.trim(), line)?);
+        items.push(parse_scalar(part.trim(), line, depth)?);
     }
     Ok(Yaml::Seq(items))
 }
@@ -654,6 +699,53 @@ tags:
         let text = "a:\n  b:\n    c:\n      - d: 1\n      - e: [x, y]\n";
         let doc = parse(text).unwrap();
         assert_eq!(parse(&emit(&doc)).unwrap(), doc);
+    }
+
+    /// A document nesting exactly `levels` containers: the root mapping
+    /// holding `levels - 1` flow sequences.
+    fn flow_nest(levels: usize) -> String {
+        let inner = levels - 1;
+        format!("a: {}{}\n", "[".repeat(inner), "]".repeat(inner))
+    }
+
+    /// A document nesting exactly `levels` block mappings, one indent
+    /// step deeper per level.
+    fn block_nest(levels: usize) -> String {
+        let mut text = String::new();
+        for level in 0..levels {
+            text.push_str(&" ".repeat(level));
+            text.push_str(if level + 1 == levels {
+                "k: 1\n"
+            } else {
+                "k:\n"
+            });
+        }
+        text
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_depth_limit() {
+        assert!(parse(&flow_nest(MAX_YAML_DEPTH)).is_ok());
+        let err = parse(&flow_nest(MAX_YAML_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+
+        assert!(parse(&block_nest(MAX_YAML_DEPTH)).is_ok());
+        let err = parse(&block_nest(MAX_YAML_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert_eq!(
+            err.line,
+            MAX_YAML_DEPTH + 1,
+            "points at the first too-deep line"
+        );
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // Both shapes abort an unbounded recursive parser: 200 000 flow
+        // brackets on one line, and mapping keys nested 5 700 levels deep.
+        let flow = format!("params: {}{}\n", "[".repeat(200_000), "]".repeat(200_000));
+        assert!(parse(&flow).is_err());
+        assert!(parse(&block_nest(5_700)).is_err());
     }
 
     #[test]

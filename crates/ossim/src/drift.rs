@@ -20,7 +20,7 @@
 //! the post-shift optimum genuinely *moves* — re-specialization has
 //! something to find. Everything is deterministic: schedules own no RNG;
 //! callers pass per-sample seeded streams exactly as for a static
-//! [`SimOs`](crate::SimOs) benchmark.
+//! [`SimOs`] benchmark.
 
 use crate::apps::{App, MetricDirection};
 use crate::curve::Curve;

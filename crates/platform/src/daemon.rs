@@ -871,6 +871,37 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_submit_is_refused_and_the_daemon_stays_up() {
+        // A job of 200 000 nested flow brackets: the connection thread
+        // parses it on its small default stack, so an unbounded parser
+        // would abort the whole daemon here.
+        let root = temp_root("hostile");
+        let (handle, _stop) = spawn_daemon(&root);
+
+        let job = format!(
+            "name: hostile\nparams: {}{}\n",
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        let mut c = connect(&root).unwrap();
+        let submit = JsonValue::Obj(vec![
+            ("op".to_string(), JsonValue::Str("submit".into())),
+            ("job".to_string(), JsonValue::Str(job)),
+        ]);
+        let err = round_trip(&mut c, &submit).unwrap_err();
+        assert!(err.to_string().contains("invalid job"), "{err}");
+
+        let mut c = connect(&root).unwrap();
+        let reply = round_trip(&mut c, &request("ping")).unwrap();
+        assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+
+        let mut c = connect(&root).unwrap();
+        round_trip(&mut c, &request("shutdown")).unwrap();
+        handle.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn null_sink_satisfies_the_launcher_signature() {
         // Compile-time check that plain closures are launchers.
         let launcher: Arc<dyn SessionLauncher> = noop_launcher();

@@ -6,12 +6,12 @@
 //! * [`clock`] — the virtual clock all budgets are charged against;
 //! * [`cache`] — the kernel-image cache behind §3.1's rebuild-skip, and
 //!   its lock-shared multi-worker form;
-//! * [`workers`] — per-candidate evaluation ([`workers::evaluate_candidate`])
-//!   plus the legacy scoped-thread [`workers::Pool`] and crossbeam-parallel
+//! * [`workers`] — per-candidate evaluation: one worker's build → boot →
+//!   benchmark of one configuration ([`workers::evaluate_candidate`]),
+//!   its per-candidate seed derivation ([`derive_seed`]), and parallel
 //!   benchmark repetitions;
 //! * [`backend`] — the [`backend::EvalBackend`] trait and its persistent
-//!   [`backend::InProcessBackend`] / legacy [`backend::SpawnBackend`]
-//!   implementations (where waves execute);
+//!   [`backend::InProcessBackend`] implementation (where waves execute);
 //! * [`remote`] — [`remote::RemoteBackend`]: workers behind a
 //!   process/socket boundary speaking the length-prefixed `wf-evald`
 //!   protocol;
@@ -61,7 +61,7 @@ pub mod sync;
 pub mod target;
 pub mod workers;
 
-pub use backend::{EvalBackend, InProcessBackend, LaneError, SpawnBackend, WorkItem, WorkResult};
+pub use backend::{EvalBackend, InProcessBackend, LaneError, WorkItem, WorkResult};
 pub use cache::{ImageCache, SharedImageCache};
 pub use clock::VirtualClock;
 pub use daemon::{
@@ -81,4 +81,4 @@ pub use router::{dispatch_wave, LaneStats, Router, RoutingStrategy};
 pub use store::{JsonlSink, SessionStore, StoreError, StoredDrift, StoredEpoch, StoredSession};
 pub use sync::lock_recover;
 pub use target::{EvalTarget, SimTarget, TargetDescriptor};
-pub use workers::{derive_seed, Pool};
+pub use workers::derive_seed;

@@ -14,9 +14,8 @@
 //! slots retried), and tells the algorithm every outcome at once
 //! ([`wf_search::SearchAlgorithm::observe_batch`]). The backend is a
 //! deployment knob ([`wf_jobfile::BackendChoice`]): persistent in-process
-//! worker threads by default, `wf-evald` worker processes for
-//! [`crate::remote::RemoteBackend`], or the legacy per-wave
-//! scoped-thread spawn.
+//! worker threads by default, or `wf-evald` worker processes for
+//! [`crate::remote::RemoteBackend`].
 //!
 //! # The two virtual clocks
 //!
@@ -45,7 +44,7 @@
 //! * compile targets give each worker lane its own working tree, so
 //!   incremental-rebuild *durations* depend on the lane's previous
 //!   build; and cache reuse is wave-granular (the deterministic
-//!   two-phase protocol in [`crate::workers::Pool::run_wave`] probes
+//!   two-phase protocol in [`crate::router::dispatch_wave`] probes
 //!   before dispatch and publishes after), so two same-image candidates
 //!   in one wave both build where a sequential sweep builds once.
 //!   Build/boot/bench draw from separate per-candidate RNG streams, so
@@ -54,7 +53,7 @@
 //!   function of (seed, candidate order), which is what makes stores
 //!   replayable bit-for-bit.
 
-use crate::backend::{EvalBackend, InProcessBackend, SpawnBackend};
+use crate::backend::{EvalBackend, InProcessBackend};
 use crate::cache::SharedImageCache;
 use crate::clock::VirtualClock;
 use crate::epoch::{DriftConfig, DriftState};
@@ -335,7 +334,6 @@ impl Session {
     ) -> Result<Self, String> {
         let workers = spec.workers.max(1);
         let backend: Box<dyn EvalBackend> = match spec.backend {
-            BackendChoice::Spawn => Box::new(SpawnBackend::new()),
             BackendChoice::InProcess => Box::new(InProcessBackend::new(workers)),
             BackendChoice::Remote => {
                 let remote = spec.remote.as_ref().ok_or_else(|| {

@@ -264,6 +264,17 @@ fn backoff(attempt: u32) -> std::time::Duration {
 /// Returns evaluations in candidate order. `trees` holds one working
 /// tree per lane (`trees.len() == router.width()`).
 ///
+/// Backends never touch the cache: probe answers travel in the
+/// [`WorkItem`]s and built images come back in the [`WorkResult`]s, and
+/// both cache phases run here, sequentially in candidate order. So
+/// `build_skipped` flags, cache statistics, and incremental-build reuse
+/// are pure functions of (seed, candidate order) — the property the
+/// session-store resume guarantee relies on — and lanes take zero
+/// cache-lock acquisitions while they run. Two same-fingerprint
+/// candidates in one wave both miss and both build, exactly like two
+/// real VM workers racing a build farm; the next wave reuses the
+/// published image.
+///
 /// # Panics
 ///
 /// Panics if every lane has failed (no healthy lanes remain).
@@ -367,8 +378,9 @@ pub fn dispatch_wave(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{InProcessBackend, LaneError, SpawnBackend};
+    use crate::backend::{InProcessBackend, LaneError};
     use crate::target::SimTarget;
+    use crate::workers::evaluate_candidate;
     use wf_kconfig::LinuxVersion;
     use wf_ossim::{App, AppId, SimOs};
 
@@ -472,55 +484,113 @@ mod tests {
         r.assign(1, 1, 0);
     }
 
+    /// The wave protocol written out sequentially, one wave of `width`
+    /// candidates at a time: probe every candidate, evaluate them in
+    /// order (candidate `j` of the wave on lane `j`'s tree), then publish
+    /// every built image in order. Returns the evaluations and the
+    /// lanes' final working trees.
+    fn sequential_reference(
+        target: &dyn EvalTarget,
+        candidates: &[Configuration],
+        width: usize,
+    ) -> (Vec<CandidateEval>, Vec<Option<Configuration>>) {
+        let cache = SharedImageCache::new(8);
+        let mut trees = vec![None; width];
+        let mut evals = Vec::with_capacity(candidates.len());
+        for (w, wave) in candidates.chunks(width).enumerate() {
+            let reuses: Vec<Option<KernelImage>> = wave
+                .iter()
+                .map(|c| cache.get(target.image_fingerprint(c)))
+                .collect();
+            let results: Vec<(CandidateEval, Option<KernelImage>)> = wave
+                .iter()
+                .zip(trees.iter_mut())
+                .zip(&reuses)
+                .enumerate()
+                .map(|(j, ((config, tree), reuse))| {
+                    evaluate_candidate(target, config, w * width + j, 42, 2, reuse.as_ref(), tree)
+                })
+                .collect();
+            for (eval, image) in results {
+                if let Some(image) = image {
+                    cache.insert(image);
+                }
+                evals.push(eval);
+            }
+        }
+        (evals, trees)
+    }
+
+    /// The same candidates through [`dispatch_wave`] over an in-process
+    /// backend `width` lanes wide.
+    fn routed_waves(
+        target: &Arc<dyn EvalTarget>,
+        candidates: &[Configuration],
+        width: usize,
+    ) -> (Vec<CandidateEval>, Vec<Option<Configuration>>) {
+        let mut backend = InProcessBackend::new(width);
+        let mut router = Router::new(RoutingStrategy::RoundRobin, width);
+        let cache = SharedImageCache::new(8);
+        let mut trees = vec![None; width];
+        let mut evals = Vec::with_capacity(candidates.len());
+        for (w, wave) in candidates.chunks(width).enumerate() {
+            evals.extend(dispatch_wave(
+                &mut backend,
+                &mut router,
+                target,
+                wave,
+                w * width,
+                42,
+                w as u64,
+                2,
+                &cache,
+                &mut trees,
+            ));
+        }
+        (evals, trees)
+    }
+
+    fn assert_same_outcome(a: &CandidateEval, b: &CandidateEval) {
+        assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
+        match (&a.outcome, &b.outcome) {
+            (Ok(x), Ok(y)) => assert_eq!(x, y),
+            (Err(x), Err(y)) => assert_eq!(x.phase, y.phase),
+            _ => panic!("outcome kind differs"),
+        }
+    }
+
     #[test]
-    fn dispatch_wave_matches_the_legacy_pool_bit_for_bit() {
-        // The routed dispatch over either backend must reproduce the
-        // legacy Pool::run_wave results exactly (identity lane
-        // assignment under default round-robin on full-width waves).
+    fn dispatch_wave_matches_a_sequential_reference_bit_for_bit() {
+        // The routed dispatch must reproduce the plain sequential protocol
+        // exactly (identity lane assignment under default round-robin on
+        // full-width waves), both as one wave of four and as four waves
+        // of one.
         let target = arc_target();
         let mut rng = StdRng::seed_from_u64(5);
         let candidates: Vec<Configuration> =
             (0..4).map(|_| target.space().sample(&mut rng)).collect();
 
-        let legacy_cache = SharedImageCache::new(8);
-        let pool = crate::workers::Pool::new(4);
-        let mut legacy_lanes = [None, None, None, None];
-        let legacy = pool.run_wave(
-            target.as_ref(),
-            &candidates,
-            0,
-            42,
-            2,
-            &legacy_cache,
-            &mut legacy_lanes,
-        );
-
-        for make in [
-            || Box::new(SpawnBackend::new()) as Box<dyn EvalBackend>,
-            || Box::new(InProcessBackend::new(4)) as Box<dyn EvalBackend>,
-        ] {
-            let mut backend = make();
-            let mut router = Router::new(RoutingStrategy::RoundRobin, 4);
-            let cache = SharedImageCache::new(8);
-            let mut trees = vec![None, None, None, None];
-            let routed = dispatch_wave(
-                backend.as_mut(),
-                &mut router,
-                &target,
-                &candidates,
-                0,
-                42,
-                0,
-                2,
-                &cache,
-                &mut trees,
-            );
-            assert_eq!(routed.len(), legacy.len());
-            for (a, b) in routed.iter().zip(legacy.iter()) {
-                assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
-                assert_eq!(a.build_skipped, b.build_skipped);
+        let mut by_width = Vec::new();
+        for width in [4, 1] {
+            let (reference, reference_trees) =
+                sequential_reference(target.as_ref(), &candidates, width);
+            let (routed, trees) = routed_waves(&target, &candidates, width);
+            assert_eq!(routed.len(), reference.len());
+            for (a, b) in routed.iter().zip(&reference) {
+                assert_same_outcome(a, b);
+                assert_eq!(a.build_skipped, b.build_skipped, "width {width}");
             }
-            assert_eq!(&trees[..], &legacy_lanes[..], "working trees agree");
+            assert_eq!(
+                trees, reference_trees,
+                "working trees agree at width {width}"
+            );
+            by_width.push(routed);
+        }
+        // Every virtual-cost draw derives from (seed, candidate index), so
+        // on a runtime target outcomes and durations do not depend on the
+        // wave width either.
+        for (a, b) in by_width[0].iter().zip(&by_width[1]) {
+            assert_same_outcome(a, b);
         }
     }
 

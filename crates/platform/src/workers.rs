@@ -1,18 +1,21 @@
-//! The simulated VM-worker pool.
+//! Per-candidate evaluation: what one simulated VM worker does.
 //!
 //! The paper's platform is "built ... as a collection of microservices"
-//! that farm evaluations out to VM workers. This module simulates that
-//! fleet: a [`Pool`] of N workers evaluates a *wave* of candidate
-//! configurations concurrently (crossbeam scoped threads in real time),
-//! while each candidate's virtual draws derive from a per-candidate RNG,
-//! never a shared stream, so a candidate's measured outcome does not
-//! depend on which worker ran it or what ran concurrently (see
-//! `pipeline` for the exact worker-count-invariance statement). The
-//! shared image cache is only touched between waves — a sequential probe
-//! before dispatch, a sequential publish after ([`Pool::run_wave`]) — so
-//! cache effects are deterministic too.
-//! Benchmark repetitions stay concurrent too, but their durations are
-//! charged *sequentially* to the candidate ("all test configurations are
+//! that farm evaluations out to VM workers. This module is the body of
+//! one such worker: [`evaluate_candidate`] builds (or reuses), boots and
+//! benchmarks a single configuration. Where a wave's candidates run is
+//! the backend's concern ([`crate::backend`]) and how a wave is probed,
+//! dispatched and published is [`crate::router::dispatch_wave`]'s; this
+//! module never touches the shared image cache, so every backend
+//! produces the same results.
+//!
+//! Each candidate's virtual draws derive from a per-candidate RNG
+//! ([`derive_seed`] over `(session_seed, index)`), never a shared stream,
+//! so a candidate's measured outcome does not depend on which worker ran
+//! it or what ran concurrently (see `pipeline` for the exact
+//! worker-count-invariance statement). Benchmark repetitions run
+//! concurrently ([`run_repetitions`]), but their durations are charged
+//! *sequentially* to the candidate ("all test configurations are
 //! benchmarked one after the other" — experiments are never co-located).
 //!
 //! # Examples
@@ -42,7 +45,6 @@
 //! assert_eq!(a.outcome.is_ok(), b.outcome.is_ok());
 //! ```
 
-use crate::cache::SharedImageCache;
 use crate::target::EvalTarget;
 use crossbeam::thread;
 use rand::rngs::StdRng;
@@ -168,7 +170,7 @@ pub struct CandidateEval {
 /// repetitions. Returns the evaluation plus the built (or reused) image,
 /// which the caller publishes to the shared cache — the cache itself is
 /// never touched here, so a wave's cache protocol stays deterministic
-/// (see [`Pool::run_wave`]).
+/// (see [`crate::router::dispatch_wave`]).
 ///
 /// `index` is the candidate's global position in the session history; all
 /// virtual-cost draws derive from `(session_seed, index)`, never from a
@@ -235,138 +237,6 @@ pub fn evaluate_candidate(
         },
         Some(image),
     )
-}
-
-/// A pool of N simulated VM workers.
-///
-/// Waves dispatch one candidate per worker lane; lane `j` keeps its own
-/// "working tree" (the last configuration it built) across waves, like a
-/// real per-VM build directory. Results come back in candidate order, so
-/// the recorded history is independent of thread scheduling.
-#[derive(Clone, Copy, Debug)]
-pub struct Pool {
-    workers: usize,
-}
-
-impl Pool {
-    /// Creates a pool of `workers` VM workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1, "a pool needs at least one worker");
-        Pool { workers }
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Evaluates a wave of candidates across the pool.
-    ///
-    /// `first_index` is the global history index of `candidates[0]`;
-    /// `lanes` holds one working tree per worker. Returns evaluations in
-    /// candidate order.
-    ///
-    /// The shared image cache is consulted through a deterministic
-    /// two-phase protocol: every candidate's fingerprint is probed
-    /// *sequentially in candidate order* before dispatch, and the images
-    /// built by the wave are published back *sequentially in candidate
-    /// order* after every lane returns. Worker threads never touch the
-    /// cache, so `build_skipped` flags, cache statistics, and
-    /// incremental-build reuse are pure functions of (seed, candidate
-    /// order) — the property the session-store resume guarantee asserts —
-    /// and the dispatch hot path takes zero cache-lock acquisitions while
-    /// lanes run. Two same-fingerprint candidates in one wave both miss
-    /// and both build, exactly like two real VM workers racing a build
-    /// farm; the next wave reuses the published image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wave exceeds the pool width or the lane count.
-    #[allow(clippy::too_many_arguments)] // the platform's one dispatch point
-    pub fn run_wave(
-        &self,
-        target: &dyn EvalTarget,
-        candidates: &[Configuration],
-        first_index: usize,
-        session_seed: u64,
-        repetitions: usize,
-        cache: &SharedImageCache,
-        lanes: &mut [Option<Configuration>],
-    ) -> Vec<CandidateEval> {
-        assert!(candidates.len() <= self.workers, "wave exceeds pool width");
-        assert!(candidates.len() <= lanes.len(), "wave exceeds lane count");
-
-        // Phase 1: probe the cache in candidate order.
-        let reuses: Vec<Option<KernelImage>> = candidates
-            .iter()
-            .map(|c| cache.get(target.image_fingerprint(c)))
-            .collect();
-
-        // Phase 2: evaluate every lane (threads only when the wave has
-        // more than one candidate, so `workers = 1` sessions stay
-        // strictly sequential).
-        let results: Vec<(CandidateEval, Option<KernelImage>)> = if candidates.len() <= 1 {
-            candidates
-                .iter()
-                .zip(lanes.iter_mut())
-                .zip(reuses.iter())
-                .enumerate()
-                .map(|(j, ((config, lane), reuse))| {
-                    evaluate_candidate(
-                        target,
-                        config,
-                        first_index + j,
-                        session_seed,
-                        repetitions,
-                        reuse.as_ref(),
-                        lane,
-                    )
-                })
-                .collect()
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = candidates
-                    .iter()
-                    .zip(lanes.iter_mut())
-                    .zip(reuses.iter())
-                    .enumerate()
-                    .map(|(j, ((config, lane), reuse))| {
-                        scope.spawn(move |_| {
-                            evaluate_candidate(
-                                target,
-                                config,
-                                first_index + j,
-                                session_seed,
-                                repetitions,
-                                reuse.as_ref(),
-                                lane,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-            .expect("crossbeam scope")
-        };
-
-        // Phase 3: publish built (and refreshed) images in candidate
-        // order, then hand back the evaluations.
-        let mut evals = Vec::with_capacity(results.len());
-        for (eval, image) in results {
-            if let Some(image) = image {
-                cache.insert(image);
-            }
-            evals.push(eval);
-        }
-        evals
-    }
 }
 
 #[cfg(test)]
@@ -481,52 +351,5 @@ mod tests {
             }
         }
         assert!(old_collisions > 0, "old scheme should collide on this grid");
-    }
-
-    #[test]
-    fn wave_results_do_not_depend_on_pool_width() {
-        // The same four candidates evaluated by a 1-wide pool (four waves
-        // of one) and a 4-wide pool (one wave of four) must produce
-        // identical outcomes and durations on a runtime target, because
-        // every virtual-cost draw derives from (seed, candidate index).
-        let target = sim_target(AppId::Nginx);
-        let mut rng = StdRng::seed_from_u64(3);
-        let candidates: Vec<Configuration> =
-            (0..4).map(|_| target.space().sample(&mut rng)).collect();
-
-        let narrow_cache = SharedImageCache::new(8);
-        let narrow_pool = Pool::new(1);
-        let mut narrow_lane = [None];
-        let narrow: Vec<CandidateEval> = candidates
-            .iter()
-            .enumerate()
-            .flat_map(|(i, c)| {
-                narrow_pool.run_wave(
-                    &target,
-                    std::slice::from_ref(c),
-                    i,
-                    42,
-                    2,
-                    &narrow_cache,
-                    &mut narrow_lane,
-                )
-            })
-            .collect();
-
-        let wide_cache = SharedImageCache::new(8);
-        let wide_pool = Pool::new(4);
-        let mut wide_lanes = [None, None, None, None];
-        let wide = wide_pool.run_wave(&target, &candidates, 0, 42, 2, &wide_cache, &mut wide_lanes);
-
-        // Results come back in candidate order, so position i of both
-        // runs is candidate i by construction.
-        for (a, b) in narrow.iter().zip(wide.iter()) {
-            assert_eq!(a.duration_s, b.duration_s);
-            match (&a.outcome, &b.outcome) {
-                (Ok(x), Ok(y)) => assert_eq!(x, y),
-                (Err(x), Err(y)) => assert_eq!(x.phase, y.phase),
-                _ => panic!("outcome kind differs between pool widths"),
-            }
-        }
     }
 }
