@@ -287,15 +287,21 @@ fn parse_default_value(s: &str, stype: SymbolType) -> Option<DefaultValue> {
     }
 }
 
+/// How many `!` and `(` levels an expression may nest. Each level is one
+/// recursion of the parser, so deeper input is refused with an error
+/// instead of overflowing the stack.
+const MAX_EXPR_DEPTH: usize = 128;
+
 /// Recursive-descent parser for dependency expressions.
 ///
 /// Grammar: `or := and ('||' and)*`, `and := cmp ('&&' cmp)*`,
 /// `cmp := unary (('='|'!=') unary)?`, `unary := '!' unary | primary`,
-/// `primary := '(' or ')' | SYMBOL | 'y' | 'm' | 'n'`.
+/// `primary := '(' or ')' | SYMBOL | 'y' | 'm' | 'n'`. Nesting `!` and
+/// `(` deeper than 128 levels (`MAX_EXPR_DEPTH`) is an error.
 pub fn parse_expr(input: &str) -> Result<Expr, String> {
     let tokens = tokenize_expr(input)?;
     let mut pos = 0;
-    let e = parse_or(&tokens, &mut pos)?;
+    let e = parse_or(&tokens, &mut pos, 0)?;
     if pos != tokens.len() {
         return Err(format!(
             "trailing tokens after expression: {:?}",
@@ -378,52 +384,59 @@ fn tokenize_expr(s: &str) -> Result<Vec<Tok>, String> {
     Ok(out)
 }
 
-fn parse_or(toks: &[Tok], pos: &mut usize) -> Result<Expr, String> {
-    let mut left = parse_and(toks, pos)?;
+fn parse_or(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, String> {
+    let mut left = parse_and(toks, pos, depth)?;
     while toks.get(*pos) == Some(&Tok::OrOr) {
         *pos += 1;
-        let right = parse_and(toks, pos)?;
+        let right = parse_and(toks, pos, depth)?;
         left = Expr::Or(Box::new(left), Box::new(right));
     }
     Ok(left)
 }
 
-fn parse_and(toks: &[Tok], pos: &mut usize) -> Result<Expr, String> {
-    let mut left = parse_cmp(toks, pos)?;
+fn parse_and(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, String> {
+    let mut left = parse_cmp(toks, pos, depth)?;
     while toks.get(*pos) == Some(&Tok::AndAnd) {
         *pos += 1;
-        let right = parse_cmp(toks, pos)?;
+        let right = parse_cmp(toks, pos, depth)?;
         left = Expr::And(Box::new(left), Box::new(right));
     }
     Ok(left)
 }
 
-fn parse_cmp(toks: &[Tok], pos: &mut usize) -> Result<Expr, String> {
-    let left = parse_unary(toks, pos)?;
+fn parse_cmp(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, String> {
+    let left = parse_unary(toks, pos, depth)?;
     match toks.get(*pos) {
         Some(Tok::Eq) => {
             *pos += 1;
-            let right = parse_unary(toks, pos)?;
+            let right = parse_unary(toks, pos, depth)?;
             Ok(Expr::Eq(Box::new(left), Box::new(right)))
         }
         Some(Tok::Neq) => {
             *pos += 1;
-            let right = parse_unary(toks, pos)?;
+            let right = parse_unary(toks, pos, depth)?;
             Ok(Expr::Neq(Box::new(left), Box::new(right)))
         }
         _ => Ok(left),
     }
 }
 
-fn parse_unary(toks: &[Tok], pos: &mut usize) -> Result<Expr, String> {
+/// `depth` counts the `!` and `(` levels already open around this one.
+fn parse_unary(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, String> {
+    let opens = matches!(toks.get(*pos), Some(Tok::Not | Tok::LParen));
+    if opens && depth == MAX_EXPR_DEPTH {
+        return Err(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        ));
+    }
     match toks.get(*pos) {
         Some(Tok::Not) => {
             *pos += 1;
-            Ok(Expr::Not(Box::new(parse_unary(toks, pos)?)))
+            Ok(Expr::Not(Box::new(parse_unary(toks, pos, depth + 1)?)))
         }
         Some(Tok::LParen) => {
             *pos += 1;
-            let inner = parse_or(toks, pos)?;
+            let inner = parse_or(toks, pos, depth + 1)?;
             if toks.get(*pos) != Some(&Tok::RParen) {
                 return Err("missing closing parenthesis".into());
             }
@@ -558,6 +571,29 @@ endmenu
             m.by_name("A").unwrap().prompt.as_deref(),
             Some("prompt # not a comment")
         );
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["!", "("] {
+            let err = parse_expr(&format!("{}A", open.repeat(200_000))).unwrap_err();
+            assert!(err.contains("nested deeper"), "{open}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_limit_is_exact() {
+        let nots = |depth: usize| format!("{}A", "!".repeat(depth));
+        let parens = |depth: usize| format!("{}A{}", "(".repeat(depth), ")".repeat(depth));
+        for nest in [nots, parens] {
+            assert!(parse_expr(&nest(MAX_EXPR_DEPTH)).is_ok());
+            assert!(parse_expr(&nest(MAX_EXPR_DEPTH + 1)).is_err());
+        }
+        // Mixed nesting shares one budget.
+        let mixed = format!("{}A{}", "!(".repeat(64), ")".repeat(64));
+        assert!(parse_expr(&mixed).is_ok());
+        let mixed = format!("!{}A{}", "!(".repeat(64), ")".repeat(64));
+        assert!(parse_expr(&mixed).is_err());
     }
 
     #[test]

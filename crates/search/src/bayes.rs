@@ -39,14 +39,20 @@
 //! *per candidate*. The default scorer therefore batches the whole pool
 //! into one matrix-level triangular solve: candidates are packed
 //! interleaved into a kernel-column matrix and a single packed forward
-//! substitution sweeps the factor across all columns at once (the factor
-//! streams once per block of eight candidates, and the inner loops
-//! vectorize across the candidate lane). Per candidate the scalar
-//! operation sequence — operand order included — is exactly the
-//! per-candidate loop's, so the scores and every downstream proposal are
-//! **bit-for-bit identical** to the sequential path
-//! ([`BayesOpt::with_scalar_ei`]), proven by the `refit_equivalence`
-//! proptests and the doctest below.
+//! substitution sweeps the factor across all columns at once. The factor
+//! streams once per block of sixteen candidates (`EI_BLOCK`), and a final
+//! partial block is padded to full width with its last candidate, so the
+//! kernel packing, μ, the solve, and the variance sums all run one
+//! const-width `[f64; EI_BLOCK]` code path whose inner loops vectorize
+//! across the candidate lanes. That body is compiled twice, portable and
+//! with AVX2 enabled, and the AVX2 build runs when the CPU has it. Per
+//! candidate the scalar operation sequence — operand order included — is
+//! exactly the per-candidate loop's in both builds (Rust never contracts
+//! a multiply and an add into an FMA), so the scores and every downstream
+//! proposal are **bit-for-bit identical** to the sequential path
+//! ([`BayesOpt::with_scalar_ei`]) on every host, proven by the
+//! `refit_equivalence` proptests, the bitwise unit tests, and the doctest
+//! below.
 //!
 //! ```
 //! use rand::rngs::StdRng;
@@ -335,83 +341,107 @@ impl BayesOpt {
     /// Batched expected improvement: one matrix-level triangular solve
     /// across the candidate pool.
     ///
-    /// Candidates are processed in blocks of [`EI_BLOCK`]. A block's
-    /// kernel columns are packed candidate-interleaved (`ks[j·b + c]` is
-    /// `k(x_c, xs[j])`), and both stages stream their big operand once
-    /// per block instead of once per candidate: the kernel packing walks
-    /// the stored history a single time (accumulating all of a block's
-    /// squared distances dimension by dimension), and one packed forward
-    /// substitution ([`Cholesky::solve_lower_multi`]) sweeps the factor
-    /// across every column at once. The inner loops vectorize across the
-    /// candidate lane. Per candidate the scalar operation sequence —
-    /// accumulation order included — is exactly what
-    /// [`BayesOpt::expected_improvement`] performs, so the scores are
-    /// bit-for-bit identical to the sequential path; only the memory
-    /// access pattern changes.
+    /// Dispatches the scorer body ([`BayesOpt::ei_batch_body`]) to its
+    /// AVX2 build when the running CPU has AVX2, and to the portable build
+    /// otherwise. Both builds are the same program: Rust never contracts
+    /// a multiply and an add into an FMA, so each performs the same IEEE
+    /// operations in the same order and the scores are bit-identical on
+    /// every host.
     fn ei_batch(&self, xs: &[Vec<f64>], best: f64) -> Vec<f64> {
-        let chol = match &self.chol {
-            Some(c) => c,
-            None => {
-                return xs
-                    .iter()
-                    .map(|x| self.expected_improvement(x, best))
-                    .collect()
-            }
+        let Some(chol) = &self.chol else {
+            return xs
+                .iter()
+                .map(|x| self.expected_improvement(x, best))
+                .collect();
         };
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `ei_batch_avx2` only requires AVX2, and the
+            // `is_x86_feature_detected!("avx2")` check above has just
+            // confirmed that the running CPU supports it.
+            return unsafe { self.ei_batch_avx2(chol, xs, best) };
+        }
+        self.ei_batch_body(chol, xs, best)
+    }
+
+    /// The scorer body compiled with AVX2 enabled: 256-bit lanes for the
+    /// same operations the portable build of [`BayesOpt::ei_batch_body`]
+    /// runs.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn ei_batch_avx2(&self, chol: &Cholesky, xs: &[Vec<f64>], best: f64) -> Vec<f64> {
+        self.ei_batch_body(chol, xs, best)
+    }
+
+    /// The batched scorer, inlined into each build (a call from code
+    /// without `target_feature` is the portable build).
+    ///
+    /// Candidates are processed in blocks of [`EI_BLOCK`] lanes; the final
+    /// partial block is padded by repeating its last candidate and the
+    /// padded lanes' scores are dropped, so every block runs the same
+    /// const-width code. A block's kernel columns are packed
+    /// candidate-interleaved (`ks[j][c]` is `k(x_c, xs[j])`), and both
+    /// stages stream their big operand once per block instead of once per
+    /// candidate: the kernel packing walks the stored history a single
+    /// time (accumulating all of a block's squared distances dimension by
+    /// dimension), and one packed forward substitution
+    /// ([`Cholesky::solve_lower_multi`]) sweeps the factor across every
+    /// column at once. With the width a compile-time constant, each lane
+    /// array lives in registers and the inner loops vectorize across it.
+    /// Per candidate the scalar operation sequence — accumulation order
+    /// included — is exactly what [`BayesOpt::expected_improvement`]
+    /// performs, so the scores are bit-for-bit identical to the
+    /// sequential path; only the memory access pattern changes.
+    #[inline(always)]
+    fn ei_batch_body(&self, chol: &Cholesky, xs: &[Vec<f64>], best: f64) -> Vec<f64> {
         let n = chol.n();
+        let dim = xs.first().map_or(0, |x| x.len());
+        let scale = 2.0 * self.length_scale * self.length_scale;
         let mut out = Vec::with_capacity(xs.len());
-        let mut ks: Vec<f64> = Vec::new();
-        let mut xt: Vec<f64> = Vec::new();
+        // Reused across blocks: the transposed block (`xt[d][c]` is
+        // `x_c[d]`) and its packed kernel columns.
+        let mut xt = vec![[0.0f64; EI_BLOCK]; dim];
+        let mut ks = vec![[0.0f64; EI_BLOCK]; n];
         for block in xs.chunks(EI_BLOCK) {
-            let b = block.len();
-            ks.clear();
-            ks.resize(n * b, 0.0);
-            // Transpose the block (xt[d·b + c] = x_c[d]) so the distance
-            // accumulation reads contiguous candidate lanes, then stream
-            // the history once for the whole block. Each candidate's
-            // squared distance folds d-ascending from 0.0 and feeds the
-            // exact `kernel` expression, so every packed value is
-            // bit-identical to a scalar `kernel(x_c, xs[j])` call.
-            let dim = block.first().map_or(0, |x| x.len());
-            xt.clear();
-            xt.resize(dim * b, 0.0);
-            for (c, x) in block.iter().enumerate() {
-                for (d, &v) in x.iter().enumerate() {
-                    xt[d * b + c] = v;
+            let last = block.len() - 1;
+            for (d, lane) in xt.iter_mut().enumerate() {
+                for (c, v) in lane.iter_mut().enumerate() {
+                    *v = block[c.min(last)][d];
                 }
             }
-            for (j, xi) in self.xs.iter().enumerate() {
+            // Each candidate's squared distance folds d-ascending from 0.0
+            // and feeds the exact `kernel` expression, so every packed
+            // value is bit-identical to a scalar `kernel(x_c, xs[j])` call.
+            for (k, xi) in ks.iter_mut().zip(&self.xs) {
                 let mut d2 = [0.0f64; EI_BLOCK];
-                for (d, &h) in xi.iter().enumerate().take(dim) {
-                    let lane = &xt[d * b..(d + 1) * b];
-                    for c in 0..b {
+                for (lane, &h) in xt.iter().zip(xi) {
+                    for c in 0..EI_BLOCK {
                         let diff = lane[c] - h;
                         d2[c] += diff * diff;
                     }
                 }
-                let row = &mut ks[j * b..(j + 1) * b];
-                for (c, slot) in row.iter_mut().enumerate() {
-                    *slot = self.signal_var
-                        * (-d2[c] / (2.0 * self.length_scale * self.length_scale)).exp();
+                for c in 0..EI_BLOCK {
+                    k[c] = self.signal_var * (-d2[c] / scale).exp();
                 }
             }
             // μ_c = Σ_j k*(c, j)·α_j, accumulated j-ascending exactly like
             // the scalar dot product in `predict`.
             let mut mu = [0.0f64; EI_BLOCK];
-            for j in 0..n {
-                let a = self.alpha[j];
-                for c in 0..b {
-                    mu[c] += ks[j * b + c] * a;
+            for (k, &a) in ks.iter().zip(&self.alpha) {
+                for c in 0..EI_BLOCK {
+                    mu[c] += k[c] * a;
                 }
             }
-            chol.solve_lower_multi(&mut ks, b);
-            for (c, x) in block.iter().enumerate() {
-                let mut ss = 0.0;
-                for i in 0..n {
-                    let z = ks[i * b + c];
-                    ss += z * z;
+            chol.solve_lower_multi(&mut ks);
+            // Σ_i v_i², i-ascending like the scalar sum in `predict`.
+            let mut ss = [0.0f64; EI_BLOCK];
+            for v in &ks {
+                for c in 0..EI_BLOCK {
+                    ss[c] += v[c] * v[c];
                 }
-                let var = (self.kernel(x, x) - ss).max(1e-12);
+            }
+            for (c, x) in block.iter().enumerate() {
+                let var = (self.kernel(x, x) - ss[c]).max(1e-12);
                 let sigma = var.sqrt();
                 out.push(if sigma < 1e-12 {
                     0.0
@@ -430,10 +460,13 @@ impl BayesOpt {
     }
 }
 
-/// Candidate-block width of the batched EI scorer: small enough that a
-/// block's solve state stays cache-resident, wide enough to amortize each
-/// factor-row load across several candidates and fill SIMD lanes.
-const EI_BLOCK: usize = 8;
+/// Candidate-block width of the batched EI scorer: the number of lanes
+/// every stage of [`BayesOpt::ei_batch_body`] works on at once. At 16 a
+/// block's accumulators fill four AVX2 registers (eight SSE2 ones) and
+/// each factor-row load is amortized over sixteen candidates, while the
+/// block's solve state stays cache-resident; measured on the unikraft
+/// `bayes` session, 16 beat both 8 and 32.
+const EI_BLOCK: usize = 16;
 
 // Running target statistics captured at refit time.
 impl BayesOpt {
@@ -716,60 +749,26 @@ impl Cholesky {
         x
     }
 
-    /// Forward substitution `L Y = B` over `width` right-hand sides in
-    /// one sweep of the packed factor.
+    /// Forward substitution `L Y = B` over [`EI_BLOCK`] right-hand sides
+    /// in one sweep of the packed factor.
     ///
-    /// `b` is candidate-interleaved — `b[i·width + c]` holds row `i` of
-    /// column `c` — so each packed factor row `l[tri(i)..]` is loaded
-    /// once and applied to every column, and the subtract/divide loops
-    /// vectorize across `c`. Per column the scalar operation sequence is
-    /// identical to [`Cholesky::solve_lower`]: start from the right-hand
-    /// side, subtract `l[i][p]·y[p]` for `p` ascending, then divide by
-    /// the pivot — so every column's solution is bit-for-bit the
-    /// per-candidate result.
-    #[allow(clippy::needless_range_loop)] // strided triangular indexing
-    fn solve_lower_multi(&self, b: &mut [f64], width: usize) {
-        debug_assert_eq!(b.len(), self.n * width);
-        // Full blocks take the monomorphized kernel: with the width a
-        // compile-time constant the candidate lane lives in registers and
-        // the subtract loop unrolls into packed FMAs. The runtime-width
-        // loop below serves the final partial block; both run the same
-        // per-column operation sequence.
-        if width == EI_BLOCK {
-            return self.solve_lower_multi_w::<EI_BLOCK>(b);
-        }
-        let n = self.n;
-        for i in 0..n {
-            let row = tri(i);
-            let (solved, rest) = b.split_at_mut(i * width);
-            let cur = &mut rest[..width];
-            for p in 0..i {
-                let l = self.l[row + p];
-                let y = &solved[p * width..(p + 1) * width];
-                for c in 0..width {
-                    cur[c] -= l * y[c];
-                }
-            }
-            let d = self.l[row + i];
-            for c in 0..width {
-                cur[c] /= d;
-            }
-        }
-    }
-
-    /// [`Cholesky::solve_lower_multi`] at a const width: same arithmetic
-    /// per column, but the current row accumulates in a `[f64; W]` held
-    /// in registers for the whole factor-row sweep.
-    fn solve_lower_multi_w<const W: usize>(&self, b: &mut [f64]) {
-        let n = self.n;
-        for i in 0..n {
+    /// `b` is candidate-interleaved — `b[i][c]` holds row `i` of column
+    /// `c` — so each packed factor row `l[tri(i)..]` is loaded once and
+    /// applied to every column, and the current row accumulates in a
+    /// `[f64; EI_BLOCK]` held in registers for the whole factor-row sweep.
+    /// Per column the scalar operation sequence is identical to
+    /// [`Cholesky::solve_lower`]: start from the right-hand side, subtract
+    /// `l[i][p]·y[p]` for `p` ascending, then divide by the pivot — so
+    /// every column's solution is bit-for-bit the per-candidate result.
+    #[inline(always)]
+    fn solve_lower_multi(&self, b: &mut [[f64; EI_BLOCK]]) {
+        debug_assert_eq!(b.len(), self.n);
+        for i in 0..self.n {
             let row = &self.l[tri(i)..tri(i) + i + 1];
-            let (solved, rest) = b.split_at_mut(i * W);
-            let cur: &mut [f64; W] = (&mut rest[..W]).try_into().expect("exact width");
-            let mut acc = *cur;
-            for (p, &l) in row[..i].iter().enumerate() {
-                let y: &[f64; W] = (&solved[p * W..(p + 1) * W]).try_into().expect("width");
-                for c in 0..W {
+            let (solved, rest) = b.split_at_mut(i);
+            let mut acc = rest[0];
+            for (&l, y) in row[..i].iter().zip(solved.iter()) {
+                for c in 0..EI_BLOCK {
                     acc[c] -= l * y[c];
                 }
             }
@@ -777,7 +776,7 @@ impl Cholesky {
             for a in &mut acc {
                 *a /= d;
             }
-            *cur = acc;
+            rest[0] = acc;
         }
     }
 
@@ -962,16 +961,48 @@ mod tests {
         assert!(gp_wins >= 4, "GP won only {gp_wins}/5 runs");
     }
 
+    /// A 47-wide encoding, as wide as unikraft's: 23 integers, three
+    /// tristates, a boolean, and a 14-way enum.
+    fn wide_space() -> ConfigSpace {
+        let mut s = ConfigSpace::new();
+        for i in 0..23 {
+            s.add(ParamSpec::new(
+                format!("n{i}"),
+                ParamKind::int(0, 10 + 7 * i),
+                Stage::Runtime,
+            ));
+        }
+        for i in 0..3 {
+            s.add(ParamSpec::new(
+                format!("t{i}"),
+                ParamKind::Tristate,
+                Stage::Runtime,
+            ));
+        }
+        s.add(ParamSpec::new("b", ParamKind::Bool, Stage::Runtime));
+        let choices: Vec<String> = (0..14).map(|i| format!("c{i}")).collect();
+        s.add(ParamSpec::new(
+            "e",
+            ParamKind::choices(choices),
+            Stage::Runtime,
+        ));
+        s
+    }
+
     /// Drives `alg` over `iters` random observations and returns it.
-    fn drive(mut alg: BayesOpt, iters: usize, seed: u64) -> BayesOpt {
-        let space = one_d_space();
-        let encoder = Encoder::new(&space);
+    fn drive(alg: BayesOpt, iters: usize, seed: u64) -> BayesOpt {
+        drive_in(alg, &one_d_space(), iters, seed)
+    }
+
+    /// [`drive`] over the configurations of `space`.
+    fn drive_in(mut alg: BayesOpt, space: &ConfigSpace, iters: usize, seed: u64) -> BayesOpt {
+        let encoder = Encoder::new(space);
         let policy = SamplePolicy::Uniform;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut history: Vec<Observation> = Vec::new();
         for i in 0..iters {
             let ctx = SearchContext {
-                space: &space,
+                space,
                 encoder: &encoder,
                 direction: Direction::Maximize,
                 policy: &policy,
@@ -1069,7 +1100,7 @@ mod tests {
             0.2, 0.1, 0.4, 2.0,
         ];
         let c = factor_dense(&k, 4).unwrap();
-        let cols: Vec<Vec<f64>> = (0..3)
+        let cols: Vec<Vec<f64>> = (0..EI_BLOCK)
             .map(|j| {
                 (0..4)
                     .map(|i| ((i * 7 + j * 3) % 11) as f64 - 5.0)
@@ -1078,43 +1109,85 @@ mod tests {
             .collect();
         // Interleave the columns, one multi-solve, then compare each
         // column against its scalar forward substitution bit for bit.
-        let width = cols.len();
-        let mut b = vec![0.0; 4 * width];
+        let mut b = vec![[0.0; EI_BLOCK]; 4];
         for (j, col) in cols.iter().enumerate() {
             for i in 0..4 {
-                b[i * width + j] = col[i];
+                b[i][j] = col[i];
             }
         }
-        c.solve_lower_multi(&mut b, width);
+        c.solve_lower_multi(&mut b);
         for (j, col) in cols.iter().enumerate() {
             let y = c.solve_lower(col);
             for i in 0..4 {
-                assert_eq!(b[i * width + j].to_bits(), y[i].to_bits());
+                assert_eq!(b[i][j].to_bits(), y[i].to_bits());
             }
         }
     }
 
+    /// A GP fitted to `iters` random observations in [`wide_space`], with
+    /// a length scale of 3 so that the history is strongly correlated:
+    /// the factor is dense, and the solve's rounding reaches every score.
+    fn wide_gp(iters: usize, seed: u64) -> (ConfigSpace, BayesOpt) {
+        let space = wide_space();
+        let mut alg = BayesOpt::new();
+        alg.length_scale = 3.0;
+        let alg = drive_in(alg, &space, iters, seed);
+        (space, alg)
+    }
+
+    /// `count` encoded candidates to score against `alg`'s history. Even
+    /// slots are drawn uniformly from `space`. Odd slots nudge the
+    /// incumbent (the best stored observation) in one coordinate, so
+    /// their kernel columns are close to 1, μ is close to the best value,
+    /// and the EI depends on every bit of the posterior variance — a
+    /// change in the solve's rounding shows in the scores.
+    fn scoring_pool(alg: &BayesOpt, space: &ConfigSpace, count: usize, seed: u64) -> Vec<Vec<f64>> {
+        let encoder = Encoder::new(space);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let incumbent = (0..alg.ys.len())
+            .max_by(|&a, &b| alg.ys[a].total_cmp(&alg.ys[b]))
+            .expect("history");
+        (0..count)
+            .map(|i| {
+                if i % 2 == 0 {
+                    return encoder.encode(space, &SamplePolicy::Uniform.sample(space, &mut rng));
+                }
+                let mut x = alg.xs[incumbent].clone();
+                let d = i % x.len();
+                x[d] += 0.02 * (i % 7) as f64 + 0.01;
+                x
+            })
+            .collect()
+    }
+
     #[test]
     fn batched_ei_matches_scalar_ei_bitwise() {
-        let alg = drive(BayesOpt::new(), 40, 11);
-        let space = one_d_space();
-        let encoder = Encoder::new(&space);
-        let mut rng = StdRng::seed_from_u64(17);
-        // 19 candidates: two full blocks of EI_BLOCK plus a remainder.
-        let xs: Vec<Vec<f64>> = (0..19)
-            .map(|_| {
-                let c = SamplePolicy::Uniform.sample(&space, &mut rng);
-                encoder.encode(&space, &c)
-            })
-            .collect();
+        // Whichever build `ei_batch` dispatches to on this host (AVX2 or
+        // portable) must score every pool size — a lone padded block, one
+        // lane short of a block, exact blocks, a padded remainder, and a
+        // production-sized pool — bit for bit like the per-candidate
+        // scalar path, which is itself portable code.
+        let (space, alg) = wide_gp(48, 11);
+        assert_eq!(Encoder::new(&space).dim(), 47);
         let best = alg.standardized_best();
-        let batched = alg.ei_batch(&xs, best);
-        for (x, ei) in xs.iter().zip(&batched) {
-            assert_eq!(
-                ei.to_bits(),
-                alg.expected_improvement(x, best).to_bits(),
-                "batched EI diverged from the per-candidate path"
-            );
+        for count in [
+            1,
+            EI_BLOCK - 1,
+            EI_BLOCK,
+            EI_BLOCK + 1,
+            2 * EI_BLOCK + 3,
+            200,
+        ] {
+            let xs = scoring_pool(&alg, &space, count, 17 + count as u64);
+            let batched = alg.ei_batch(&xs, best);
+            assert_eq!(batched.len(), count);
+            for (x, ei) in xs.iter().zip(&batched) {
+                assert_eq!(
+                    ei.to_bits(),
+                    alg.expected_improvement(x, best).to_bits(),
+                    "pool of {count}: batched EI diverged from the per-candidate path"
+                );
+            }
         }
     }
 
