@@ -16,8 +16,8 @@ use wf_jobfile::{
 };
 use wf_ossim::{AppId, DriftScenario, DriftSchedule, MetricDirection};
 use wf_platform::{
-    DriftConfig, EventSink, NullSink, Objective, Record, RecordingSink, ReplayError, Session,
-    SessionEvent, SessionSpec, SessionStore, SessionSummary, StoreError, StoredSession,
+    DriftConfig, EventSink, NullSink, Objective, RecordingSink, ReplayError, Session, SessionEvent,
+    SessionSpec, SessionStore, SessionSummary, StoreError, StoredSession,
 };
 use wf_search::{BayesOpt, CausalSearch, GridSearch, RandomSearch, SamplePolicy, SearchAlgorithm};
 
@@ -901,11 +901,6 @@ impl SpecializationSession {
             queue: VecDeque::new(),
             state: DriveState::Fresh,
         }
-    }
-
-    /// Runs one iteration.
-    pub fn step(&mut self) -> &Record {
-        self.inner.step()
     }
 
     /// The fully resolved job this session runs: target keyword, app,

@@ -45,6 +45,8 @@ pub fn parse(input: &str) -> Result<KconfigModel, ParseError> {
     let mut model = KconfigModel::new();
     let mut menu_stack: Vec<String> = Vec::new();
     let mut current: Option<Symbol> = None;
+    // Tree height of `current`'s conjoined `depends on` lines.
+    let mut depends_height = 0;
     let mut lines = input.lines().enumerate().peekable();
 
     while let Some((lineno, raw)) = lines.next() {
@@ -112,11 +114,13 @@ pub fn parse(input: &str) -> Result<KconfigModel, ParseError> {
                     .trim()
                     .strip_prefix("on")
                     .ok_or_else(|| err("expected `depends on`".into()))?;
-                let e = parse_expr(rest.trim()).map_err(&err)?;
-                sym.depends = Some(match sym.depends.take() {
-                    Some(prev) => Expr::And(Box::new(prev), Box::new(e)),
+                let e = parse_tree(rest.trim()).map_err(&err)?;
+                let (depends, height) = match sym.depends.take() {
+                    Some(prev) => join(Expr::And, (prev, depends_height), e).map_err(&err)?,
                     None => e,
-                });
+                };
+                sym.depends = Some(depends);
+                depends_height = height;
             }
             "select" => {
                 let sym = current
@@ -287,18 +291,28 @@ fn parse_default_value(s: &str, stype: SymbolType) -> Option<DefaultValue> {
     }
 }
 
-/// How many `!` and `(` levels an expression may nest. Each level is one
-/// recursion of the parser, so deeper input is refused with an error
-/// instead of overflowing the stack.
+/// How many `!` and `(` levels an expression may nest, and how tall its
+/// tree may grow. Each nesting level is one recursion of the parser and
+/// each tree level one recursion of every walk over it (drop included),
+/// so deeper input is refused with an error instead of overflowing the
+/// stack. The generated Kconfig trees stay below height 2.
 const MAX_EXPR_DEPTH: usize = 128;
+
+/// A parsed expression and the height of its tree (a leaf is 0).
+type Parsed = (Expr, usize);
 
 /// Recursive-descent parser for dependency expressions.
 ///
 /// Grammar: `or := and ('||' and)*`, `and := cmp ('&&' cmp)*`,
 /// `cmp := unary (('='|'!=') unary)?`, `unary := '!' unary | primary`,
 /// `primary := '(' or ')' | SYMBOL | 'y' | 'm' | 'n'`. Nesting `!` and
-/// `(` deeper than 128 levels (`MAX_EXPR_DEPTH`) is an error.
+/// `(` deeper than 128 levels (`MAX_EXPR_DEPTH`) is an error, and so is
+/// a tree taller than that, such as a chain of 129 `&&`.
 pub fn parse_expr(input: &str) -> Result<Expr, String> {
+    parse_tree(input).map(|(e, _)| e)
+}
+
+fn parse_tree(input: &str) -> Result<Parsed, String> {
     let tokens = tokenize_expr(input)?;
     let mut pos = 0;
     let e = parse_or(&tokens, &mut pos, 0)?;
@@ -309,6 +323,22 @@ pub fn parse_expr(input: &str) -> Result<Expr, String> {
         ));
     }
     Ok(e)
+}
+
+/// Joins two subtrees under a binary operator, refusing a tree taller
+/// than `MAX_EXPR_DEPTH`.
+fn join(
+    op: fn(Box<Expr>, Box<Expr>) -> Expr,
+    (a, ha): Parsed,
+    (b, hb): Parsed,
+) -> Result<Parsed, String> {
+    let height = 1 + ha.max(hb);
+    if height > MAX_EXPR_DEPTH {
+        return Err(format!(
+            "expression tree taller than {MAX_EXPR_DEPTH} levels"
+        ));
+    }
+    Ok((op(Box::new(a), Box::new(b)), height))
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -384,45 +414,40 @@ fn tokenize_expr(s: &str) -> Result<Vec<Tok>, String> {
     Ok(out)
 }
 
-fn parse_or(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, String> {
+fn parse_or(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Parsed, String> {
     let mut left = parse_and(toks, pos, depth)?;
     while toks.get(*pos) == Some(&Tok::OrOr) {
         *pos += 1;
         let right = parse_and(toks, pos, depth)?;
-        left = Expr::Or(Box::new(left), Box::new(right));
+        left = join(Expr::Or, left, right)?;
     }
     Ok(left)
 }
 
-fn parse_and(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, String> {
+fn parse_and(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Parsed, String> {
     let mut left = parse_cmp(toks, pos, depth)?;
     while toks.get(*pos) == Some(&Tok::AndAnd) {
         *pos += 1;
         let right = parse_cmp(toks, pos, depth)?;
-        left = Expr::And(Box::new(left), Box::new(right));
+        left = join(Expr::And, left, right)?;
     }
     Ok(left)
 }
 
-fn parse_cmp(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, String> {
+fn parse_cmp(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Parsed, String> {
     let left = parse_unary(toks, pos, depth)?;
-    match toks.get(*pos) {
-        Some(Tok::Eq) => {
-            *pos += 1;
-            let right = parse_unary(toks, pos, depth)?;
-            Ok(Expr::Eq(Box::new(left), Box::new(right)))
-        }
-        Some(Tok::Neq) => {
-            *pos += 1;
-            let right = parse_unary(toks, pos, depth)?;
-            Ok(Expr::Neq(Box::new(left), Box::new(right)))
-        }
-        _ => Ok(left),
-    }
+    let op = match toks.get(*pos) {
+        Some(Tok::Eq) => Expr::Eq,
+        Some(Tok::Neq) => Expr::Neq,
+        _ => return Ok(left),
+    };
+    *pos += 1;
+    let right = parse_unary(toks, pos, depth)?;
+    join(op, left, right)
 }
 
 /// `depth` counts the `!` and `(` levels already open around this one.
-fn parse_unary(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, String> {
+fn parse_unary(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Parsed, String> {
     let opens = matches!(toks.get(*pos), Some(Tok::Not | Tok::LParen));
     if opens && depth == MAX_EXPR_DEPTH {
         return Err(format!(
@@ -432,7 +457,8 @@ fn parse_unary(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, Stri
     match toks.get(*pos) {
         Some(Tok::Not) => {
             *pos += 1;
-            Ok(Expr::Not(Box::new(parse_unary(toks, pos, depth + 1)?)))
+            let (inner, height) = parse_unary(toks, pos, depth + 1)?;
+            Ok((Expr::Not(Box::new(inner)), height + 1))
         }
         Some(Tok::LParen) => {
             *pos += 1;
@@ -446,10 +472,11 @@ fn parse_unary(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<Expr, Stri
         Some(Tok::Sym(s)) => {
             *pos += 1;
             // Bare y/m/n are literals, everything else a symbol reference.
-            Ok(match Tristate::parse(s) {
+            let leaf = match Tristate::parse(s) {
                 Some(t) if s.len() == 1 => Expr::Lit(t),
                 _ => Expr::Sym(s.clone()),
-            })
+            };
+            Ok((leaf, 0))
         }
         other => Err(format!("unexpected token {other:?}")),
     }
@@ -594,6 +621,42 @@ endmenu
         assert!(parse_expr(&mixed).is_ok());
         let mixed = format!("!{}A{}", "!(".repeat(64), ")".repeat(64));
         assert!(parse_expr(&mixed).is_err());
+    }
+
+    #[test]
+    fn hostile_chains_are_an_error_not_a_stack_overflow() {
+        for op in [" && ", " || "] {
+            let chain = vec!["A"; 200_000].join(op);
+            let err = parse_expr(&chain).unwrap_err();
+            assert!(err.contains("taller than"), "{op}: {err}");
+        }
+        let src = format!(
+            "config A\n\tbool \"a\"\n{}",
+            "\tdepends on B\n".repeat(200_000)
+        );
+        let err = parse(&src).unwrap_err();
+        assert!(err.message.contains("taller than"), "{err}");
+    }
+
+    #[test]
+    fn chain_height_limit_is_exact() {
+        // A chain of n operands is a left-deep tree of height n - 1.
+        for op in [" && ", " || "] {
+            let chain = |operands: usize| vec!["A"; operands].join(op);
+            assert!(parse_expr(&chain(MAX_EXPR_DEPTH + 1)).is_ok());
+            assert!(parse_expr(&chain(MAX_EXPR_DEPTH + 2)).is_err());
+        }
+        let depends = |lines: usize| {
+            format!(
+                "config A\n\tbool \"a\"\n{}",
+                "\tdepends on B\n".repeat(lines)
+            )
+        };
+        assert!(parse(&depends(MAX_EXPR_DEPTH + 1)).is_ok());
+        assert!(parse(&depends(MAX_EXPR_DEPTH + 2)).is_err());
+        // Nesting and chains share one height budget.
+        let nested = format!("{}A && B", "!".repeat(MAX_EXPR_DEPTH));
+        assert!(parse_expr(&nested).is_err());
     }
 
     #[test]

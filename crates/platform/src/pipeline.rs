@@ -52,8 +52,18 @@
 //!   and within a fixed worker count every cache effect is a pure
 //!   function of (seed, candidate order), which is what makes stores
 //!   replayable bit-for-bit.
+//!
+//! # One wave routine for live runs and replay
+//!
+//! A wave is ask → evaluate → finish (clocks, records, tell, drift
+//! epilogue, [`WaveStats`]). A live wave evaluates on the session's
+//! backend. [`Session::replay`] evaluates a stored wave through the same
+//! [`crate::router::dispatch_wave`] on a backend that re-derives each
+//! build and answers with the stored outcome, then runs the same finish.
+//! So the router, image cache, working trees and algorithm state a
+//! resumed session starts from are built by the live code.
 
-use crate::backend::{EvalBackend, InProcessBackend};
+use crate::backend::{EvalBackend, InProcessBackend, LaneError, WorkItem, WorkResult};
 use crate::cache::SharedImageCache;
 use crate::clock::VirtualClock;
 use crate::epoch::{DriftConfig, DriftState};
@@ -63,14 +73,14 @@ use crate::metrics::{mean_occupancy, WaveStats};
 use crate::remote::{RemoteBackend, RemoteSpec};
 use crate::router::{dispatch_wave, Router};
 use crate::target::{EvalTarget, SimTarget, TargetDescriptor};
-use crate::workers::{self, derive_seed};
+use crate::workers::{build_candidate, CandidateEval};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
 use wf_configspace::{ConfigSpace, Configuration, Encoder};
 use wf_jobfile::{BackendChoice, Budget, Direction, RoutingStrategy};
-use wf_ossim::{App, Phase, SimOs};
+use wf_ossim::{App, BenchResult, CrashReport, Phase, SimOs};
 use wf_search::host_clock::HostTimer;
 use wf_search::{Observation, SamplePolicy, SearchAlgorithm, SearchContext};
 
@@ -221,6 +231,13 @@ pub enum ReplayError {
         /// Iteration where the proposals diverged.
         iteration: usize,
     },
+    /// A stored record's cache hit or build crash differs from the
+    /// re-derived probe and build, or the record is neither a crash nor a
+    /// measurement — the store was edited or written by another build.
+    OutcomeMismatch {
+        /// Iteration of the offending record.
+        iteration: usize,
+    },
 }
 
 impl fmt::Display for ReplayError {
@@ -256,6 +273,11 @@ impl fmt::Display for ReplayError {
                 f,
                 "iteration {iteration}: the re-asked algorithm proposed a different candidate \
                  than the store recorded (seed, algorithm, or space mismatch)"
+            ),
+            ReplayError::OutcomeMismatch { iteration } => write!(
+                f,
+                "iteration {iteration}: the stored outcome disagrees with the re-derived \
+                 cache probe and build (the store was edited or written by another build)"
             ),
         }
     }
@@ -481,7 +503,6 @@ impl Session {
     /// of the sink-less wave.
     pub fn step_wave_with(&mut self, sink: &mut dyn EventSink) -> &[Record] {
         let start = self.history.len();
-        let wave_index = self.waves.len();
         let remaining = self
             .spec
             .budget
@@ -489,51 +510,84 @@ impl Session {
             .map(|max| max.saturating_sub(start).max(1))
             .unwrap_or(usize::MAX);
         let n = self.workers().min(remaining);
+        let (configs, ask_s) = self.ask(n);
+        sink.on_event(&SessionEvent::WaveDispatched {
+            wave: self.waves.len(),
+            first_iteration: start,
+            size: n,
+        });
+        let (evals, cache) = self.evaluate(&configs, None);
+        self.finish_wave(configs, evals, cache, ask_s, None, sink);
+        &self.history.records()[start..]
+    }
 
+    /// Asks the algorithm for the next `n` candidates. Returns them with
+    /// the host seconds the proposal took.
+    fn ask(&mut self, n: usize) -> (Vec<Configuration>, f64) {
         // Continuous sessions restart the algorithm's visible history at
         // each epoch boundary: the model was re-seeded there, and stale
         // pre-drift observations would poison it. `ctx.iteration` stays
         // global — it is the store's iteration axis.
-        let epoch_start = self.drift.as_ref().map_or(0, |d| d.epoch_start);
-        let observations = &self.history.observations()[epoch_start..];
-        let direction = self.direction();
-
-        // Ask.
-        let t_ask = HostTimer::start();
-        let configs = {
-            let ctx = SearchContext {
-                space: self.target.space(),
-                encoder: &self.encoder,
-                direction,
-                policy: &self.spec.policy,
-                history: observations,
-                iteration: start,
-            };
-            self.algorithm.propose_batch(n, &ctx, &mut self.rng)
+        let epoch_start = self.epoch_start();
+        let ctx = SearchContext {
+            space: self.target.space(),
+            encoder: &self.encoder,
+            direction: self.direction(),
+            policy: &self.spec.policy,
+            history: &self.history.observations()[epoch_start..],
+            iteration: self.history.len(),
         };
-        let mut algo_seconds = t_ask.seconds();
+        let t_ask = HostTimer::start();
+        let configs = self.algorithm.propose_batch(n, &ctx, &mut self.rng);
+        let ask_s = t_ask.seconds();
         assert_eq!(configs.len(), n, "propose_batch must return n candidates");
-        sink.on_event(&SessionEvent::WaveDispatched {
-            wave: wave_index,
-            first_iteration: start,
-            size: n,
-        });
+        (configs, ask_s)
+    }
 
-        // Evaluate through the routed backend.
-        let (hits_before, misses_before) = self.cache.stats();
+    /// Evaluates a proposed wave through [`dispatch_wave`] on `replayed`,
+    /// or on the session's own backend when that is `None`. Returns the
+    /// evaluations in candidate order and the wave's image-cache (hits,
+    /// misses).
+    fn evaluate(
+        &mut self,
+        configs: &[Configuration],
+        replayed: Option<&mut dyn EvalBackend>,
+    ) -> (Vec<CandidateEval>, (u64, u64)) {
+        let before = self.cache.stats();
         let evals = dispatch_wave(
-            self.backend.as_mut(),
+            replayed.unwrap_or(self.backend.as_mut()),
             &mut self.router,
             &self.target,
-            &configs,
-            start,
+            configs,
+            self.history.len(),
             self.spec.seed,
-            wave_index as u64,
+            self.waves.len() as u64,
             self.spec.repetitions,
             &self.cache,
             &mut self.lanes,
         );
-        let (hits_after, misses_after) = self.cache.stats();
+        let after = self.cache.stats();
+        (evals, (after.0 - before.0, after.1 - before.1))
+    }
+
+    /// Closes a wave: charges the clocks, builds the records in
+    /// candidate order, tells the algorithm, appends to the history while
+    /// emitting the record events through `sink`, runs the drift
+    /// epilogue and records the wave's [`WaveStats`]. A replayed wave
+    /// passes its `stored` records, whose host-measured algorithm cost it
+    /// keeps; a live wave shares `ask_s` plus the tell time across its
+    /// records.
+    fn finish_wave(
+        &mut self,
+        configs: Vec<Configuration>,
+        evals: Vec<CandidateEval>,
+        (cache_hits, cache_misses): (u64, u64),
+        ask_s: f64,
+        stored: Option<&[Record]>,
+        sink: &mut dyn EventSink,
+    ) {
+        let start = self.history.len();
+        let n = configs.len();
 
         // Charge the clocks: the wave's wall time is its slowest lane,
         // its compute time the sum of every candidate.
@@ -585,10 +639,9 @@ impl Session {
                 Err(crash) => record.crash_phase = Some(crash.phase),
                 Ok(r) => {
                     // Continuous mode re-draws the metric against the
-                    // phase active at the candidate's own virtual time;
-                    // the drifted value is what gets stored, so replay
-                    // (which recomputes objectives from stored metrics)
-                    // needs no drift model at all.
+                    // phase active at the candidate's own virtual time,
+                    // from the candidate's own stream — so replay draws
+                    // the same value the live wave stored.
                     let metric = match &self.drift {
                         Some(drift) => drift.drifted_metric(
                             self.spec.seed,
@@ -613,6 +666,8 @@ impl Session {
         }
 
         // Tell.
+        let epoch_start = self.epoch_start();
+        let direction = self.direction();
         let wave_obs: Vec<Observation> = records.iter().map(Record::observation).collect();
         let t_tell = HostTimer::start();
         {
@@ -621,21 +676,28 @@ impl Session {
                 encoder: &self.encoder,
                 direction,
                 policy: &self.spec.policy,
-                history: observations,
+                history: &self.history.observations()[epoch_start..],
                 iteration: start,
             };
             self.algorithm.observe_batch(&ctx, &wave_obs);
         }
-        algo_seconds += t_tell.seconds();
+        let algo_seconds = ask_s + t_tell.seconds();
         let stats = self.algorithm.stats();
         let algo_seconds = algo_seconds.max(stats.last_update_seconds);
         // The wave's decision cost is shared evenly across its records
         // (Fig. 8 plots per-iteration algorithm time).
         let per_record = algo_seconds / n as f64;
         let mut best = self.history.best(direction).and_then(|r| r.objective);
-        for mut record in records {
-            record.algo_seconds = per_record;
-            record.algo_memory_bytes = stats.memory_bytes;
+        for (offset, mut record) in records.into_iter().enumerate() {
+            // Host measurements cannot be re-derived: replay keeps the
+            // stored ones.
+            (record.algo_seconds, record.algo_memory_bytes) = match stored {
+                Some(stored) => (
+                    stored[offset].algo_seconds,
+                    stored[offset].algo_memory_bytes,
+                ),
+                None => (per_record, stats.memory_bytes),
+            };
             sink.on_event(&SessionEvent::CandidateEvaluated(record.clone()));
             if let Some(objective) = record.objective {
                 if best.is_none_or(|b| direction.better(objective, b)) {
@@ -658,26 +720,25 @@ impl Session {
         }
 
         let wave_stats = WaveStats {
-            wave: wave_index,
+            wave: self.waves.len(),
             size: n,
             wall_s,
             busy_s,
-            cache_hits: hits_after - hits_before,
-            cache_misses: misses_after - misses_before,
+            cache_hits,
+            cache_misses,
         };
         self.waves.push(wave_stats);
         sink.on_event(&SessionEvent::WaveCompleted(wave_stats));
-        &self.history.records()[start..]
     }
 
-    /// The continuous-mode wave epilogue, shared verbatim by the live
-    /// and replay paths: feeds the detector one deployed-telemetry
-    /// sample per candidate of the wave starting at `start`, and on the
-    /// first confirmed verdict closes the epoch — resets the detector,
-    /// re-seeds the search ([`wf_search::SearchAlgorithm::begin_epoch`]),
-    /// and moves the deployed reference to the closed epoch's best.
-    /// Returns the events the live path must emit; replay discards them
-    /// (the store already holds them).
+    /// The continuous-mode wave epilogue: feeds the detector one
+    /// deployed-telemetry sample per candidate of the wave starting at
+    /// `start`, and on the first confirmed verdict closes the epoch —
+    /// resets the detector, re-seeds the search
+    /// ([`wf_search::SearchAlgorithm::begin_epoch`]), and moves the
+    /// deployed reference to the closed epoch's best. Returns the events
+    /// the wave emits (a replayed wave's sink discards them: the store
+    /// already holds them).
     fn drift_epilogue(&mut self, start: usize) -> Vec<SessionEvent> {
         if self.drift.is_none() {
             return Vec::new();
@@ -747,13 +808,6 @@ impl Session {
             oracle_metric: drift.config.schedule.oracle_metric_at(at_s),
         };
         vec![detected, started]
-    }
-
-    /// Runs one wave and returns its last record (compatibility shim for
-    /// single-record stepping loops; `workers = 1` makes this exactly the
-    /// classic one-candidate iteration).
-    pub fn step(&mut self) -> &Record {
-        self.step_wave().last().expect("a wave evaluates >= 1")
     }
 
     /// Runs until the budget is exhausted and summarizes.
@@ -829,21 +883,28 @@ impl Session {
     /// Replays a persisted history into this freshly built session
     /// without re-evaluating a single candidate, leaving every piece of
     /// live state — search-algorithm model, session RNG, virtual clocks,
-    /// image cache, per-lane working trees, score-normalization bounds —
-    /// exactly as it stood when the original session finished its last
-    /// complete wave. `records` must be the stored records in iteration
-    /// order and `wave_sizes` the stored wave shapes covering them.
+    /// image cache, router statistics, per-lane working trees,
+    /// score-normalization bounds — exactly as it stood when the original
+    /// session finished its last complete wave. `records` must be the
+    /// stored records in iteration order and `wave_sizes` the stored wave
+    /// shapes covering them.
     ///
-    /// For every wave the session re-asks the algorithm
+    /// Each stored wave runs through the live wave routine: the same ask
     /// ([`wf_search::SearchAlgorithm::propose_batch`] is pure computation
-    /// — no build, boot, or benchmark runs) and cross-checks the proposed
-    /// candidates against the stored ones, so a store replayed against
-    /// the wrong target, seed, algorithm, or budget fails loudly with
-    /// [`ReplayError::ConfigMismatch`] instead of silently forking the
-    /// campaign. Cache and lane state are rebuilt from each record's
-    /// deterministic build metadata (the simulated build is re-derived
-    /// from the per-candidate RNG stream; measured outcomes and durations
-    /// come from the store).
+    /// — no build, boot, or benchmark runs), the same
+    /// [`crate::router::dispatch_wave`], and the same finish. Only the
+    /// backend differs: it re-derives each candidate's build from the
+    /// candidate's own RNG stream, so the router, the image cache and the
+    /// working trees evolve exactly as they did live, and answers with the
+    /// stored outcome and duration instead of booting and benchmarking.
+    ///
+    /// Replay does not trust the store with what it can re-derive. The
+    /// re-asked candidates must equal the stored ones
+    /// ([`ReplayError::ConfigMismatch`]: wrong target, seed, algorithm, or
+    /// budget), and each record's cache hit and build crash must equal the
+    /// re-derived probe and build ([`ReplayError::OutcomeMismatch`]), so a
+    /// diverging or edited store fails loudly instead of silently forking
+    /// the campaign.
     ///
     /// After a successful replay, continuing with
     /// [`Session::step_wave_with`] / [`Session::run_with`] produces the
@@ -871,188 +932,47 @@ impl Session {
         Ok(())
     }
 
-    /// Replays one stored wave: re-ask, verify, rebuild cache/lane state,
-    /// charge the stored durations, re-tell.
+    /// Replays one stored wave: check its shape, re-ask and cross-check
+    /// the proposals, evaluate through [`dispatch_wave`] on the stored
+    /// outcomes, and finish the wave as a live one would, silently.
     fn replay_wave(&mut self, stored: &[Record]) -> Result<(), ReplayError> {
         let start = self.history.len();
-        let wave_index = self.waves.len();
         let n = stored.len();
         if n == 0 || n > self.workers() {
             return Err(ReplayError::WaveTooWide {
-                wave: wave_index,
+                wave: self.waves.len(),
                 size: n,
                 workers: self.workers(),
             });
         }
         let space_len = self.target.space().len();
-        for r in stored {
-            if r.config.len() != space_len {
-                return Err(ReplayError::SpaceMismatch {
-                    iteration: r.iteration,
-                    config_len: r.config.len(),
-                    space_len,
-                });
-            }
-        }
-
-        // Epoch-local history, exactly as the live wave sliced it.
-        let epoch_start = self.drift.as_ref().map_or(0, |d| d.epoch_start);
-        let observations = &self.history.observations()[epoch_start..];
-        let direction = self.direction();
-
-        // Re-ask: advances the session RNG and the algorithm's internal
-        // proposal state exactly as the live wave did.
-        let configs = {
-            let ctx = SearchContext {
-                space: self.target.space(),
-                encoder: &self.encoder,
-                direction,
-                policy: &self.spec.policy,
-                history: observations,
-                iteration: start,
-            };
-            self.algorithm.propose_batch(n, &ctx, &mut self.rng)
-        };
-        assert_eq!(configs.len(), n, "propose_batch must return n candidates");
-        for (offset, (proposed, r)) in configs.iter().zip(stored).enumerate() {
-            if *proposed != r.config {
-                return Err(ReplayError::ConfigMismatch {
-                    iteration: start + offset,
-                });
-            }
-        }
-
-        // Re-run the router: lane assignment is a deterministic function
-        // of (strategy state, seed, wave index), so replay re-derives the
-        // same slot → lane map the live wave used — replay assumes an
-        // all-healthy fleet, which matches any failure-free live run (a
-        // transport failure is a host-level event outside the
-        // determinism contract; see `docs/DETERMINISM.md`).
-        let assigned = self.router.assign(n, self.spec.seed, wave_index as u64);
-
-        // Rebuild cache and lane state from deterministic build metadata,
-        // mirroring the live wave's two-phase cache protocol exactly:
-        // probe every fingerprint in candidate order, re-derive each
-        // build from the candidate's own RNG stream
-        // (`derive_seed(candidate, STREAM_BUILD)`), then publish the
-        // images in candidate order. No boot or benchmark runs and no
-        // shared stream shifts.
-        let (hits_before, misses_before) = self.cache.stats();
-        let reuses: Vec<_> = stored
-            .iter()
-            .map(|r| self.cache.get(self.target.image_fingerprint(&r.config)))
-            .collect();
-        // Builds see the *pre-wave* working trees (live items carry a
-        // snapshot taken at dispatch), and tree updates land afterwards
-        // in candidate order — so replay agrees with the live wave even
-        // when several slots share a lane.
-        let trees_in = self.lanes.clone();
-        let mut built_images: Vec<Option<wf_ossim::KernelImage>> = Vec::with_capacity(n);
-        for (j, r) in stored.iter().enumerate() {
-            let lane = assigned[j];
-            // The live wave fed the router each evaluation's virtual
-            // duration in candidate order; replay feeds the stored ones
-            // so post-resume routing decisions match.
-            self.router.observe(lane, r.duration_s);
-            if r.crash_phase == Some(Phase::Build) {
-                // The live evaluation probed the cache (a miss — a hit
-                // implies build_skipped, which cannot build-crash) and
-                // then crashed: no image, no lane update, but the probe
-                // is counted either way so cache stats replay too.
-                built_images.push(None);
-                continue;
-            }
-            let candidate_seed = derive_seed(self.spec.seed, (start + j) as u64);
-            let mut build_rng =
-                StdRng::seed_from_u64(derive_seed(candidate_seed, workers::STREAM_BUILD));
-            let (built, _build_s) = self.target.build(
-                &r.config,
-                reuses[j].as_ref(),
-                trees_in[lane].as_ref(),
-                &mut build_rng,
-            );
-            match built {
-                Ok(image) => {
-                    self.lanes[lane] = Some(r.config.clone());
-                    built_images.push(Some(image));
-                }
-                Err(_) => built_images.push(None),
-            }
-        }
-        for image in built_images.into_iter().flatten() {
-            self.cache.insert(image);
-        }
-        let (hits_after, misses_after) = self.cache.stats();
-
-        // Charge the clocks from the stored durations.
-        let busy_s: f64 = stored.iter().map(|r| r.duration_s).sum();
-        let wall_s = stored.iter().map(|r| r.duration_s).fold(0.0, f64::max);
-        self.clock.advance(wall_s);
-        self.compute.advance(busy_s);
-        let finished_at_s = self.clock.now_s();
-
-        // Rebuild the records. Objectives are recomputed through
-        // `objective_of` so the running Eq. 4 normalization bounds evolve
-        // exactly as they did live.
-        let mut records: Vec<Record> = Vec::with_capacity(n);
-        for (offset, r) in stored.iter().enumerate() {
-            let objective = match (r.metric, r.memory_mb) {
-                (Some(metric), Some(memory_mb)) => Some(Self::objective_of(
-                    self.spec.objective,
-                    &mut self.metric_bounds,
-                    &mut self.memory_bounds,
-                    metric,
-                    memory_mb,
-                )),
-                _ => None,
-            };
-            records.push(Record {
-                iteration: start + offset,
-                config: r.config.clone(),
-                objective,
-                metric: r.metric,
-                memory_mb: r.memory_mb,
-                crash_phase: r.crash_phase,
-                build_skipped: r.build_skipped,
-                duration_s: r.duration_s,
-                finished_at_s,
-                algo_seconds: r.algo_seconds,
-                algo_memory_bytes: r.algo_memory_bytes,
+        if let Some(r) = stored.iter().find(|r| r.config.len() != space_len) {
+            return Err(ReplayError::SpaceMismatch {
+                iteration: r.iteration,
+                config_len: r.config.len(),
+                space_len,
             });
         }
 
-        // Re-tell: rebuilds the algorithm's learned state.
-        let wave_obs: Vec<Observation> = records.iter().map(Record::observation).collect();
-        {
-            let ctx = SearchContext {
-                space: self.target.space(),
-                encoder: &self.encoder,
-                direction,
-                policy: &self.spec.policy,
-                history: observations,
-                iteration: start,
-            };
-            self.algorithm.observe_batch(&ctx, &wave_obs);
-        }
-        for record in records {
-            self.history.push(record);
+        let (configs, _) = self.ask(n);
+        if let Some(offset) = configs.iter().zip(stored).position(|(c, r)| *c != r.config) {
+            return Err(ReplayError::ConfigMismatch {
+                iteration: start + offset,
+            });
         }
 
-        // Re-run the continuous-mode epilogue: the telemetry scan is a
-        // pure function of (seed, stored durations, reference), so the
-        // same epoch boundaries re-close and the detector, algorithm,
-        // and reference end exactly where the live run left them. The
-        // events are discarded — the store already holds them.
-        let _ = self.drift_epilogue(start);
-
-        self.waves.push(WaveStats {
-            wave: wave_index,
-            size: n,
-            wall_s,
-            busy_s,
-            cache_hits: hits_after - hits_before,
-            cache_misses: misses_after - misses_before,
-        });
+        // The router replays the live wave's lanes for any failure-free
+        // live run (transport failures are outside the determinism
+        // contract; see `docs/DETERMINISM.md`).
+        let mut backend = StoredOutcomes {
+            stored,
+            forged: None,
+        };
+        let (evals, cache) = self.evaluate(&configs, Some(&mut backend));
+        if let Some(iteration) = backend.forged {
+            return Err(ReplayError::OutcomeMismatch { iteration });
+        }
+        self.finish_wave(configs, evals, cache, 0.0, Some(stored), &mut NullSink);
         Ok(())
     }
 
@@ -1152,6 +1072,66 @@ fn normalized(v: f64, (lo, hi): (f64, f64)) -> f64 {
         0.5
     } else {
         (v - lo) / (hi - lo)
+    }
+}
+
+/// Replay's backend. It re-derives each item's build, so the published
+/// image and the lane's working tree are the live ones, and answers with
+/// the stored outcome and duration. `forged` is the first iteration whose
+/// stored cache hit or build crash the re-derivation contradicts, or
+/// that is neither a crash nor a measurement.
+struct StoredOutcomes<'a> {
+    stored: &'a [Record],
+    forged: Option<usize>,
+}
+
+impl EvalBackend for StoredOutcomes<'_> {
+    fn label(&self) -> &'static str {
+        "stored"
+    }
+
+    fn run_items(
+        &mut self,
+        target: &Arc<dyn EvalTarget>,
+        seed: u64,
+        _repetitions: usize,
+        items: Vec<WorkItem>,
+    ) -> Vec<Result<WorkResult, LaneError>> {
+        let mut results = Vec::with_capacity(items.len());
+        for item in items {
+            let r = &self.stored[item.slot];
+            let (reuse, tree) = (item.reuse.as_ref(), item.working_tree.as_ref());
+            let (built, _) =
+                build_candidate(&**target, &item.config, item.index, seed, reuse, tree);
+            let measured = r.metric.zip(r.memory_mb);
+            if reuse.is_some() != r.build_skipped
+                || built.is_err() != (r.crash_phase == Some(Phase::Build))
+                || r.crashed() == measured.is_some()
+            {
+                self.forged.get_or_insert(item.index);
+            }
+            let outcome = match (r.crash_phase, measured) {
+                (None, Some((metric, memory_mb))) => Ok(BenchResult { metric, memory_mb }),
+                // A crash, or a record already flagged as forged.
+                (phase, _) => Err(CrashReport {
+                    phase: phase.unwrap_or(Phase::Run),
+                    rule: String::new(),
+                }),
+            };
+            let eval = CandidateEval {
+                outcome,
+                build_skipped: reuse.is_some(),
+                duration_s: r.duration_s,
+            };
+            let (slot, lane, image) = (item.slot, item.lane, built.ok());
+            results.push(Ok(WorkResult {
+                slot,
+                lane,
+                eval,
+                image,
+            }));
+        }
+        results
     }
 }
 
@@ -1339,14 +1319,6 @@ mod tests {
         assert!(summary.mean_occupancy > 0.0 && summary.mean_occupancy <= 1.0);
     }
 
-    #[test]
-    fn step_returns_the_last_record_of_a_wave() {
-        let mut s = session_with_workers(8, 31, 4);
-        let r = s.step();
-        assert_eq!(r.iteration, 3, "wave of 4 → last record is iteration 3");
-        assert_eq!(s.history().len(), 4);
-    }
-
     /// Everything the resume guarantee covers, bit-exact.
     fn trace(s: &Session) -> Vec<(u64, Option<u64>, bool, bool, u64, u64)> {
         s.history()
@@ -1441,6 +1413,156 @@ mod tests {
         resumed.replay(&stored, &wave_sizes).expect("replay");
         let _ = resumed.run();
         assert_eq!(trace(&full), trace(&resumed));
+    }
+
+    fn unikraft_session(
+        iters: usize,
+        seed: u64,
+        workers: usize,
+        routing: RoutingStrategy,
+    ) -> Session {
+        Session::new(
+            SimOs::unikraft_nginx(),
+            wf_ossim::unikraft::nginx_app(),
+            Box::new(RandomSearch::new()),
+            SessionSpec {
+                budget: Budget {
+                    iterations: Some(iters),
+                    time_seconds: None,
+                },
+                seed,
+                workers,
+                routing,
+                ..SessionSpec::default()
+            },
+        )
+    }
+
+    /// Every field of every record, f64s by bits.
+    fn records_bits(records: &[Record]) -> Vec<String> {
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        records
+            .iter()
+            .map(|r| {
+                format!(
+                    "{} {} {:?} {:?} {:?} {:?} {} {} {} {} {}",
+                    r.iteration,
+                    r.config.fingerprint(),
+                    bits(r.objective),
+                    bits(r.metric),
+                    bits(r.memory_mb),
+                    r.crash_phase,
+                    r.build_skipped,
+                    r.duration_s.to_bits(),
+                    r.finished_at_s.to_bits(),
+                    r.algo_seconds.to_bits(),
+                    r.algo_memory_bytes,
+                )
+            })
+            .collect()
+    }
+
+    /// Per-wave stats and per-lane router stats, f64s by bits.
+    fn wave_and_lane_bits(s: &Session) -> Vec<String> {
+        let waves = s.waves().iter().map(|w| {
+            format!(
+                "wave {} {} {} {} {} {}",
+                w.wave,
+                w.size,
+                w.wall_s.to_bits(),
+                w.busy_s.to_bits(),
+                w.cache_hits,
+                w.cache_misses
+            )
+        });
+        let lanes = s
+            .lane_stats()
+            .iter()
+            .map(|l| format!("lane {} {}", l.ewma_s.to_bits(), l.samples));
+        waves.chain(lanes).collect()
+    }
+
+    #[test]
+    fn replay_restores_router_and_cache_state_under_every_routing_strategy() {
+        for routing in [
+            RoutingStrategy::RoundRobin,
+            RoutingStrategy::Fastest,
+            RoutingStrategy::Random,
+            RoutingStrategy::Preferred,
+        ] {
+            let mut full = unikraft_session(12, 23, 3, routing);
+            let _ = full.run();
+
+            let mut interrupted = unikraft_session(12, 23, 3, routing);
+            interrupted.step_wave();
+            interrupted.step_wave();
+            let (stored, wave_sizes) = stored_prefix(&interrupted);
+            let prefix_state = wave_and_lane_bits(&interrupted);
+            drop(interrupted);
+
+            let mut resumed = unikraft_session(12, 23, 3, routing);
+            resumed.replay(&stored, &wave_sizes).expect("replay");
+            assert_eq!(
+                records_bits(resumed.history().records()),
+                records_bits(&stored),
+                "{routing:?}: the replayed history is the stored prefix"
+            );
+            assert_eq!(wave_and_lane_bits(&resumed), prefix_state, "{routing:?}");
+            let _ = resumed.run();
+
+            assert_eq!(trace(&full), trace(&resumed), "{routing:?}");
+            assert_eq!(
+                wave_and_lane_bits(&full),
+                wave_and_lane_bits(&resumed),
+                "{routing:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_rejects_forged_outcomes() {
+        let mut donor = unikraft_session(8, 23, 2, RoutingStrategy::RoundRobin);
+        let _ = donor.run();
+        assert_eq!(donor.waves().len(), 4);
+        let (stored, wave_sizes) = stored_prefix(&donor);
+        let fresh = || unikraft_session(8, 23, 2, RoutingStrategy::RoundRobin);
+        fresh()
+            .replay(&stored, &wave_sizes)
+            .expect("the honest store replays");
+
+        // Cache hits are re-derived from the replayed probe.
+        let mut flipped = stored.clone();
+        for r in &mut flipped {
+            r.build_skipped = !r.build_skipped;
+        }
+        assert_eq!(
+            fresh().replay(&flipped, &wave_sizes).unwrap_err(),
+            ReplayError::OutcomeMismatch { iteration: 0 }
+        );
+
+        // Build crashes are re-derived from the replayed build.
+        let mut relabelled = stored.clone();
+        let forged = relabelled
+            .iter_mut()
+            .find(|r| !r.crashed())
+            .expect("a successful record");
+        forged.crash_phase = Some(Phase::Build);
+        forged.objective = None;
+        forged.metric = None;
+        forged.memory_mb = None;
+        let iteration = forged.iteration;
+        assert_eq!(
+            fresh().replay(&relabelled, &wave_sizes).unwrap_err(),
+            ReplayError::OutcomeMismatch { iteration }
+        );
+
+        // A record that is neither a crash nor a measurement.
+        let mut blank = stored.clone();
+        blank[iteration].metric = None;
+        assert_eq!(
+            fresh().replay(&blank, &wave_sizes).unwrap_err(),
+            ReplayError::OutcomeMismatch { iteration }
+        );
     }
 
     /// A continuous step-change session: shift early enough that a
@@ -1595,5 +1717,27 @@ mod tests {
             narrow.replay(&stored, &merged).unwrap_err(),
             ReplayError::WaveTooWide { .. }
         ));
+
+        // A store from a differently sized space is rejected up front.
+        let mut smaller = Session::new(
+            SimOs::linux_runtime(LinuxVersion::V4_19, 56),
+            App::by_id(AppId::Nginx),
+            Box::new(RandomSearch::new()),
+            SessionSpec {
+                seed: 1,
+                workers: 1,
+                ..SessionSpec::default()
+            },
+        );
+        let space_len = smaller.space().len();
+        assert_eq!(
+            smaller.replay(&stored, &wave_sizes).unwrap_err(),
+            ReplayError::SpaceMismatch {
+                iteration: 0,
+                config_len: stored[0].config.len(),
+                space_len,
+            }
+        );
+        assert_ne!(stored[0].config.len(), space_len);
     }
 }

@@ -67,9 +67,8 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// RNG stream tag for a candidate's build draws (also used by the
-/// pipeline's replay path to re-derive a build's exact RNG stream).
-pub(crate) const STREAM_BUILD: u64 = 0;
+/// RNG stream tag for a candidate's build draws ([`build_candidate`]).
+const STREAM_BUILD: u64 = 0;
 /// RNG stream tag for a candidate's benchmark repetitions.
 const STREAM_BENCH: u64 = 1;
 /// RNG stream tag for a candidate's boot draws. Kept separate from the
@@ -166,6 +165,23 @@ pub struct CandidateEval {
     pub duration_s: f64,
 }
 
+/// Builds (or reuses) one candidate's image from the candidate's own
+/// build stream, `derive_seed(derive_seed(session_seed, index),
+/// STREAM_BUILD)`. [`evaluate_candidate`] and the session's replay both
+/// build through here, so a replayed build is the live one.
+pub(crate) fn build_candidate(
+    target: &dyn EvalTarget,
+    config: &Configuration,
+    index: usize,
+    session_seed: u64,
+    reuse: Option<&KernelImage>,
+    working_tree: Option<&Configuration>,
+) -> (Result<KernelImage, CrashReport>, f64) {
+    let candidate_seed = derive_seed(session_seed, index as u64);
+    let mut rng = StdRng::seed_from_u64(derive_seed(candidate_seed, STREAM_BUILD));
+    target.build(config, reuse, working_tree, &mut rng)
+}
+
 /// Evaluates one candidate end to end: build (or reuse), boot, benchmark
 /// repetitions. Returns the evaluation plus the built (or reused) image,
 /// which the caller publishes to the shared cache — the cache itself is
@@ -188,11 +204,11 @@ pub fn evaluate_candidate(
     working_tree: &mut Option<Configuration>,
 ) -> (CandidateEval, Option<KernelImage>) {
     let candidate_seed = derive_seed(session_seed, index as u64);
-    let mut build_rng = StdRng::seed_from_u64(derive_seed(candidate_seed, STREAM_BUILD));
     let mut boot_rng = StdRng::seed_from_u64(derive_seed(candidate_seed, STREAM_BOOT));
 
     let build_skipped = reuse.is_some();
-    let (built, build_s) = target.build(config, reuse, working_tree.as_ref(), &mut build_rng);
+    let tree = working_tree.as_ref();
+    let (built, build_s) = build_candidate(target, config, index, session_seed, reuse, tree);
 
     let image = match built {
         Err(crash) => {

@@ -24,12 +24,12 @@ fn main() {
         "tuning Unikraft+Nginx: 33 parameters, 10^{space_size:.1} permutations, {budget_s:.0}s budget"
     );
 
-    // Step manually to print the exploration-vs-exploitation phases the
-    // paper describes for Fig. 9.
+    // Step wave by wave to print the exploration-vs-exploitation phases
+    // the paper describes for Fig. 9.
     let mut last_report = 0.0;
     while !session.done() {
-        let record = session.step();
-        let t = record.finished_at_s;
+        let wave = session.platform_mut().step_wave();
+        let t = wave.last().expect("a wave evaluates >= 1").finished_at_s;
         if t - last_report > 600.0 {
             last_report = t;
             let best = session
