@@ -11,10 +11,11 @@
 //! [`wf_platform::JsonlSink`] and the daemon's live watchers.
 //!
 //! The `wfd` binary and `wfctl daemon` are thin wrappers over
-//! [`bind_daemon`].
+//! [`serve_daemon`], the one daemon entry routine.
 
 use crate::session::SessionBuilder;
 use crate::targets::TargetRegistry;
+use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -99,6 +100,55 @@ where
     F: Fn() -> TargetRegistry + Send + Sync + 'static,
 {
     Daemon::bind(root, Arc::new(RegistryLauncher::new(factory)))
+}
+
+/// Why [`serve_daemon`] did not serve through to a clean shutdown.
+#[derive(Debug)]
+pub enum ServeError {
+    /// Neither the caller nor `WF_DAEMON` named a state root.
+    NoRoot,
+    /// The socket could not be bound (e.g. a daemon already serves it).
+    Bind(io::Error),
+    /// The accept loop failed.
+    Run(io::Error),
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::NoRoot => f.write_str("no state root: pass --root DIR or set WF_DAEMON"),
+            ServeError::Bind(e) => write!(f, "cannot bind: {e}"),
+            ServeError::Run(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+/// The daemon entry routine behind both `wfd` and `wfctl daemon`: takes
+/// the state root from `root`, else from `WF_DAEMON`, binds the socket
+/// with sessions resolving targets through `factory`, announces it on
+/// stdout, and serves until SIGINT/SIGTERM or a `shutdown` request parks
+/// every session at its wave boundary.
+pub fn serve_daemon<F>(root: Option<String>, factory: F) -> Result<(), ServeError>
+where
+    F: Fn() -> TargetRegistry + Send + Sync + 'static,
+{
+    let root = root
+        // wf-lint: allow(host-env-read, reason = "config-load: WF_DAEMON is the documented CLI fallback for --root, read once at startup")
+        .or_else(|| std::env::var("WF_DAEMON").ok())
+        .ok_or(ServeError::NoRoot)?;
+    let daemon = bind_daemon(&root, factory).map_err(ServeError::Bind)?;
+    println!(
+        "wfd: serving {} (socket {})",
+        daemon.root().display(),
+        daemon.socket_path().display()
+    );
+    daemon
+        .run(wf_platform::signal::install_interrupt_flag())
+        .map_err(ServeError::Run)?;
+    println!("wfd: shut down; stores under {root}/sessions resume with `wfctl resume`");
+    Ok(())
 }
 
 #[cfg(test)]

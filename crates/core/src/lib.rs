@@ -46,7 +46,7 @@ pub mod scale;
 pub mod session;
 pub mod targets;
 
-pub use daemon_host::{bind_daemon, RegistryLauncher};
+pub use daemon_host::{bind_daemon, serve_daemon, RegistryLauncher, ServeError};
 pub use report::{store_report, trajectory_table, wave_stats_table, Table};
 pub use scale::Scale;
 pub use session::{

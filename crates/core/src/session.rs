@@ -11,8 +11,8 @@ use std::path::Path;
 use wf_deeptune::{Checkpoint, DeepTune, DeepTuneConfig};
 use wf_drift::{DriftDetector, MeanShift, PageHinkley};
 use wf_jobfile::{
-    AlgorithmId, BackendChoice, Budget, DetectorId, Direction, DriftSpec, Focus, Job, Mode,
-    ParamDecl, RoutingStrategy,
+    AlgorithmId, BackendChoice, DetectorId, Direction, DriftSpec, Focus, Job, Mode, ParamDecl, Pin,
+    RoutingStrategy,
 };
 use wf_ossim::{AppId, DriftScenario, DriftSchedule, MetricDirection};
 use wf_platform::{
@@ -199,15 +199,18 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Materializes just the evaluation target a job resolves to — explicit
-/// space installed, pins applied — without constructing a session. This
-/// is what a `wf-evald` worker process runs [`wf_platform::serve`]
-/// against: the session ships its *resolved* job to every worker, so
-/// each process rebuilds the exact target the session dispatches to.
-pub fn target_from_job(
+/// The runtime-space size a job gets when it names none (§3.4).
+const DEFAULT_RUNTIME_PARAMS: usize = 200;
+
+/// Materializes the target a job resolves to: the registry lookup, the
+/// target's default app when `app:` is omitted, the runtime-space size,
+/// the explicit `params:` space and the `pinned:` values. Returns the
+/// resolved app keyword with the instance. [`SessionBuilder::build`] and
+/// [`target_from_job`] both resolve targets here and nowhere else.
+fn instantiate(
     job: &Job,
     registry: &TargetRegistry,
-) -> Result<Box<dyn wf_platform::EvalTarget>, BuildError> {
+) -> Result<(String, TargetInstance), BuildError> {
     let factory = registry
         .get(&job.os)
         .ok_or_else(|| BuildError::UnknownTarget {
@@ -218,20 +221,44 @@ pub fn target_from_job(
         .app
         .clone()
         .unwrap_or_else(|| factory.default_app().to_string());
-    let TargetInstance { mut target, .. } = factory.instantiate(&TargetRequest {
-        app,
-        runtime_params: job.runtime_params.unwrap_or(200),
+    let mut instance = factory.instantiate(&TargetRequest {
+        app: app.clone(),
+        runtime_params: job.runtime_params.unwrap_or(DEFAULT_RUNTIME_PARAMS),
     })?;
     if let Some(space) = job.param_space() {
-        target.install_space(space);
+        instance.target.install_space(space);
     }
     if !job.pinned.is_empty() {
-        job.apply_pins(target.space_mut())
+        job.apply_pins(instance.target.space_mut())
             .map_err(|e| BuildError::BadPin {
                 message: e.to_string(),
             })?;
     }
-    Ok(target)
+    Ok((app, instance))
+}
+
+/// Materializes just the evaluation target a job resolves to — explicit
+/// space installed, pins applied — without constructing a session. This
+/// is what a `wf-evald` worker process runs [`wf_platform::serve`]
+/// against: the session ships its *resolved* job to every worker, and
+/// each process rebuilds it through the same resolution step
+/// [`SessionBuilder::build`] runs, so it evaluates on the exact target
+/// the session dispatches to.
+pub fn target_from_job(
+    job: &Job,
+    registry: &TargetRegistry,
+) -> Result<Box<dyn wf_platform::EvalTarget>, BuildError> {
+    instantiate(job, registry).map(|(_, instance)| instance.target)
+}
+
+/// The canonical `metric:` keyword of an objective: omitted for the
+/// target's primary metric, `memory` or `score` otherwise.
+fn metric_keyword(objective: Objective) -> Option<String> {
+    match objective {
+        Objective::Metric => None,
+        Objective::MemoryMb => Some("memory".to_string()),
+        Objective::ThroughputMemoryScore => Some("score".to_string()),
+    }
 }
 
 /// Locates the `wf-evald` remote-worker binary: the `WF_EVALD`
@@ -250,27 +277,43 @@ fn locate_evald() -> std::path::PathBuf {
 }
 
 /// Fluent session construction, resolved through a [`TargetRegistry`].
+///
+/// A builder is a [`Job`] plus what a job file cannot express: the
+/// registry its `os:` keyword resolves against, a DeepTune transfer
+/// checkpoint (§3.3) and DeepTune's hyperparameters. Every other setter
+/// writes the job field a job file would set, so
+/// [`SessionBuilder::from_job`] and the equivalent chain of setters hold
+/// the same job, and [`SessionBuilder::build`] resolves it in one place.
+/// The session's [`SpecializationSession::resolved_job`] is that job with
+/// its defaults filled in.
+///
+/// # Examples
+///
+/// ```
+/// use wayfinder_core::prelude::*;
+///
+/// let job = Job::parse("name: j\nos: linux-4.19\nalgorithm: random\nruntime_params: 56\nbudget:\n  iterations: 2\n")
+///     .unwrap();
+/// let from_file = SessionBuilder::from_job(&job).unwrap().workers(1).build().unwrap();
+/// let by_hand = SessionBuilder::new()
+///     .name("j")
+///     .algorithm(AlgorithmChoice::Random)
+///     .runtime_params(56)
+///     .iterations(2)
+///     .workers(1)
+///     .build()
+///     .unwrap();
+/// assert_eq!(from_file.resolved_job(), by_hand.resolved_job());
+/// assert_eq!(by_hand.resolved_job().app.as_deref(), Some("nginx"));
+/// ```
 pub struct SessionBuilder {
-    name: String,
-    target: String,
-    app: Option<String>,
+    /// The job being built; unset keys resolve to the target's defaults.
+    job: Job,
     registry: TargetRegistry,
-    algorithm: AlgorithmChoice,
-    objective: Objective,
-    job_metric: Option<String>,
-    iterations: Option<usize>,
-    time_budget_s: Option<f64>,
-    seed: u64,
-    repetitions: usize,
-    workers: usize,
-    backend: BackendChoice,
-    routing: RoutingStrategy,
-    runtime_params: usize,
-    focus: Focus,
-    pins: Vec<(String, String)>,
-    explicit_space: Option<wf_configspace::ConfigSpace>,
+    /// The DeepTune warm start of [`AlgorithmChoice::DeepTuneTransfer`]
+    /// (only ever set together with `algorithm: deeptune`).
+    transfer: Option<Checkpoint>,
     deeptune: DeepTuneConfig,
-    drift: Option<DriftSpec>,
 }
 
 impl Default for SessionBuilder {
@@ -285,32 +328,19 @@ impl SessionBuilder {
     /// built-in target registry.
     pub fn new() -> Self {
         SessionBuilder {
-            name: "session".to_string(),
-            target: OsFlavor::Linux419.keyword().to_string(),
-            app: None,
+            job: Job {
+                name: "session".to_string(),
+                ..Job::default()
+            },
             registry: TargetRegistry::builtin(),
-            algorithm: AlgorithmChoice::DeepTune,
-            objective: Objective::Metric,
-            job_metric: None,
-            iterations: Some(250),
-            time_budget_s: None,
-            seed: 1,
-            repetitions: 1,
-            workers: wf_platform::default_workers(),
-            backend: BackendChoice::default(),
-            routing: RoutingStrategy::default(),
-            runtime_params: 200,
-            focus: Focus::All,
-            pins: Vec::new(),
-            explicit_space: None,
+            transfer: None,
             deeptune: DeepTuneConfig::default(),
-            drift: None,
         }
     }
 
     /// Names the session (used in reports and session-store manifests).
     pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
+        self.job.name = name.into();
         self
     }
 
@@ -323,7 +353,7 @@ impl SessionBuilder {
     /// Selects the target by registry keyword. Unknown keywords surface
     /// as [`BuildError::UnknownTarget`] at [`SessionBuilder::build`].
     pub fn target(mut self, keyword: impl Into<String>) -> Self {
-        self.target = keyword.into();
+        self.job.os = keyword.into();
         self
     }
 
@@ -343,7 +373,7 @@ impl SessionBuilder {
     /// target's factory resolves (or rejects) it at build time; when no
     /// app is chosen the target's default runs.
     pub fn app_named(mut self, app: impl Into<String>) -> Self {
-        self.app = Some(app.into());
+        self.job.app = Some(app.into());
         self
     }
 
@@ -352,46 +382,55 @@ impl SessionBuilder {
     /// rejected at build time; [`SessionBuilder::objective`] is the typed
     /// alternative, and whichever of the two was called last wins.
     pub fn metric(mut self, metric: impl Into<String>) -> Self {
-        self.job_metric = Some(metric.into());
+        self.job.metric = Some(metric.into());
         self
     }
 
     /// Selects the search algorithm.
     pub fn algorithm(mut self, algorithm: AlgorithmChoice) -> Self {
-        self.algorithm = algorithm;
+        let (id, transfer) = match algorithm {
+            AlgorithmChoice::Random => (AlgorithmId::Random, None),
+            AlgorithmChoice::Grid => (AlgorithmId::Grid, None),
+            AlgorithmChoice::Bayesian => (AlgorithmId::Bayesian, None),
+            AlgorithmChoice::Causal => (AlgorithmId::Causal, None),
+            AlgorithmChoice::DeepTune => (AlgorithmId::DeepTune, None),
+            AlgorithmChoice::DeepTuneTransfer(ckpt) => (AlgorithmId::DeepTune, Some(ckpt)),
+        };
+        self.job.algorithm = id;
+        self.transfer = transfer;
         self
     }
 
-    /// Selects the objective (primary metric by default). Overrides any
-    /// earlier [`SessionBuilder::metric`] / job-file `metric:` keyword —
+    /// Selects the objective (primary metric by default) by writing its
+    /// canonical `metric:` keyword. Overrides any earlier
+    /// [`SessionBuilder::metric`] / job-file `metric:` keyword —
     /// whichever of the two was called last wins.
     pub fn objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self.job_metric = None;
+        self.job.metric = metric_keyword(objective);
         self
     }
 
     /// Sets the iteration budget.
     pub fn iterations(mut self, n: usize) -> Self {
-        self.iterations = Some(n);
+        self.job.budget.iterations = Some(n);
         self
     }
 
     /// Sets the virtual-time budget in seconds (3-hour sessions in §4.4).
     pub fn time_budget_s(mut self, s: f64) -> Self {
-        self.time_budget_s = Some(s);
+        self.job.budget.time_seconds = Some(s);
         self
     }
 
     /// Seeds the session RNG.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.job.seed = seed;
         self
     }
 
     /// Benchmark repetitions per configuration.
     pub fn repetitions(mut self, reps: usize) -> Self {
-        self.repetitions = reps.max(1);
+        self.job.repetitions = reps.max(1);
         self
     }
 
@@ -399,7 +438,7 @@ impl SessionBuilder {
     /// width of the batch ask/tell loop). Defaults to `WF_WORKERS` from
     /// the environment, else 1.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.clamp(1, 64);
+        self.job.workers = Some(workers.clamp(1, 64));
         self
     }
 
@@ -407,7 +446,7 @@ impl SessionBuilder {
     /// in-process pool (the default) or `wf-evald` worker processes
     /// behind a socket.
     pub fn backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
+        self.job.backend = backend;
         self
     }
 
@@ -416,19 +455,22 @@ impl SessionBuilder {
     /// round-robin, which on healthy full-width waves is the identity
     /// assignment.
     pub fn routing(mut self, routing: RoutingStrategy) -> Self {
-        self.routing = routing;
+        self.job.routing = routing;
         self
     }
 
     /// Size of the probed runtime space for the Linux targets (§3.4).
     pub fn runtime_params(mut self, n: usize) -> Self {
-        self.runtime_params = n;
+        self.job.runtime_params = Some(n);
         self
     }
 
     /// Pins a parameter to a fixed value (§3.5 constrained search).
     pub fn pin(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.pins.push((name.into(), value.into()));
+        self.job.pinned.push(Pin {
+            name: name.into(),
+            value: value.into(),
+        });
         self
     }
 
@@ -436,16 +478,21 @@ impl SessionBuilder {
     /// also be instructed to favor varying certain parameter types ...
     /// useful, e.g., when the kernel to optimize cannot be rebooted").
     pub fn focus(mut self, focus: Focus) -> Self {
-        self.focus = focus;
+        self.job.focus = focus;
         self
     }
 
     /// Replaces the OS's own configuration space with an explicit one
     /// (§3.1: job files "representing the configuration space of the
-    /// target OS"). Parameters the ground-truth models do not know are
-    /// explored but inert, exactly like the real kernel's long tail.
+    /// target OS"), written as the job's `params:`. Parameters the
+    /// ground-truth models do not know are explored but inert, exactly
+    /// like the real kernel's long tail.
     pub fn explicit_space(mut self, space: wf_configspace::ConfigSpace) -> Self {
-        self.explicit_space = Some(space);
+        self.job.params = space
+            .specs()
+            .iter()
+            .map(|spec| ParamDecl { spec: spec.clone() })
+            .collect();
         self
     }
 
@@ -462,241 +509,131 @@ impl SessionBuilder {
     /// `SimTarget`-backed targets support this; others fail the build
     /// with [`BuildError::ContinuousUnsupported`].
     pub fn continuous(mut self, spec: DriftSpec) -> Self {
-        self.drift = Some(spec);
+        self.job.drift = Some(spec);
+        self.job.mode = Mode::Continuous;
         self
     }
 
     /// Builds the session from a parsed job file instead of builder
-    /// calls. The job's `os:`, `app:`, and `metric:` keywords are carried
-    /// verbatim and resolved against the registry at
+    /// calls: the builder holds a copy of `job`. Its `os:`, `app:`, and
+    /// `metric:` keywords resolve against the registry at
     /// [`SessionBuilder::build`], so downstream targets registered via
     /// [`SessionBuilder::registry`] work from job files too.
     pub fn from_job(job: &Job) -> Result<SessionBuilder, BuildError> {
-        let algorithm = match job.algorithm {
-            AlgorithmId::Random => AlgorithmChoice::Random,
-            AlgorithmId::Grid => AlgorithmChoice::Grid,
-            AlgorithmId::Bayesian => AlgorithmChoice::Bayesian,
-            AlgorithmId::Causal => AlgorithmChoice::Causal,
-            AlgorithmId::DeepTune => AlgorithmChoice::DeepTune,
+        let builder = SessionBuilder {
+            job: job.clone(),
+            ..SessionBuilder::new()
         };
-        let mut b = SessionBuilder::new()
-            .name(job.name.clone())
-            .target(job.os.clone())
-            .algorithm(algorithm)
-            .seed(job.seed)
-            .repetitions(job.repetitions);
-        // Omitted `app:`/`metric:` keys mean "the target's defaults", so
-        // minimal job files work for every registered target.
-        if let Some(app) = &job.app {
-            b = b.app_named(app.clone());
-        }
-        if let Some(metric) = &job.metric {
-            b = b.metric(metric.clone());
-        }
-        if let Some(workers) = job.workers {
-            b = b.workers(workers);
-        }
-        b = b.backend(job.backend).routing(job.routing);
-        if let Some(n) = job.runtime_params {
-            b = b.runtime_params(n);
-        }
-        b.iterations = job.budget.iterations;
-        b.time_budget_s = job.budget.time_seconds;
-        for pin in &job.pinned {
-            b = b.pin(pin.name.clone(), pin.value.clone());
-        }
-        b = b.focus(job.focus);
-        if let Some(space) = job.param_space() {
-            b = b.explicit_space(space);
-        }
-        if let Some(drift) = &job.drift {
-            b = b.continuous(drift.clone());
-        }
-        Ok(b)
+        // The parser bounds both counts; a `Job` built in code gets the
+        // setters' clamps.
+        let builder = builder.repetitions(job.repetitions);
+        Ok(match job.workers {
+            Some(workers) => builder.workers(workers),
+            None => builder,
+        })
     }
 
-    /// Resolves the target keyword against the registry, materializes the
-    /// target and policy, and builds the platform session.
+    /// Resolves the job against the registry, materializes the target
+    /// and policy, and builds the platform session.
     pub fn build(self) -> Result<SpecializationSession, BuildError> {
-        if self.iterations.is_none() && self.time_budget_s.is_none() {
+        let SessionBuilder {
+            job,
+            registry,
+            transfer,
+            deeptune,
+        } = self;
+        if job.budget.iterations.is_none() && job.budget.time_seconds.is_none() {
             return Err(BuildError::MissingBudget);
         }
-        let factory = self
-            .registry
-            .get(&self.target)
-            .ok_or_else(|| BuildError::UnknownTarget {
-                given: self.target.clone(),
-                known: self.registry.keywords(),
-            })?;
-        let app = self
-            .app
-            .clone()
-            .unwrap_or_else(|| factory.default_app().to_string());
-        let TargetInstance { mut target, policy } = factory.instantiate(&TargetRequest {
-            app: app.clone(),
-            runtime_params: self.runtime_params,
-        })?;
-
-        // An explicit job-file space replaces the target's own. Its specs
-        // are kept for the resolved-job manifest so a session store can
-        // rebuild the exact same space on resume.
-        let explicit_params: Vec<ParamDecl> = self
-            .explicit_space
-            .iter()
-            .flat_map(|space| space.specs().iter().cloned())
-            .map(|spec| ParamDecl { spec })
-            .collect();
-        if let Some(space) = self.explicit_space {
-            target.install_space(space);
-        }
-
-        // Apply pins through the job-file machinery so value parsing is
-        // uniform.
-        if !self.pins.is_empty() {
-            let job = Job {
-                pinned: self
-                    .pins
-                    .iter()
-                    .map(|(name, value)| wf_jobfile::Pin {
-                        name: name.clone(),
-                        value: value.clone(),
-                    })
-                    .collect(),
-                ..Job::default()
-            };
-            job.apply_pins(target.space_mut())
-                .map_err(|e| BuildError::BadPin {
-                    message: e.to_string(),
-                })?;
-        }
+        let (app, TargetInstance { target, policy }) = instantiate(&job, &registry)?;
 
         // §3.5 stage focus narrows the sampling policy.
-        let policy = match (self.focus.stage(), policy) {
+        let policy = match (job.focus.stage(), policy) {
             (Some(stage), SamplePolicy::Uniform) => SamplePolicy::StageFocused(stage),
             (_, p) => p,
         };
 
-        // A job-file metric resolves against the target's descriptor; the
-        // typed `objective` applies otherwise. Unknown strings are
-        // errors, never a silent fallback.
-        let descriptor = target.descriptor().clone();
-        let objective = match &self.job_metric {
-            None => self.objective,
-            Some(m) => match m.as_str() {
-                "memory" => Objective::MemoryMb,
-                "score" => Objective::ThroughputMemoryScore,
-                m if m == descriptor.metric => Objective::Metric,
-                _ => {
-                    let mut valid =
-                        vec![descriptor.metric.clone(), "memory".into(), "score".into()];
-                    valid.dedup();
-                    return Err(BuildError::UnknownMetric {
-                        given: m.clone(),
-                        valid,
-                    });
-                }
-            },
+        // `metric:` resolves against the target's descriptor. Unknown
+        // strings are errors, never a silent fallback.
+        let descriptor = target.descriptor();
+        let objective = match job.metric.as_deref() {
+            None => Objective::Metric,
+            Some("memory") => Objective::MemoryMb,
+            Some("score") => Objective::ThroughputMemoryScore,
+            Some(m) if m == descriptor.metric => Objective::Metric,
+            Some(m) => {
+                let mut valid = vec![descriptor.metric.clone(), "memory".into(), "score".into()];
+                valid.dedup();
+                return Err(BuildError::UnknownMetric {
+                    given: m.to_string(),
+                    valid,
+                });
+            }
         };
-
         let direction = match (objective, descriptor.direction) {
             (Objective::MemoryMb, _) => Direction::Minimize,
             (_, MetricDirection::HigherBetter) => Direction::Maximize,
             (_, MetricDirection::LowerBetter) => Direction::Minimize,
         };
-        let mut spec = SessionSpec {
-            objective,
-            direction,
-            policy,
-            budget: Budget {
-                iterations: self.iterations,
-                time_seconds: self.time_budget_s,
-            },
-            repetitions: self.repetitions,
-            seed: self.seed,
-            workers: self.workers,
-            backend: self.backend,
-            routing: self.routing,
-            remote: None,
-        };
+        let workers = job.workers.unwrap_or_else(wf_platform::default_workers);
 
         // The fully resolved job this session will run — what a session
-        // store writes as its manifest. `metric:` encodes the *objective*
-        // exactly (omitted = the target's primary metric), so rebuilding
-        // the session from the manifest reproduces this one bit for bit.
-        // A transfer-learning warm start has no job-file form; its
-        // manifest records a cold DeepTune, and a resume of such a store
-        // fails the replay cross-check instead of silently diverging.
+        // store writes as its manifest: the input job with its defaults
+        // filled in. `metric:` encodes the *objective* exactly (omitted =
+        // the target's primary metric), so rebuilding the session from
+        // the manifest reproduces this one bit for bit. A store's
+        // manifest never points at an output directory or a daemon root:
+        // the store already lives wherever it was created. A
+        // transfer-learning warm start has no job-file form; its manifest
+        // records a cold DeepTune, and a resume of such a store fails the
+        // replay cross-check instead of silently diverging.
         let resolved = Job {
-            name: self.name.clone(),
-            os: self.target.clone(),
             app: Some(app),
-            metric: match objective {
-                Objective::Metric => None,
-                Objective::MemoryMb => Some("memory".to_string()),
-                Objective::ThroughputMemoryScore => Some("score".to_string()),
-            },
+            metric: metric_keyword(objective),
             direction,
-            focus: self.focus,
-            algorithm: match &self.algorithm {
-                AlgorithmChoice::Random => AlgorithmId::Random,
-                AlgorithmChoice::Grid => AlgorithmId::Grid,
-                AlgorithmChoice::Bayesian => AlgorithmId::Bayesian,
-                AlgorithmChoice::Causal => AlgorithmId::Causal,
-                AlgorithmChoice::DeepTune | AlgorithmChoice::DeepTuneTransfer(_) => {
-                    AlgorithmId::DeepTune
-                }
-            },
-            seed: self.seed,
-            repetitions: self.repetitions,
-            workers: Some(self.workers),
-            backend: self.backend,
-            routing: self.routing,
-            runtime_params: Some(self.runtime_params),
-            out: None,
-            // A store's manifest never points back at a daemon root: the
-            // store already lives wherever it was created.
-            daemon: None,
-            budget: spec.budget,
-            mode: if self.drift.is_some() {
+            workers: Some(workers),
+            runtime_params: Some(job.runtime_params.unwrap_or(DEFAULT_RUNTIME_PARAMS)),
+            mode: if job.drift.is_some() {
                 Mode::Continuous
             } else {
                 Mode::OneShot
             },
-            drift: self.drift.clone(),
-            pinned: self
-                .pins
-                .iter()
-                .map(|(name, value)| wf_jobfile::Pin {
-                    name: name.clone(),
-                    value: value.clone(),
-                })
-                .collect(),
-            params: explicit_params,
+            out: None,
+            daemon: None,
+            ..job
         };
 
         // Remote workers re-resolve the *resolved* job so every `wf-evald`
         // process materializes the exact target this session runs against.
-        if self.backend == BackendChoice::Remote {
-            spec.remote = Some(wf_platform::RemoteSpec {
-                command: locate_evald(),
-                args: vec!["--job-inline".to_string(), resolved.to_yaml()],
-            });
-        }
+        let remote = (resolved.backend == BackendChoice::Remote).then(|| wf_platform::RemoteSpec {
+            command: locate_evald(),
+            args: vec!["--job-inline".to_string(), resolved.to_yaml()],
+        });
+        let spec = SessionSpec {
+            objective,
+            direction,
+            policy,
+            budget: resolved.budget,
+            repetitions: resolved.repetitions,
+            seed: resolved.seed,
+            workers,
+            backend: resolved.backend,
+            routing: resolved.routing,
+            remote,
+        };
 
-        let algorithm: Box<dyn SearchAlgorithm> = match self.algorithm {
-            AlgorithmChoice::Random => Box::new(RandomSearch::new()),
-            AlgorithmChoice::Grid => Box::new(GridSearch::new(8)),
-            AlgorithmChoice::Bayesian => Box::new(BayesOpt::new()),
-            AlgorithmChoice::Causal => Box::new(CausalSearch::new()),
-            AlgorithmChoice::DeepTune => {
-                let mut cfg = self.deeptune;
-                cfg.seed ^= self.seed;
-                Box::new(DeepTune::new(cfg))
-            }
-            AlgorithmChoice::DeepTuneTransfer(ckpt) => {
-                let mut cfg = self.deeptune;
-                cfg.seed ^= self.seed;
-                Box::new(DeepTune::with_checkpoint(cfg, ckpt))
+        let algorithm: Box<dyn SearchAlgorithm> = match resolved.algorithm {
+            AlgorithmId::Random => Box::new(RandomSearch::new()),
+            AlgorithmId::Grid => Box::new(GridSearch::new(8)),
+            AlgorithmId::Bayesian => Box::new(BayesOpt::new()),
+            AlgorithmId::Causal => Box::new(CausalSearch::new()),
+            AlgorithmId::DeepTune => {
+                let mut cfg = deeptune;
+                cfg.seed ^= resolved.seed;
+                Box::new(match transfer {
+                    Some(ckpt) => DeepTune::with_checkpoint(cfg, ckpt),
+                    None => DeepTune::new(cfg),
+                })
             }
         };
         let mut inner = Session::try_with_target(target, algorithm, spec)
@@ -705,14 +642,14 @@ impl SessionBuilder {
         // Continuous mode needs the simulated drift model behind the
         // target: the schedule is derived from the target's own SimOs +
         // App pair so its phases move the very optima the search chases.
-        if let Some(drift) = &self.drift {
+        if let Some(drift) = &resolved.drift {
             let schedule = {
                 let sim = inner
                     .target()
                     .as_any()
                     .downcast_ref::<wf_platform::SimTarget>()
                     .ok_or_else(|| BuildError::ContinuousUnsupported {
-                        target: self.target.clone(),
+                        target: resolved.os.clone(),
                     })?;
                 let kind = DriftScenario::parse(drift.scenario.keyword())
                     .expect("jobfile scenario keywords mirror wf-ossim's");
@@ -1039,6 +976,7 @@ pub type JobFocus = Focus;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wf_jobfile::Budget;
 
     #[test]
     fn builder_runs_a_tiny_deeptune_session() {
@@ -1059,8 +997,8 @@ mod tests {
     #[test]
     fn builder_rejects_missing_budget() {
         let mut b = SessionBuilder::new();
-        b.iterations = None;
-        b.time_budget_s = None;
+        b.job.budget.iterations = None;
+        b.job.budget.time_seconds = None;
         assert!(b.build().is_err());
     }
 
@@ -1360,6 +1298,74 @@ mod tests {
             assert_eq!(rebuilt.resolved_job(), &resolved, "{objective:?}");
             assert_eq!(resolved.algorithm, AlgorithmId::Causal);
             assert_eq!(resolved.runtime_params, Some(56));
+        }
+    }
+
+    #[test]
+    fn setters_and_job_files_resolve_to_one_job_and_one_target() {
+        // Builder setters and a job carrying the same keys resolve to the
+        // same manifest, and a `wf-evald` worker rebuilding that manifest
+        // through `target_from_job` searches the session's exact space
+        // (names, kinds, defaults, pins) — remote evaluation relies on it.
+        let registry = TargetRegistry::builtin();
+        let mut cases: Vec<(SessionBuilder, Job)> = registry
+            .keywords()
+            .into_iter()
+            .map(|os| {
+                let builder = SessionBuilder::new()
+                    .name("equiv")
+                    .target(os.clone())
+                    .algorithm(AlgorithmChoice::Random)
+                    .objective(Objective::MemoryMb)
+                    .runtime_params(56)
+                    .iterations(2)
+                    .seed(3)
+                    .workers(2);
+                let job = Job {
+                    name: "equiv".into(),
+                    os,
+                    metric: Some("memory".into()),
+                    algorithm: AlgorithmId::Random,
+                    runtime_params: Some(56),
+                    seed: 3,
+                    workers: Some(2),
+                    budget: Budget {
+                        iterations: Some(2),
+                        time_seconds: None,
+                    },
+                    ..Job::default()
+                };
+                (builder, job)
+            })
+            .collect();
+        let declared = Job::parse(
+            "name: declared\nos: linux-4.19\napp: redis\nalgorithm: bayes\nseed: 4\nworkers: 1\nbudget:\n  iterations: 2\nparams:\n  - name: net.core.somaxconn\n    type: int\n    min: 16\n    max: 65535\n    log: true\n    default: 128\n  - name: custom.inert_knob\n    type: int\n    min: 0\n    max: 10\n    default: 5\npinned:\n  - name: custom.inert_knob\n    value: \"7\"\n",
+        )
+        .unwrap();
+        cases.push((
+            SessionBuilder::new()
+                .name("declared")
+                .app(AppId::Redis)
+                .algorithm(AlgorithmChoice::Bayesian)
+                .seed(4)
+                .workers(1)
+                .iterations(2)
+                .explicit_space(declared.param_space().unwrap())
+                .pin("custom.inert_knob", "7"),
+            declared,
+        ));
+        for (builder, job) in cases {
+            let by_setters = builder.build().unwrap();
+            let by_job = SessionBuilder::from_job(&job).unwrap().build().unwrap();
+            let resolved = by_job.resolved_job();
+            assert_eq!(by_setters.resolved_job(), resolved, "{}", job.os);
+            let remote = target_from_job(resolved, &registry).unwrap();
+            assert_eq!(
+                remote.space().specs(),
+                by_job.platform().space().specs(),
+                "{}",
+                job.os
+            );
         }
     }
 

@@ -1,5 +1,6 @@
-//! Property tests: `parse(emit(model))` preserves the model, and solver
-//! outputs are always valid.
+//! Property tests: `parse(emit(model))` preserves the model, solver
+//! outputs are always valid, and the parser answers arbitrary bytes and
+//! mangled Kconfig files with a model or an error, never a panic.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -7,7 +8,7 @@ use rand::SeedableRng;
 use wf_configspace::Tristate;
 use wf_kconfig::ast::{Default, DefaultValue, Expr, KconfigModel, Select, Symbol, SymbolType};
 use wf_kconfig::emit::emit;
-use wf_kconfig::parser::parse;
+use wf_kconfig::parser::{parse, parse_expr};
 use wf_kconfig::solver::Solver;
 
 /// Strategy for a symbol name that cannot collide with expression literals.
@@ -131,5 +132,90 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let r = solver.randconfig(&mut rng);
         prop_assert!(solver.validate(&r).is_empty(), "randconfig violations: {:?}", solver.validate(&r));
+    }
+}
+
+/// Kconfig-ish text: keywords, operators, quotes, indentation, help
+/// blocks and arbitrary bytes, so input gets past the first token.
+fn kconfig_ish_text() -> impl Strategy<Value = String> {
+    let token = prop_oneof![
+        Just("config "),
+        Just("menuconfig "),
+        Just("menu \""),
+        Just("endmenu"),
+        Just("choice"),
+        Just("endchoice"),
+        Just("if "),
+        Just("endif"),
+        Just("source \""),
+        Just("bool"),
+        Just("tristate"),
+        Just("int"),
+        Just("hex"),
+        Just("string"),
+        Just("\tdefault "),
+        Just("\tdepends on "),
+        Just("\tselect "),
+        Just("\trange "),
+        Just("\thelp\n"),
+        Just("  "),
+        Just("\n"),
+        Just("S_A"),
+        Just("0x1f"),
+        Just("-3"),
+        Just("y"),
+        Just("m"),
+        Just("("),
+        Just(")"),
+        Just("&&"),
+        Just("||"),
+        Just("!"),
+        Just("="),
+        Just("!="),
+        Just("<="),
+        Just("\""),
+        Just("#"),
+        Just("\\"),
+        Just("é"),
+    ];
+    proptest::collection::vec(token, 0..64).prop_map(|ts| ts.concat())
+}
+
+/// XORs each `(position, mask)` into `bytes` (positions wrap), then cuts
+/// the result to `cut` bytes when that is shorter.
+fn mutate(mut bytes: Vec<u8>, flips: &[(usize, u8)], cut: usize) -> Vec<u8> {
+    if !bytes.is_empty() {
+        for &(at, mask) in flips {
+            let len = bytes.len();
+            bytes[at % len] ^= mask;
+        }
+    }
+    bytes.truncate(cut);
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn parse_never_panics_on_arbitrary_input(
+        text in kconfig_ish_text(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let _ = parse(&text);
+        let _ = parse_expr(&text);
+        let _ = parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn parse_never_panics_on_mutated_files(
+        model in model_strategy(),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        cut in 0usize..2048,
+    ) {
+        let text = emit(&model);
+        prop_assert_eq!(parse(&text).expect("emitted text must parse").len(), model.len());
+        let bytes = mutate(text.into_bytes(), &flips, cut);
+        let _ = parse(&String::from_utf8_lossy(&bytes));
     }
 }

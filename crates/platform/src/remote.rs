@@ -260,6 +260,29 @@ fn result_from(v: &JsonValue) -> io::Result<WorkResult> {
     })
 }
 
+/// Checks a decoded result against the slot and lane it must answer.
+/// The dispatcher indexes the wave by the echoed slot and lane, and the
+/// router's EWMAs and the virtual clock consume the duration, so a
+/// mismatched echo, a non-finite or negative `dur`, or a non-finite
+/// `metric` or `mem` is a protocol violation, not a result.
+fn check_result(w: WorkResult, slot: usize, lane: usize) -> io::Result<WorkResult> {
+    if (w.slot, w.lane) != (slot, lane) {
+        return Err(bad(&format!(
+            "result names slot {} on lane {} where slot {slot} on lane {lane} was expected",
+            w.slot, w.lane
+        )));
+    }
+    if !(w.eval.duration_s.is_finite() && w.eval.duration_s >= 0.0) {
+        return Err(bad("result dur is not a finite, non-negative number"));
+    }
+    if let Ok(r) = &w.eval.outcome {
+        if !(r.metric.is_finite() && r.memory_mb.is_finite()) {
+            return Err(bad("result metric or mem is not finite"));
+        }
+    }
+    Ok(w)
+}
+
 // ---------------------------------------------------------------------------
 // Worker side.
 // ---------------------------------------------------------------------------
@@ -576,6 +599,7 @@ impl EvalBackend for RemoteBackend {
                         frame
                             .ok_or_else(|| bad("worker hung up mid-wave"))
                             .and_then(|f| result_from(&f))
+                            .and_then(|w| check_result(w, expected_slot, lane))
                     }),
                 };
                 match received {
@@ -750,6 +774,42 @@ mod tests {
             .collect();
         assert_eq!(ok.len(), 2, "lane 0's items still complete");
         assert_eq!(failed, vec![(1, 1), (3, 1)], "lane 1's items fail");
+    }
+
+    #[test]
+    fn result_frames_that_misname_their_slot_lane_or_cost_are_lane_errors() {
+        // A fake worker answers slot 0 on lane 0 with a doctored frame.
+        // JSON has no NaN; `1e999` parses to infinity, the non-finite
+        // value a frame can carry.
+        let target: Arc<dyn EvalTarget> = Arc::new(sim_target());
+        let config = target.space().default_config();
+        for (slot, lane, dur, metric) in [
+            ("1", "0", "1.0", "1.0"),
+            ("0", "1", "1.0", "1.0"),
+            ("0", "0", "1e999", "1.0"),
+            ("0", "0", "-1.0", "1.0"),
+            ("0", "0", "1.0", "-1e999"),
+        ] {
+            let (client, server) = UnixStream::pair().expect("socketpair");
+            let body = format!(
+                "{{\"op\":\"result\",\"slot\":{slot},\"lane\":{lane},\"skip\":false,\"dur\":{dur},\"ok\":true,\"metric\":{metric},\"mem\":1.0,\"phase\":null,\"rule\":null,\"image\":null}}"
+            );
+            let worker = std::thread::spawn(move || {
+                let mut s = server;
+                write_frame(&mut s, &hello_json(0)).unwrap();
+                read_frame(&mut s).unwrap().expect("one request");
+                s.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
+                s.write_all(body.as_bytes()).unwrap();
+            });
+            let mut remote = RemoteBackend::from_streams(vec![client]).unwrap();
+            let item = WorkItem::new(0, 0, 0, config.clone());
+            let results = remote.run_items(&target, 1, 1, vec![item]);
+            worker.join().unwrap();
+            match results.as_slice() {
+                [Err(e)] => assert_eq!((e.slot, e.lane), (0, 0), "{}", e.message),
+                _ => panic!("slot {slot} lane {lane} dur {dur} metric {metric}: {results:?}"),
+            }
+        }
     }
 
     #[test]

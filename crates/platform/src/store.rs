@@ -79,16 +79,11 @@ use wf_ossim::Phase;
 pub const MANIFEST_FILE: &str = "manifest.yaml";
 /// The event-log file name inside a store directory.
 pub const EVENTS_FILE: &str = "events.jsonl";
-/// The store format version stamped on every event line. Version 2 added
-/// per-record hash chaining: every line carries `prev`, the [`line_hash`]
-/// of the line before it, so truncation or edits anywhere but the torn
-/// tail are detected on load.
+/// The store format version stamped on every event line, and the only
+/// one the loader reads. Version 2 added per-record hash chaining: every
+/// line carries `prev`, the [`line_hash`] of the line before it, so
+/// truncation or edits anywhere but the torn tail are detected on load.
 pub const FORMAT_VERSION: i64 = 2;
-/// The pre-hash-chain store format version. The loader still accepts
-/// version-1 lines (they carry no `prev`), and a sink appending to a
-/// legacy log chains its first new line off the legacy tail.
-pub const LEGACY_FORMAT_VERSION: i64 = 1;
-
 /// The chain state before any line exists: the [`line_hash`] of zero
 /// bytes (the FNV-1a 64-bit offset basis). The first line of a log
 /// carries this value in its `prev` field.
@@ -1217,37 +1212,13 @@ impl SessionStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
             Err(source) => return Err(StoreError::Io { path, source }),
         };
-        let corrupt = |line: usize, message: String| StoreError::Corrupt {
-            path: path.clone(),
-            line,
-            message,
-        };
-
         // Candidates of the wave currently being read.
         let mut pending: Vec<Record> = Vec::new();
-        // Running hash-chain state: the hash of the previous non-blank
-        // line, which every version-2 line must carry as `prev`.
-        let mut chain = CHAIN_GENESIS;
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, raw) in lines.iter().enumerate() {
-            let lineno = i + 1;
-            let last = i + 1 == lines.len();
-            if raw.trim().is_empty() {
-                continue;
-            }
-            let value = match JsonValue::parse(raw) {
-                Ok(v) => v,
-                // A torn final line is the signature of a killed writer.
-                Err(_) if last => break,
-                Err(e) => return Err(corrupt(lineno, format!("bad JSON: {e}"))),
-            };
-            let version = value.get("v").and_then(JsonValue::as_i64).unwrap_or(-1);
-            verify_line_chain(&value, version, &mut chain, raw)
-                .map_err(|message| corrupt(lineno, message))?;
+        walk_log(&path, &text, |value| {
             let kind = value
                 .get("event")
                 .and_then(JsonValue::as_str)
-                .ok_or_else(|| corrupt(lineno, "missing event tag".into()))?;
+                .ok_or("missing event tag")?;
             match kind {
                 "session_started" => {
                     // A new run segment: candidates of an incomplete wave
@@ -1267,31 +1238,23 @@ impl SessionStore {
                     out.finished = false;
                 }
                 "candidate" => {
-                    let record = record_from_json(&value)
-                        .ok_or_else(|| corrupt(lineno, "malformed candidate record".into()))?;
+                    let record = record_from_json(value).ok_or("malformed candidate record")?;
                     let expected = out.records.len() + pending.len();
                     if record.iteration != expected {
-                        return Err(corrupt(
-                            lineno,
-                            format!(
-                                "iteration {} where {expected} was expected",
-                                record.iteration
-                            ),
+                        return Err(format!(
+                            "iteration {} where {expected} was expected",
+                            record.iteration
                         ));
                     }
                     pending.push(record);
                 }
                 "wave_completed" => {
-                    let stats = wave_stats_from_json(&value)
-                        .ok_or_else(|| corrupt(lineno, "malformed wave stats".into()))?;
+                    let stats = wave_stats_from_json(value).ok_or("malformed wave stats")?;
                     if stats.size != pending.len() {
-                        return Err(corrupt(
-                            lineno,
-                            format!(
-                                "wave of {} completed but {} candidate(s) were recorded",
-                                stats.size,
-                                pending.len()
-                            ),
+                        return Err(format!(
+                            "wave of {} completed but {} candidate(s) were recorded",
+                            stats.size,
+                            pending.len()
                         ));
                     }
                     out.wave_sizes.push(stats.size);
@@ -1302,21 +1265,19 @@ impl SessionStore {
                     let iteration = value
                         .get("iteration")
                         .and_then(JsonValue::as_usize)
-                        .ok_or_else(|| corrupt(lineno, "malformed new_best".into()))?;
+                        .ok_or("malformed new_best")?;
                     let objective = value
                         .get("objective")
                         .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| corrupt(lineno, "malformed new_best".into()))?;
+                        .ok_or("malformed new_best")?;
                     out.new_bests.push((iteration, objective));
                 }
                 "drift_detected" => {
-                    let drift = drift_from_json(&value)
-                        .ok_or_else(|| corrupt(lineno, "malformed drift_detected".into()))?;
+                    let drift = drift_from_json(value).ok_or("malformed drift_detected")?;
                     out.drift_events.push(drift);
                 }
                 "epoch_started" => {
-                    let epoch = epoch_from_json(&value)
-                        .ok_or_else(|| corrupt(lineno, "malformed epoch_started".into()))?;
+                    let epoch = epoch_from_json(value).ok_or("malformed epoch_started")?;
                     // A resumed segment re-announces the epoch it picks
                     // up in (epoch 0 on every fresh-start retry, a
                     // re-detected boundary after a dropped wave): the
@@ -1330,7 +1291,8 @@ impl SessionStore {
                 // only.
                 _ => {}
             }
-        }
+            Ok(())
+        })?;
         out.dropped_records += pending.len();
         out.new_bests.retain(|(i, _)| *i < out.records.len());
         // A torn tail drops its wave's epoch and drift lines with it; an
@@ -1345,10 +1307,11 @@ impl SessionStore {
     }
 
     /// Verifies the event log's per-record hash chain without replaying
-    /// it: every version-2 line's `prev` must equal the hash of the line
-    /// before it. Tolerates exactly what the loader tolerates — a
-    /// missing log, legacy version-1 lines, and a torn (unparseable)
-    /// final line. Returns the number of chained lines verified.
+    /// it: every line must be a version-2 line whose `prev` equals the
+    /// hash of the line before it. Tolerates exactly what the loader
+    /// tolerates — a missing log and a torn (unparseable) final line —
+    /// because both walk the log through the same routine. Returns the
+    /// number of chained lines verified.
     ///
     /// # Examples
     ///
@@ -1364,74 +1327,69 @@ impl SessionStore {
     /// ```
     pub fn verify_chain(&self) -> Result<usize, StoreError> {
         let path = self.events_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            Err(source) => return Err(StoreError::Io { path, source }),
-        };
-        let mut chain = CHAIN_GENESIS;
-        let mut verified = 0usize;
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, raw) in lines.iter().enumerate() {
-            let lineno = i + 1;
-            let last = i + 1 == lines.len();
-            if raw.trim().is_empty() {
-                continue;
-            }
-            let value = match JsonValue::parse(raw) {
-                Ok(v) => v,
-                Err(_) if last => break,
-                Err(e) => {
-                    return Err(StoreError::Corrupt {
-                        path,
-                        line: lineno,
-                        message: format!("bad JSON: {e}"),
-                    })
-                }
-            };
-            let version = value.get("v").and_then(JsonValue::as_i64).unwrap_or(-1);
-            verify_line_chain(&value, version, &mut chain, raw).map_err(|message| {
-                StoreError::Corrupt {
-                    path: path.clone(),
-                    line: lineno,
-                    message,
-                }
-            })?;
-            if version == FORMAT_VERSION {
-                verified += 1;
-            }
+        match std::fs::read_to_string(&path) {
+            Ok(text) => walk_log(&path, &text, |_| Ok(())),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
+            Err(source) => Err(StoreError::Io { path, source }),
         }
-        Ok(verified)
     }
 }
 
-/// Checks one parsed log line against the running chain state and
-/// advances the state to this line's hash. Version-1 lines predate the
-/// chain and carry no `prev`; they still feed the state so a log that
-/// upgraded mid-file verifies from the first version-2 line on.
-fn verify_line_chain(
-    value: &JsonValue,
-    version: i64,
-    chain: &mut u64,
-    raw: &str,
-) -> Result<(), String> {
-    match version {
-        LEGACY_FORMAT_VERSION => {}
-        FORMAT_VERSION => {
-            let prev = value
-                .get("prev")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| "version-2 record missing prev hash".to_string())?;
-            let expected = chain_hex(*chain);
-            if prev != expected {
-                return Err(format!(
-                    "hash chain broken: prev is {prev} but the prior line hashes to {expected}"
-                ));
-            }
+/// The one walk over an event log, shared by [`SessionStore::load`] and
+/// [`SessionStore::verify_chain`]. Blank lines are skipped, an
+/// unparseable *final* line (the torn tail of a killed writer) ends the
+/// walk, and every other line must parse, carry [`FORMAT_VERSION`], and
+/// carry as `prev` the [`line_hash`] of the line before it. `visit` then
+/// sees the line; an error from it is corruption at that line. Returns
+/// the number of lines verified.
+fn walk_log(
+    path: &Path,
+    text: &str,
+    mut visit: impl FnMut(&JsonValue) -> Result<(), String>,
+) -> Result<usize, StoreError> {
+    let mut chain = CHAIN_GENESIS;
+    let mut verified = 0;
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, raw) in lines.iter().enumerate() {
+        if raw.trim().is_empty() {
+            continue;
         }
-        other => return Err(format!("unsupported store version {other}")),
+        let corrupt = |message| StoreError::Corrupt {
+            path: path.to_path_buf(),
+            line: i + 1,
+            message,
+        };
+        let value = match JsonValue::parse(raw) {
+            Ok(v) => v,
+            Err(_) if i + 1 == lines.len() => break,
+            Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
+        };
+        check_chain(&value, chain)
+            .and_then(|()| visit(&value))
+            .map_err(corrupt)?;
+        chain = line_hash(raw);
+        verified += 1;
     }
-    *chain = line_hash(raw);
+    Ok(verified)
+}
+
+/// Checks one parsed log line's version stamp and its `prev` hash
+/// against `chain`, the hash of the line before it.
+fn check_chain(value: &JsonValue, chain: u64) -> Result<(), String> {
+    let version = value.get("v").and_then(JsonValue::as_i64).unwrap_or(-1);
+    if version != FORMAT_VERSION {
+        return Err(format!("unsupported store version {version}"));
+    }
+    let prev = value
+        .get("prev")
+        .and_then(JsonValue::as_str)
+        .ok_or("version-2 record missing prev hash")?;
+    let expected = chain_hex(chain);
+    if prev != expected {
+        return Err(format!(
+            "hash chain broken: prev is {prev} but the prior line hashes to {expected}"
+        ));
+    }
     Ok(())
 }
 
@@ -1920,55 +1878,56 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Strips the chain fields from a log, turning it into the exact
-    /// bytes a version-1 writer would have produced.
-    fn downgrade_to_v1(path: &Path) {
-        let text = std::fs::read_to_string(path).unwrap();
-        let mut out = String::new();
-        for line in text.lines() {
-            let mut value = JsonValue::parse(line).unwrap();
-            if let JsonValue::Obj(pairs) = &mut value {
-                pairs.retain(|(k, _)| k != "prev");
-                for (k, v) in pairs.iter_mut() {
-                    if k == "v" {
-                        *v = JsonValue::Int(LEGACY_FORMAT_VERSION);
-                    }
-                }
-            }
-            out.push_str(&value.encode());
-            out.push('\n');
-        }
-        std::fs::write(path, out).unwrap();
-    }
-
     #[test]
-    fn legacy_v1_logs_still_load_and_upgrade_in_place() {
-        let dir = temp_dir("legacy");
+    fn a_suffix_relabelled_v1_with_an_edited_metric_is_rejected() {
+        // Version-1 lines carried no `prev`, and a reader that still
+        // accepted them skipped the chain check wherever they appeared:
+        // relabelling a log's tail as v1 let any record in it be edited.
+        let dir = temp_dir("relabel");
         let store = SessionStore::create(&dir, &Job::default()).unwrap();
         let mut s = session(4, 2);
         {
             let mut sink = store.sink().unwrap();
             let _ = s.run_with(&mut sink);
         }
-        downgrade_to_v1(&store.events_path());
-
-        // A pre-chain log loads, and verify_chain has nothing to check.
-        let loaded = store.load().unwrap();
-        assert_eq!(loaded.records.len(), 4);
-        assert!(loaded.finished);
-        assert_eq!(store.verify_chain().unwrap(), 0);
-
-        // A resume appends version-2 lines chained off the legacy tail;
-        // the mixed log loads and the new suffix verifies.
-        let mut resumed = session(6, 2);
-        resumed.replay(&loaded.records, &loaded.wave_sizes).unwrap();
-        {
-            let mut sink = store.sink().unwrap();
-            let _ = resumed.run_with(&mut sink);
+        let text = std::fs::read_to_string(store.events_path()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        // Relabel from the first candidate with a metric on, and double
+        // that metric.
+        let from = lines
+            .iter()
+            .position(|l| {
+                let value = JsonValue::parse(l).unwrap();
+                value.get("metric").and_then(JsonValue::as_f64).is_some()
+                    && value.get("event").and_then(JsonValue::as_str) == Some("candidate")
+            })
+            .expect("a candidate that ran");
+        let mut out: Vec<String> = lines[..from].iter().map(|l| l.to_string()).collect();
+        for (i, line) in lines[from..].iter().enumerate() {
+            let mut value = JsonValue::parse(line).unwrap();
+            if let JsonValue::Obj(pairs) = &mut value {
+                pairs.retain(|(k, _)| k != "prev");
+                for (k, v) in pairs.iter_mut() {
+                    match k.as_str() {
+                        "v" => *v = JsonValue::Int(1),
+                        "metric" if i == 0 => *v = JsonValue::Num(v.as_f64().unwrap() * 2.0),
+                        _ => {}
+                    }
+                }
+            }
+            out.push(value.encode());
         }
-        let full = store.load().unwrap();
-        assert_eq!(full.records.len(), 6);
-        assert!(store.verify_chain().unwrap() > 0);
+        std::fs::write(store.events_path(), out.join("\n") + "\n").unwrap();
+
+        let unsupported = |e: StoreError| match e {
+            StoreError::Corrupt { line, message, .. } => {
+                assert_eq!(line, from + 1, "the first relabelled line");
+                assert!(message.contains("unsupported store version 1"), "{message}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        unsupported(store.load().unwrap_err());
+        unsupported(store.verify_chain().unwrap_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

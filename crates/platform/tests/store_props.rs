@@ -1,14 +1,20 @@
 //! Property tests for the session-store serialization: the JSON encoder
 //! parses what it emits (escaped strings, round-trip floats, deep
 //! documents), and whole event logs written by [`JsonlSink`] reload into
-//! the exact records that were stored.
+//! the exact records that were stored. Bytes that were never a document —
+//! arbitrary input, and valid documents with flipped bytes or cut short —
+//! come back from `JsonValue::parse` and the `wf-evald` frame reader as
+//! an error, never a panic.
 
 use proptest::prelude::*;
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use wf_configspace::{Configuration, Tristate, Value};
 use wf_jobfile::Job;
 use wf_ossim::Phase;
+use wf_platform::remote::{read_frame, write_frame};
 use wf_platform::store::JsonValue;
 use wf_platform::{EventSink, Record, SessionEvent, SessionStore, WaveStats};
 
@@ -93,6 +99,139 @@ fn json_eq(a: &JsonValue, b: &JsonValue) -> bool {
                     .all(|((ka, va), (kb, vb))| ka == kb && json_eq(va, vb))
         }
         _ => a == b,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Never-panic fuzzing: arbitrary and mutated bytes.
+// ---------------------------------------------------------------------------
+
+/// Bytes drawn mostly from JSON's own alphabet, so arbitrary input
+/// reaches past the first token as often as it fails on it.
+fn json_ish_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let byte = prop_oneof![
+        any::<u8>(),
+        prop_oneof![
+            Just(b'{'),
+            Just(b'}'),
+            Just(b'['),
+            Just(b']'),
+            Just(b'"'),
+            Just(b':'),
+            Just(b','),
+            Just(b'\\'),
+            Just(b'-'),
+            Just(b'e'),
+            Just(b'.'),
+            Just(b'0'),
+            Just(b'7'),
+            Just(b'u'),
+            Just(b'n'),
+            Just(b't'),
+            Just(b' '),
+        ],
+    ];
+    proptest::collection::vec(byte, 0..256)
+}
+
+/// XORs each `(position, mask)` into `bytes` (positions wrap), then cuts
+/// the result to `cut` bytes when that is shorter.
+fn mutate(mut bytes: Vec<u8>, flips: &[(usize, u8)], cut: usize) -> Vec<u8> {
+    if !bytes.is_empty() {
+        for &(at, mask) in flips {
+            let len = bytes.len();
+            bytes[at % len] ^= mask;
+        }
+    }
+    bytes.truncate(cut);
+    bytes
+}
+
+fn flips() -> impl Strategy<Value = Vec<(usize, u8)>> {
+    proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4)
+}
+
+/// Feeds `bytes` to `read_frame` through a socket pair whose writer then
+/// hangs up, reading frames until the stream ends or errors.
+fn read_frames_from(bytes: &[u8]) {
+    let (mut tx, mut rx) = UnixStream::pair().expect("socketpair");
+    tx.write_all(bytes).expect("fits the socket buffer");
+    drop(tx);
+    // Every `Ok(Some(_))` consumes at least the 4-byte length prefix.
+    for _ in 0..=bytes.len() / 4 {
+        match read_frame(&mut rx) {
+            Ok(Some(_)) => {}
+            Ok(None) | Err(_) => return,
+        }
+    }
+    panic!("read_frame returned more frames than the bytes could hold");
+}
+
+/// The bytes `write_frame` puts on the wire for `doc`.
+fn frame_bytes(doc: &JsonValue) -> Vec<u8> {
+    let (mut tx, mut rx) = UnixStream::pair().expect("socketpair");
+    write_frame(&mut tx, doc).expect("fits the socket buffer");
+    drop(tx);
+    let mut bytes = Vec::new();
+    std::io::Read::read_to_end(&mut rx, &mut bytes).expect("read back");
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes parse to a document or an error.
+    #[test]
+    fn json_parse_never_panics_on_arbitrary_bytes(bytes in json_ish_bytes()) {
+        let _ = JsonValue::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// A valid document with flipped bytes or cut short parses to a
+    /// document or an error; untouched, it still round-trips.
+    #[test]
+    fn json_parse_never_panics_on_mutated_documents(
+        doc in json_value(),
+        flips in flips(),
+        cut in 0usize..512,
+    ) {
+        let text = doc.encode();
+        let back = JsonValue::parse(&text).expect("emitted JSON must parse");
+        prop_assert!(json_eq(&back, &doc), "round-trip changed the document:\n{}", text);
+        let bytes = mutate(text.into_bytes(), &flips, cut);
+        let _ = JsonValue::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// The frame reader turns arbitrary bytes into frames, a clean end
+    /// of stream, or an error.
+    #[test]
+    fn read_frame_never_panics_on_arbitrary_bytes(
+        bytes in json_ish_bytes(),
+        len in any::<u32>(),
+        prefixed in any::<bool>(),
+    ) {
+        let mut wire = Vec::new();
+        if prefixed {
+            // A length prefix of any size, possibly lying about the body.
+            wire.extend_from_slice(&(len % 512).to_be_bytes());
+        }
+        wire.extend_from_slice(&bytes);
+        read_frames_from(&wire);
+    }
+
+    /// Valid frames with flipped bytes (length prefix included) or cut
+    /// short never panic the reader; untouched, they read back intact.
+    #[test]
+    fn read_frame_never_panics_on_mutated_frames(
+        doc in json_value(),
+        flips in flips(),
+        cut in 0usize..512,
+    ) {
+        let bytes = frame_bytes(&doc);
+        let (mut tx, mut rx) = UnixStream::pair().expect("socketpair");
+        tx.write_all(&bytes).unwrap();
+        let back = read_frame(&mut rx).unwrap().expect("one frame");
+        prop_assert!(json_eq(&back, &doc), "frame changed the document");
+        read_frames_from(&mutate(bytes, &flips, cut));
     }
 }
 

@@ -41,7 +41,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
-use wayfinder::core::{bind_daemon, store_report, BuildError};
+use wayfinder::core::{serve_daemon, store_report, BuildError, ServeError};
 use wayfinder::ossim::{first_crash, SimOs, SysctlTree};
 use wayfinder::platform::daemon::{connect, round_trip};
 use wayfinder::platform::store::JsonValue;
@@ -825,35 +825,11 @@ fn daemon_request(root: &std::path::Path, req: &JsonValue) -> std::io::Result<Js
 }
 
 fn run_daemon(args: &DaemonArgs) -> ExitCode {
-    let root = match args
-        .root
-        .clone()
-        // wf-lint: allow(host-env-read, reason = "config-load: WF_DAEMON is the documented CLI fallback for --root, read once while parsing arguments")
-        .or_else(|| std::env::var("WF_DAEMON").ok())
-    {
-        Some(root) => root,
-        None => return usage("daemon needs --root DIR (or WF_DAEMON)"),
-    };
-    let daemon = match bind_daemon(&root, wayfinder::scenarios::registry) {
-        Ok(daemon) => daemon,
+    match serve_daemon(args.root.clone(), wayfinder::scenarios::registry) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(ServeError::NoRoot) => usage("daemon needs --root DIR (or WF_DAEMON)"),
         Err(e) => {
-            eprintln!("cannot bind daemon: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "wfd: serving {} (socket {})",
-        daemon.root().display(),
-        daemon.socket_path().display()
-    );
-    let flag = signal::install_interrupt_flag();
-    match daemon.run(flag) {
-        Ok(()) => {
-            println!("daemon shut down; its session stores resume with `wfctl resume`");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("daemon failed: {e}");
+            eprintln!("daemon: {e}");
             ExitCode::FAILURE
         }
     }

@@ -16,8 +16,7 @@
 //! ledger intact and resumable with `wfctl resume`.
 
 use std::process::ExitCode;
-use wayfinder::core::bind_daemon;
-use wayfinder::platform::signal;
+use wayfinder::core::{serve_daemon, ServeError};
 
 const USAGE: &str = "usage:\n  wfd --root DIR    serve the daemon socket at DIR/wfd.sock; one session\n                    store per submitted job under DIR/sessions/. SIGINT\n                    parks every session at its wave boundary and exits.\n  wfd --help        show this help";
 
@@ -42,29 +41,9 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
-    // wf-lint: allow(host-env-read, reason = "config-load: WF_DAEMON is the documented CLI fallback for --root, read once at startup")
-    let root = match root.or_else(|| std::env::var("WF_DAEMON").ok()) {
-        Some(root) => root,
-        None => return usage("wfd needs --root DIR (or WF_DAEMON)"),
-    };
-    let daemon = match bind_daemon(&root, wayfinder::scenarios::registry) {
-        Ok(daemon) => daemon,
-        Err(e) => {
-            eprintln!("wfd: cannot bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "wfd: serving {} (socket {})",
-        daemon.root().display(),
-        daemon.socket_path().display()
-    );
-    let flag = signal::install_interrupt_flag();
-    match daemon.run(flag) {
-        Ok(()) => {
-            println!("wfd: shut down; stores under {root}/sessions resume with `wfctl resume`");
-            ExitCode::SUCCESS
-        }
+    match serve_daemon(root, wayfinder::scenarios::registry) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(ServeError::NoRoot) => usage("wfd needs --root DIR (or WF_DAEMON)"),
         Err(e) => {
             eprintln!("wfd: {e}");
             ExitCode::FAILURE
