@@ -876,7 +876,6 @@ fn store_fixture_events(space: &ConfigSpace) -> Vec<wf_platform::SessionEvent> {
                 build_skipped: i > 0,
                 duration_s: 61.5,
                 finished_at_s: 61.5 * (i + 1) as f64,
-                algo_seconds: 0.002,
                 algo_memory_bytes: 4096,
             })
         })
@@ -912,7 +911,6 @@ fn store_fixture_waves(space: &ConfigSpace) -> Vec<wf_platform::SessionEvent> {
                 build_skipped: i > 0,
                 duration_s: 61.5,
                 finished_at_s: 61.5 * (i + 1) as f64,
-                algo_seconds: 0.002,
                 algo_memory_bytes: 4096,
             }));
         }

@@ -14,6 +14,7 @@ use rand::SeedableRng;
 use wf_configspace::{ConfigSpace, Configuration, Encoder, ParamKind, ParamSpec, Stage};
 use wf_deeptune::{DeepTune, DeepTuneConfig};
 use wf_jobfile::Direction;
+use wf_search::host_clock::timed;
 use wf_search::{CausalSearch, Observation, SamplePolicy, SearchAlgorithm, SearchContext};
 
 /// One measurement of an algorithm's per-iteration cost.
@@ -21,7 +22,7 @@ use wf_search::{CausalSearch, Observation, SamplePolicy, SearchAlgorithm, Search
 pub struct ScalingPoint {
     /// Iteration index.
     pub iteration: usize,
-    /// Real seconds of algorithm compute this iteration.
+    /// Host seconds of this iteration's `propose` + `observe`.
     pub time_s: f64,
     /// Live bytes attributed to the algorithm.
     pub memory_bytes: usize,
@@ -70,19 +71,6 @@ fn drive(alg: &mut dyn SearchAlgorithm, iterations: usize, seed: u64) -> Vec<Sca
     let mut history: Vec<Observation> = Vec::new();
     let mut out = Vec::with_capacity(iterations);
     for i in 0..iterations {
-        let c = {
-            let ctx = SearchContext {
-                space: &space,
-                encoder: &encoder,
-                direction: Direction::Maximize,
-                policy: &policy,
-                history: &history,
-                iteration: i,
-            };
-            alg.propose(&ctx, &mut rng)
-        };
-        let y = objective(&c, &space);
-        let obs = Observation::ok(c, y, 1.0);
         let ctx = SearchContext {
             space: &space,
             encoder: &encoder,
@@ -91,13 +79,20 @@ fn drive(alg: &mut dyn SearchAlgorithm, iterations: usize, seed: u64) -> Vec<Sca
             history: &history,
             iteration: i,
         };
-        alg.observe(&ctx, &obs);
+        // One span per iteration, the same for every algorithm: propose,
+        // the (negligible) synthetic measurement, observe.
+        let (obs, time_s) = timed(|| {
+            let c = alg.propose(&ctx, &mut rng);
+            let y = objective(&c, &space);
+            let obs = Observation::ok(c, y, 1.0);
+            alg.observe(&ctx, &obs);
+            obs
+        });
         history.push(obs);
-        let stats = alg.stats();
         out.push(ScalingPoint {
             iteration: i,
-            time_s: stats.last_update_seconds,
-            memory_bytes: stats.memory_bytes,
+            time_s,
+            memory_bytes: alg.stats().memory_bytes,
         });
     }
     out

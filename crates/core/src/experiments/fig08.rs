@@ -34,13 +34,8 @@ pub fn fig8(scale: &Scale, seed: u64) -> Fig8Result {
         .build()
         .expect("fig8 session");
     let _ = session.run();
-    let updates: Vec<f64> = session
-        .platform()
-        .history()
-        .records()
-        .iter()
-        .map(|r| r.algo_seconds)
-        .collect();
+    // One-wide waves: each wave's ask + tell is one update.
+    let updates = session.platform().algo_seconds();
     let mean = updates.iter().sum::<f64>() / updates.len() as f64;
     let std = (updates.iter().map(|u| (u - mean) * (u - mean)).sum::<f64>() / updates.len() as f64)
         .sqrt();

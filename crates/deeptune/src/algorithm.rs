@@ -17,7 +17,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use wf_configspace::Configuration;
 use wf_nn::{Matrix, ScalarNorm, ZScore};
-use wf_search::host_clock::HostTimer;
 use wf_search::{AlgoStats, Observation, SearchAlgorithm, SearchContext};
 
 /// DeepTune hyperparameters.
@@ -84,7 +83,6 @@ pub struct DeepTune {
     x_norm: Option<ZScore>,
     y_norm: ScalarNorm,
     train_rng: StdRng,
-    last_update_seconds: f64,
 }
 
 impl DeepTune {
@@ -102,7 +100,6 @@ impl DeepTune {
             x_norm: None,
             y_norm: ScalarNorm::identity(),
             train_rng,
-            last_update_seconds: 0.0,
         }
     }
 
@@ -280,11 +277,10 @@ impl SearchAlgorithm for DeepTune {
     }
 
     fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
-        let t0 = HostTimer::start();
         if self.pending_checkpoint.is_some() {
             self.ensure_model(ctx.encoder.dim());
         }
-        let out = if !self.model_ready() {
+        if !self.model_ready() {
             ctx.policy.sample(ctx.space, rng)
         } else {
             // 1: diverse candidate pool around the best configurations.
@@ -331,13 +327,10 @@ impl SearchAlgorithm for DeepTune {
             };
             let order = rank(&self.cfg.score, &preds, &goodness, &features, known);
             pool[order[0]].clone()
-        };
-        self.last_update_seconds = t0.seconds();
-        out
+        }
     }
 
     fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
-        let t0 = HostTimer::start();
         let x = ctx.encoder.encode(ctx.space, &obs.config);
         self.xs.push(x);
         self.goodness.push(obs.value.map(|v| ctx.goodness(v)));
@@ -345,7 +338,6 @@ impl SearchAlgorithm for DeepTune {
         self.refit_normalizers();
         self.ensure_model(ctx.encoder.dim());
         self.train();
-        self.last_update_seconds += t0.seconds();
     }
 
     fn begin_epoch(&mut self, transfer: bool) {
@@ -382,7 +374,6 @@ impl SearchAlgorithm for DeepTune {
         let buffer_bytes: usize =
             self.xs.iter().map(|x| x.len() * 8).sum::<usize>() + self.goodness.len() * 16;
         AlgoStats {
-            last_update_seconds: self.last_update_seconds,
             memory_bytes: model_bytes + buffer_bytes,
         }
     }

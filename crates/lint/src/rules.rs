@@ -4,7 +4,7 @@
 //!
 //! **Determinism** — things that make a session depend on the host:
 //! - `wall-clock-in-det-path`: `Instant::now` / `SystemTime::now`
-//!   outside the documented `algo_seconds` carve-out,
+//!   outside the documented host-time carve-out,
 //! - `unordered-map-iteration`: `HashMap`/`HashSet` iteration whose
 //!   order escapes without a sort,
 //! - `unseeded-rng`: `thread_rng` / `from_entropy` / `OsRng` instead of
@@ -45,7 +45,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "wall-clock-in-det-path",
         family: "determinism",
-        summary: "Instant::now/SystemTime::now outside the algo_seconds carve-out",
+        summary: "Instant::now/SystemTime::now outside the host-time carve-out",
     },
     RuleInfo {
         name: "unordered-map-iteration",
@@ -252,7 +252,7 @@ fn wall_clock(toks: &[Tok], emit: &mut impl FnMut(u32, &str, String)) {
                 "wall-clock-in-det-path",
                 format!(
                     "host wall-clock read (`{}::now`) in a deterministic path; use the \
-                     virtual clocks, or annotate the documented `algo_seconds`/host-I/O \
+                     virtual clocks, or annotate the documented host-time/host-I/O \
                      carve-out",
                     toks[i].text
                 ),

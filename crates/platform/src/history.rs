@@ -7,7 +7,10 @@ use wf_jobfile::Direction;
 use wf_ossim::Phase;
 use wf_search::Observation;
 
-/// One completed pipeline iteration.
+/// One completed pipeline iteration: exactly one `candidate` row of the
+/// store's ledger. Every field is a deterministic function of the job,
+/// so two runs of one job store identical rows; host measurements stay
+/// on the live session ([`crate::pipeline::Session::algo_seconds`]).
 #[derive(Clone, Debug)]
 pub struct Record {
     /// Zero-based iteration index.
@@ -28,10 +31,9 @@ pub struct Record {
     pub duration_s: f64,
     /// Virtual time when the evaluation *finished*.
     pub finished_at_s: f64,
-    /// Real seconds the search algorithm spent deciding/learning
-    /// (Fig. 8's "DeepTune update time").
-    pub algo_seconds: f64,
-    /// Algorithm-reported live memory (Fig. 7).
+    /// The search algorithm's reported live memory after the wave that
+    /// evaluated this record ([`wf_search::AlgoStats::memory_bytes`];
+    /// deterministic, so replay re-derives it).
     pub algo_memory_bytes: usize,
 }
 
@@ -162,7 +164,6 @@ mod tests {
             build_skipped: true,
             duration_s: 60.0,
             finished_at_s: at,
-            algo_seconds: 0.1,
             algo_memory_bytes: 1000,
         }
     }

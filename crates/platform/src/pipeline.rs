@@ -308,6 +308,8 @@ pub struct Session {
     lanes: Vec<Option<Configuration>>,
     /// Per-wave scheduling metrics.
     waves: Vec<WaveStats>,
+    /// Host seconds of each wave's ask + tell ([`Session::algo_seconds`]).
+    algo_seconds: Vec<f64>,
     /// Running bounds for the Eq. 4 score.
     metric_bounds: (f64, f64),
     memory_bounds: (f64, f64),
@@ -395,6 +397,7 @@ impl Session {
             router: Router::new(spec.routing, workers),
             lanes: vec![None; workers],
             waves: Vec::new(),
+            algo_seconds: Vec::new(),
             metric_bounds: (f64::MAX, f64::MIN),
             memory_bounds: (f64::MAX, f64::MIN),
             drift: None,
@@ -517,7 +520,7 @@ impl Session {
             size: n,
         });
         let (evals, cache) = self.evaluate(&configs, None);
-        self.finish_wave(configs, evals, cache, ask_s, None, sink);
+        self.finish_wave(configs, evals, cache, ask_s, sink);
         &self.history.records()[start..]
     }
 
@@ -573,17 +576,14 @@ impl Session {
     /// Closes a wave: charges the clocks, builds the records in
     /// candidate order, tells the algorithm, appends to the history while
     /// emitting the record events through `sink`, runs the drift
-    /// epilogue and records the wave's [`WaveStats`]. A replayed wave
-    /// passes its `stored` records, whose host-measured algorithm cost it
-    /// keeps; a live wave shares `ask_s` plus the tell time across its
-    /// records.
+    /// epilogue and records the wave's [`WaveStats`] and its host
+    /// seconds (`ask_s` plus the tell).
     fn finish_wave(
         &mut self,
         configs: Vec<Configuration>,
         evals: Vec<CandidateEval>,
         (cache_hits, cache_misses): (u64, u64),
         ask_s: f64,
-        stored: Option<&[Record]>,
         sink: &mut dyn EventSink,
     ) {
         let start = self.history.len();
@@ -632,7 +632,6 @@ impl Session {
                 build_skipped: eval.build_skipped,
                 duration_s: eval.duration_s,
                 finished_at_s,
-                algo_seconds: 0.0,
                 algo_memory_bytes: 0,
             };
             match eval.outcome {
@@ -681,23 +680,11 @@ impl Session {
             };
             self.algorithm.observe_batch(&ctx, &wave_obs);
         }
-        let algo_seconds = ask_s + t_tell.seconds();
-        let stats = self.algorithm.stats();
-        let algo_seconds = algo_seconds.max(stats.last_update_seconds);
-        // The wave's decision cost is shared evenly across its records
-        // (Fig. 8 plots per-iteration algorithm time).
-        let per_record = algo_seconds / n as f64;
+        self.algo_seconds.push(ask_s + t_tell.seconds());
+        let memory_bytes = self.algorithm.stats().memory_bytes;
         let mut best = self.history.best(direction).and_then(|r| r.objective);
-        for (offset, mut record) in records.into_iter().enumerate() {
-            // Host measurements cannot be re-derived: replay keeps the
-            // stored ones.
-            (record.algo_seconds, record.algo_memory_bytes) = match stored {
-                Some(stored) => (
-                    stored[offset].algo_seconds,
-                    stored[offset].algo_memory_bytes,
-                ),
-                None => (per_record, stats.memory_bytes),
-            };
+        for mut record in records {
+            record.algo_memory_bytes = memory_bytes;
             sink.on_event(&SessionEvent::CandidateEvaluated(record.clone()));
             if let Some(objective) = record.objective {
                 if best.is_none_or(|b| direction.better(objective, b)) {
@@ -954,7 +941,7 @@ impl Session {
             });
         }
 
-        let (configs, _) = self.ask(n);
+        let (configs, ask_s) = self.ask(n);
         if let Some(offset) = configs.iter().zip(stored).position(|(c, r)| *c != r.config) {
             return Err(ReplayError::ConfigMismatch {
                 iteration: start + offset,
@@ -972,7 +959,7 @@ impl Session {
         if let Some(iteration) = backend.forged {
             return Err(ReplayError::OutcomeMismatch { iteration });
         }
-        self.finish_wave(configs, evals, cache, 0.0, Some(stored), &mut NullSink);
+        self.finish_wave(configs, evals, cache, ask_s, &mut NullSink);
         Ok(())
     }
 
@@ -1002,6 +989,15 @@ impl Session {
     /// Per-wave scheduling metrics, oldest first.
     pub fn waves(&self) -> &[WaveStats] {
         &self.waves
+    }
+
+    /// Host seconds the search algorithm spent on each wave — its ask
+    /// (`propose_batch`) plus its tell (`observe_batch`) — parallel to
+    /// [`Session::waves`]. Replayed waves are timed too. This is host
+    /// telemetry outside the determinism contract, never written to the
+    /// store.
+    pub fn algo_seconds(&self) -> &[f64] {
+        &self.algo_seconds
     }
 
     /// The target under specialization.
@@ -1445,7 +1441,7 @@ mod tests {
             .iter()
             .map(|r| {
                 format!(
-                    "{} {} {:?} {:?} {:?} {:?} {} {} {} {} {}",
+                    "{} {} {:?} {:?} {:?} {:?} {} {} {} {}",
                     r.iteration,
                     r.config.fingerprint(),
                     bits(r.objective),
@@ -1455,7 +1451,6 @@ mod tests {
                     r.build_skipped,
                     r.duration_s.to_bits(),
                     r.finished_at_s.to_bits(),
-                    r.algo_seconds.to_bits(),
                     r.algo_memory_bytes,
                 )
             })

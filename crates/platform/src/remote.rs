@@ -260,12 +260,15 @@ fn result_from(v: &JsonValue) -> io::Result<WorkResult> {
     })
 }
 
-/// Checks a decoded result against the slot and lane it must answer.
-/// The dispatcher indexes the wave by the echoed slot and lane, and the
-/// router's EWMAs and the virtual clock consume the duration, so a
-/// mismatched echo, a non-finite or negative `dur`, or a non-finite
-/// `metric` or `mem` is a protocol violation, not a result.
-fn check_result(w: WorkResult, slot: usize, lane: usize) -> io::Result<WorkResult> {
+/// Checks a decoded result against the slot and lane it must answer and
+/// `fp`, the image fingerprint of the slot's config. The dispatcher
+/// indexes the wave by the echoed slot and lane, the router's EWMAs and
+/// the virtual clock consume the duration, and a returned image enters
+/// the shared cache under its fingerprint. So a mismatched echo, a
+/// non-finite or negative `dur`, a non-finite `metric` or `mem`, or an
+/// image whose fingerprint is not `fp` is a protocol violation, not a
+/// result.
+fn check_result(w: WorkResult, slot: usize, lane: usize, fp: u64) -> io::Result<WorkResult> {
     if (w.slot, w.lane) != (slot, lane) {
         return Err(bad(&format!(
             "result names slot {} on lane {} where slot {slot} on lane {lane} was expected",
@@ -278,6 +281,14 @@ fn check_result(w: WorkResult, slot: usize, lane: usize) -> io::Result<WorkResul
     if let Ok(r) = &w.eval.outcome {
         if !(r.metric.is_finite() && r.memory_mb.is_finite()) {
             return Err(bad("result metric or mem is not finite"));
+        }
+    }
+    if let Some(image) = &w.image {
+        if image.fingerprint != fp {
+            return Err(bad(&format!(
+                "result image has fingerprint {} where the config's is {fp}",
+                image.fingerprint
+            )));
         }
     }
     Ok(w)
@@ -556,7 +567,7 @@ impl EvalBackend for RemoteBackend {
 
     fn run_items(
         &mut self,
-        _target: &Arc<dyn EvalTarget>,
+        target: &Arc<dyn EvalTarget>,
         session_seed: u64,
         repetitions: usize,
         items: Vec<WorkItem>,
@@ -565,7 +576,8 @@ impl EvalBackend for RemoteBackend {
         // Submit every item, then drain responses lane by lane — the
         // worker loop is sequential per lane, so responses arrive in
         // submission order on each socket.
-        let mut outstanding: Vec<VecDeque<usize>> =
+        // Each outstanding slot waits with its config's image fingerprint.
+        let mut outstanding: Vec<VecDeque<(usize, u64)>> =
             (0..self.lanes.len()).map(|_| VecDeque::new()).collect();
         for item in &items {
             assert!(item.lane < self.lanes.len(), "lane out of range");
@@ -580,7 +592,9 @@ impl EvalBackend for RemoteBackend {
                 }
             };
             match failed {
-                None => outstanding[lane].push_back(item.slot),
+                None => {
+                    outstanding[lane].push_back((item.slot, target.image_fingerprint(&item.config)))
+                }
                 Some(message) => {
                     self.lanes[lane].stream = None;
                     out.push(Err(LaneError {
@@ -592,14 +606,14 @@ impl EvalBackend for RemoteBackend {
             }
         }
         for (lane, mut slots) in outstanding.into_iter().enumerate() {
-            while let Some(expected_slot) = slots.pop_front() {
+            while let Some((expected_slot, fp)) = slots.pop_front() {
                 let received = match self.lanes[lane].stream.as_mut() {
                     None => Err(bad("worker connection is gone")),
                     Some(stream) => read_frame(stream).and_then(|frame| {
                         frame
                             .ok_or_else(|| bad("worker hung up mid-wave"))
                             .and_then(|f| result_from(&f))
-                            .and_then(|w| check_result(w, expected_slot, lane))
+                            .and_then(|w| check_result(w, expected_slot, lane, fp))
                     }),
                 };
                 match received {
@@ -613,7 +627,7 @@ impl EvalBackend for RemoteBackend {
                             lane,
                             message: format!("worker failed: {e}"),
                         }));
-                        for slot in slots.drain(..) {
+                        for (slot, _) in slots.drain(..) {
                             out.push(Err(LaneError {
                                 slot,
                                 lane,
@@ -778,21 +792,25 @@ mod tests {
 
     #[test]
     fn result_frames_that_misname_their_slot_lane_or_cost_are_lane_errors() {
-        // A fake worker answers slot 0 on lane 0 with a doctored frame.
+        // A fake worker answers slot 0 on lane 0 with a doctored frame;
+        // the last row returns an image built for another config.
         // JSON has no NaN; `1e999` parses to infinity, the non-finite
         // value a frame can carry.
         let target: Arc<dyn EvalTarget> = Arc::new(sim_target());
         let config = target.space().default_config();
-        for (slot, lane, dur, metric) in [
-            ("1", "0", "1.0", "1.0"),
-            ("0", "1", "1.0", "1.0"),
-            ("0", "0", "1e999", "1.0"),
-            ("0", "0", "-1.0", "1.0"),
-            ("0", "0", "1.0", "-1e999"),
+        let wrong_fp = target.image_fingerprint(&config) ^ 1;
+        let wrong_image = format!("{{\"fp\":\"{wrong_fp}\",\"mb\":1.0,\"opts\":1}}");
+        for (slot, lane, dur, metric, image) in [
+            ("1", "0", "1.0", "1.0", "null"),
+            ("0", "1", "1.0", "1.0", "null"),
+            ("0", "0", "1e999", "1.0", "null"),
+            ("0", "0", "-1.0", "1.0", "null"),
+            ("0", "0", "1.0", "-1e999", "null"),
+            ("0", "0", "1.0", "1.0", wrong_image.as_str()),
         ] {
             let (client, server) = UnixStream::pair().expect("socketpair");
             let body = format!(
-                "{{\"op\":\"result\",\"slot\":{slot},\"lane\":{lane},\"skip\":false,\"dur\":{dur},\"ok\":true,\"metric\":{metric},\"mem\":1.0,\"phase\":null,\"rule\":null,\"image\":null}}"
+                "{{\"op\":\"result\",\"slot\":{slot},\"lane\":{lane},\"skip\":false,\"dur\":{dur},\"ok\":true,\"metric\":{metric},\"mem\":1.0,\"phase\":null,\"rule\":null,\"image\":{image}}}"
             );
             let worker = std::thread::spawn(move || {
                 let mut s = server;
@@ -807,7 +825,9 @@ mod tests {
             worker.join().unwrap();
             match results.as_slice() {
                 [Err(e)] => assert_eq!((e.slot, e.lane), (0, 0), "{}", e.message),
-                _ => panic!("slot {slot} lane {lane} dur {dur} metric {metric}: {results:?}"),
+                _ => panic!(
+                    "slot {slot} lane {lane} dur {dur} metric {metric} image {image}: {results:?}"
+                ),
             }
         }
     }

@@ -10,10 +10,11 @@
 //! * `events.jsonl` — every [`SessionEvent`] as one versioned JSON line,
 //!   written by [`JsonlSink`] through a small hand-rolled encoder (no
 //!   external dependencies) with escape-correct strings and round-trip
-//!   floats. Version-2 lines are hash-chained: each carries `prev`, the
-//!   FNV-1a hash of the line before it ([`line_hash`]), so the loader —
-//!   and [`SessionStore::verify_chain`] — detect any edit or truncation
-//!   other than a torn tail.
+//!   floats. Lines are hash-chained: each carries `prev`, the FNV-1a
+//!   hash of the line before it ([`line_hash`]), so the loader — and
+//!   [`SessionStore::verify_chain`] — detect any edit or truncation
+//!   other than a torn tail. No line holds host measurements, so the log
+//!   is a pure function of the job: two runs write identical bytes.
 //!
 //! [`SessionStore::load`] replays the lines into the stored records and
 //! wave shapes; [`crate::Session::replay`] then rebuilds a live session
@@ -80,17 +81,18 @@ pub const MANIFEST_FILE: &str = "manifest.yaml";
 /// The event-log file name inside a store directory.
 pub const EVENTS_FILE: &str = "events.jsonl";
 /// The store format version stamped on every event line, and the only
-/// one the loader reads. Version 2 added per-record hash chaining: every
-/// line carries `prev`, the [`line_hash`] of the line before it, so
-/// truncation or edits anywhere but the torn tail are detected on load.
-pub const FORMAT_VERSION: i64 = 2;
+/// one the loader reads. Every line carries `prev`, the [`line_hash`] of
+/// the line before it, so truncation or edits anywhere but the torn tail
+/// are detected on load; no line holds a host measurement, so the log is
+/// a deterministic function of the job.
+pub const FORMAT_VERSION: i64 = 3;
 /// The chain state before any line exists: the [`line_hash`] of zero
 /// bytes (the FNV-1a 64-bit offset basis). The first line of a log
 /// carries this value in its `prev` field.
 pub const CHAIN_GENESIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit hash of one event-log line (excluding its trailing
-/// newline). Each version-2 line stores the hash of the line before it
+/// newline). Each line stores the hash of the line before it
 /// in its `prev` field; because that field is itself part of the hashed
 /// bytes, the chain commits to the whole log prefix, not just the
 /// neighbouring line.
@@ -618,7 +620,6 @@ fn record_json(r: &Record) -> JsonValue {
         ("build_skipped".into(), JsonValue::Bool(r.build_skipped)),
         ("duration_s".into(), JsonValue::Num(r.duration_s)),
         ("finished_at_s".into(), JsonValue::Num(r.finished_at_s)),
-        ("algo_seconds".into(), JsonValue::Num(r.algo_seconds)),
         (
             "algo_memory_bytes".into(),
             JsonValue::Int(r.algo_memory_bytes as i64),
@@ -640,7 +641,6 @@ fn record_from_json(v: &JsonValue) -> Option<Record> {
         build_skipped: v.get("build_skipped")?.as_bool()?,
         duration_s: v.get("duration_s")?.as_f64()?,
         finished_at_s: v.get("finished_at_s")?.as_f64()?,
-        algo_seconds: v.get("algo_seconds")?.as_f64().unwrap_or(0.0),
         algo_memory_bytes: v.get("algo_memory_bytes")?.as_usize()?,
     })
 }
@@ -1307,8 +1307,8 @@ impl SessionStore {
     }
 
     /// Verifies the event log's per-record hash chain without replaying
-    /// it: every line must be a version-2 line whose `prev` equals the
-    /// hash of the line before it. Tolerates exactly what the loader
+    /// it: every line must carry [`FORMAT_VERSION`] and a `prev` equal to
+    /// the hash of the line before it. Tolerates exactly what the loader
     /// tolerates — a missing log and a torn (unparseable) final line —
     /// because both walk the log through the same routine. Returns the
     /// number of chained lines verified.
@@ -1383,7 +1383,7 @@ fn check_chain(value: &JsonValue, chain: u64) -> Result<(), String> {
     let prev = value
         .get("prev")
         .and_then(JsonValue::as_str)
-        .ok_or("version-2 record missing prev hash")?;
+        .ok_or("record missing prev hash")?;
     let expected = chain_hex(chain);
     if prev != expected {
         return Err(format!(
@@ -1883,51 +1883,60 @@ mod tests {
         // Version-1 lines carried no `prev`, and a reader that still
         // accepted them skipped the chain check wherever they appeared:
         // relabelling a log's tail as v1 let any record in it be edited.
-        let dir = temp_dir("relabel");
-        let store = SessionStore::create(&dir, &Job::default()).unwrap();
-        let mut s = session(4, 2);
-        {
-            let mut sink = store.sink().unwrap();
-            let _ = s.run_with(&mut sink);
-        }
-        let text = std::fs::read_to_string(store.events_path()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        // Relabel from the first candidate with a metric on, and double
-        // that metric.
-        let from = lines
-            .iter()
-            .position(|l| {
-                let value = JsonValue::parse(l).unwrap();
-                value.get("metric").and_then(JsonValue::as_f64).is_some()
-                    && value.get("event").and_then(JsonValue::as_str) == Some("candidate")
-            })
-            .expect("a candidate that ran");
-        let mut out: Vec<String> = lines[..from].iter().map(|l| l.to_string()).collect();
-        for (i, line) in lines[from..].iter().enumerate() {
-            let mut value = JsonValue::parse(line).unwrap();
-            if let JsonValue::Obj(pairs) = &mut value {
-                pairs.retain(|(k, _)| k != "prev");
-                for (k, v) in pairs.iter_mut() {
-                    match k.as_str() {
-                        "v" => *v = JsonValue::Int(1),
-                        "metric" if i == 0 => *v = JsonValue::Num(v.as_f64().unwrap() * 2.0),
-                        _ => {}
+        // A version-2 tail keeps its `prev` fields, but v2 lines carried
+        // host measurements; the reader has no arm for them either.
+        for version in [1, 2] {
+            let dir = temp_dir(&format!("relabel-v{version}"));
+            let store = SessionStore::create(&dir, &Job::default()).unwrap();
+            let mut s = session(4, 2);
+            {
+                let mut sink = store.sink().unwrap();
+                let _ = s.run_with(&mut sink);
+            }
+            let text = std::fs::read_to_string(store.events_path()).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            // Relabel from the first candidate with a metric on, and
+            // double that metric.
+            let from = lines
+                .iter()
+                .position(|l| {
+                    let value = JsonValue::parse(l).unwrap();
+                    value.get("metric").and_then(JsonValue::as_f64).is_some()
+                        && value.get("event").and_then(JsonValue::as_str) == Some("candidate")
+                })
+                .expect("a candidate that ran");
+            let mut out: Vec<String> = lines[..from].iter().map(|l| l.to_string()).collect();
+            for (i, line) in lines[from..].iter().enumerate() {
+                let mut value = JsonValue::parse(line).unwrap();
+                if let JsonValue::Obj(pairs) = &mut value {
+                    if version == 1 {
+                        pairs.retain(|(k, _)| k != "prev");
+                    }
+                    for (k, v) in pairs.iter_mut() {
+                        match k.as_str() {
+                            "v" => *v = JsonValue::Int(version),
+                            "metric" if i == 0 => *v = JsonValue::Num(v.as_f64().unwrap() * 2.0),
+                            _ => {}
+                        }
                     }
                 }
+                out.push(value.encode());
             }
-            out.push(value.encode());
-        }
-        std::fs::write(store.events_path(), out.join("\n") + "\n").unwrap();
+            std::fs::write(store.events_path(), out.join("\n") + "\n").unwrap();
 
-        let unsupported = |e: StoreError| match e {
-            StoreError::Corrupt { line, message, .. } => {
-                assert_eq!(line, from + 1, "the first relabelled line");
-                assert!(message.contains("unsupported store version 1"), "{message}");
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        };
-        unsupported(store.load().unwrap_err());
-        unsupported(store.verify_chain().unwrap_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+            let unsupported = |e: StoreError| match e {
+                StoreError::Corrupt { line, message, .. } => {
+                    assert_eq!(line, from + 1, "the first relabelled line");
+                    assert!(
+                        message.contains(&format!("unsupported store version {version}")),
+                        "{message}"
+                    );
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            };
+            unsupported(store.load().unwrap_err());
+            unsupported(store.verify_chain().unwrap_err());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -285,7 +285,6 @@ fn record_strategy() -> impl Strategy<Value = Record> {
                     build_skipped,
                     duration_s,
                     finished_at_s: 0.0,
-                    algo_seconds: duration_s * 0.01,
                     algo_memory_bytes: bytes,
                 }
             },
@@ -375,7 +374,6 @@ proptest! {
             prop_assert_eq!(a.build_skipped, b.build_skipped);
             prop_assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
             prop_assert_eq!(a.finished_at_s.to_bits(), b.finished_at_s.to_bits());
-            prop_assert_eq!(a.algo_seconds.to_bits(), b.algo_seconds.to_bits());
             prop_assert_eq!(a.algo_memory_bytes, b.algo_memory_bytes);
         }
         std::fs::remove_dir_all(&dir).ok();

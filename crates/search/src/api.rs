@@ -191,12 +191,13 @@ pub fn fill_distinct(
     }
 }
 
-/// Per-iteration cost statistics (Fig. 7 and Fig. 8 instrument these).
+/// What an algorithm reports about its own state (Fig. 7's memory axis).
+///
+/// Every field is a deterministic function of the calls the algorithm
+/// has seen, so replay re-derives it. Host time is not here: the caller
+/// times `propose`/`observe` itself ([`crate::host_clock`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AlgoStats {
-    /// Seconds of *real* compute spent in the last `observe` + `propose`
-    /// pair (model update time in Fig. 8).
-    pub last_update_seconds: f64,
     /// Bytes of live memory attributable to the algorithm's data
     /// structures after the last iteration (Fig. 7's y-axis).
     pub memory_bytes: usize,

@@ -100,7 +100,6 @@
 //! ```
 
 use crate::api::{fill_distinct, AlgoStats, Observation, SearchAlgorithm, SearchContext};
-use crate::host_clock::HostTimer;
 use crate::memtrack::{bytes_of_f64s, MemTracker};
 use rand::rngs::StdRng;
 use wf_configspace::Configuration;
@@ -140,7 +139,6 @@ pub struct BayesOpt {
     /// Mean/std of the targets at the last refit.
     y_stats: (f64, f64),
     mem: MemTracker,
-    last_update_seconds: f64,
 }
 
 impl Default for BayesOpt {
@@ -168,7 +166,6 @@ impl BayesOpt {
             alpha: Vec::new(),
             y_stats: (0.0, 1.0),
             mem: MemTracker::new(),
-            last_update_seconds: 0.0,
         }
     }
 
@@ -504,8 +501,7 @@ impl SearchAlgorithm for BayesOpt {
     }
 
     fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
-        let t0 = HostTimer::start();
-        let out = if self.xs.len() < self.n_init || self.chol.is_none() {
+        if self.xs.len() < self.n_init || self.chol.is_none() {
             ctx.policy.sample(ctx.space, rng)
         } else {
             // Sample the pool first, then score it in one batched pass.
@@ -533,9 +529,7 @@ impl SearchAlgorithm for BayesOpt {
                 Some(i) => configs.swap_remove(i),
                 None => ctx.policy.sample(ctx.space, rng),
             }
-        };
-        self.last_update_seconds += t0.seconds();
-        out
+        }
     }
 
     fn propose_batch(
@@ -544,8 +538,7 @@ impl SearchAlgorithm for BayesOpt {
         ctx: &SearchContext<'_>,
         rng: &mut StdRng,
     ) -> Vec<Configuration> {
-        let t0 = HostTimer::start();
-        let out = if self.xs.len() < self.n_init || self.chol.is_none() {
+        if self.xs.len() < self.n_init || self.chol.is_none() {
             let mut cold = Vec::with_capacity(n);
             fill_distinct(
                 &mut cold,
@@ -626,27 +619,21 @@ impl SearchAlgorithm for BayesOpt {
             }
             fill_distinct(&mut picked, n, ctx, rng, &mut picked_fps);
             picked
-        };
-        self.last_update_seconds += t0.seconds();
-        out
+        }
     }
 
     fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
-        let t0 = HostTimer::start();
         self.ingest(ctx, obs);
         self.extend_or_refit();
-        self.last_update_seconds = t0.seconds();
     }
 
     fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]) {
         // A wave boundary: ingest the whole wave, then extend the factor
         // by its rows one at a time (O(w·n²)) and solve for α once.
-        let t0 = HostTimer::start();
         for obs in batch {
             self.ingest(ctx, obs);
         }
         self.extend_or_refit();
-        self.last_update_seconds = t0.seconds();
     }
 
     fn begin_epoch(&mut self, _transfer: bool) {
@@ -665,7 +652,6 @@ impl SearchAlgorithm for BayesOpt {
 
     fn stats(&self) -> AlgoStats {
         AlgoStats {
-            last_update_seconds: self.last_update_seconds,
             memory_bytes: self.mem.live(),
         }
     }

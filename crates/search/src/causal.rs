@@ -105,7 +105,6 @@
 //! ```
 
 use crate::api::{fill_distinct, AlgoStats, Observation, SearchAlgorithm, SearchContext};
-use crate::host_clock::HostTimer;
 use crate::memtrack::{bytes_of_f64s, MemTracker};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -161,7 +160,6 @@ pub struct CausalSearch {
     /// Fisher-z statistics actually computed (cache hits excluded).
     tests_run: usize,
     mem: MemTracker,
-    last_update_seconds: f64,
 }
 
 impl Default for CausalSearch {
@@ -192,7 +190,6 @@ impl CausalSearch {
             sepset_bytes: 0,
             tests_run: 0,
             mem: MemTracker::new(),
-            last_update_seconds: 0.0,
         }
     }
 
@@ -626,8 +623,7 @@ impl SearchAlgorithm for CausalSearch {
     }
 
     fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
-        let t0 = HostTimer::start();
-        let out = if self.xs.len() < self.n_init || self.outcome_corr.is_empty() {
+        if self.xs.len() < self.n_init || self.outcome_corr.is_empty() {
             ctx.policy.sample(ctx.space, rng)
         } else {
             // Intervene: score candidates by the linear causal estimate of
@@ -638,9 +634,7 @@ impl SearchAlgorithm for CausalSearch {
                 .reduce(|best, cand| if cand.0 > best.0 { cand } else { best })
                 .expect("pool is non-empty")
                 .1
-        };
-        self.last_update_seconds += t0.seconds();
-        out
+        }
     }
 
     fn propose_batch(
@@ -649,8 +643,7 @@ impl SearchAlgorithm for CausalSearch {
         ctx: &SearchContext<'_>,
         rng: &mut StdRng,
     ) -> Vec<Configuration> {
-        let t0 = HostTimer::start();
-        let out = if self.xs.len() < self.n_init || self.outcome_corr.is_empty() {
+        if self.xs.len() < self.n_init || self.outcome_corr.is_empty() {
             (0..n).map(|_| ctx.policy.sample(ctx.space, rng)).collect()
         } else {
             // Score one shared candidate pool by the causal estimate, then
@@ -678,28 +671,22 @@ impl SearchAlgorithm for CausalSearch {
             // top up with fresh distinct policy samples.
             fill_distinct(&mut picked, n, ctx, rng, &mut fps);
             picked
-        };
-        self.last_update_seconds += t0.seconds();
-        out
+        }
     }
 
     fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
-        let t0 = HostTimer::start();
         self.ingest(ctx, obs);
         self.rebuild();
-        self.last_update_seconds = t0.seconds();
     }
 
     fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]) {
         // The skeleton is recomputed from scratch anyway, so one rebuild
         // over the whole wave reaches the same graph as per-observation
         // rebuilds while skipping the intermediate recomputes.
-        let t0 = HostTimer::start();
         for obs in batch {
             self.ingest(ctx, obs);
         }
         self.rebuild();
-        self.last_update_seconds = t0.seconds();
     }
 
     fn begin_epoch(&mut self, _transfer: bool) {
@@ -724,7 +711,6 @@ impl SearchAlgorithm for CausalSearch {
 
     fn stats(&self) -> AlgoStats {
         AlgoStats {
-            last_update_seconds: self.last_update_seconds,
             memory_bytes: self.mem.live(),
         }
     }
@@ -775,7 +761,7 @@ mod tests {
     }
 
     /// Drives the search on a linear ground truth and returns per-iteration
-    /// (time, memory) stats.
+    /// stats.
     fn drive(dims: usize, iters: usize) -> Vec<AlgoStats> {
         let space = space(dims);
         let encoder = Encoder::new(&space);

@@ -1,28 +1,29 @@
-//! The `algo_seconds` carve-out — the one place search code may read
-//! the host wall clock.
+//! The host-time carve-out — the one place workspace code may read the
+//! host wall clock to time search work.
 //!
-//! Every search algorithm reports how much *host* time its own
-//! propose/observe work costs (`AlgoStats::last_update_seconds`, summed
-//! into the session's `algo_seconds`). That measurement is explicitly
-//! outside the determinism contract (docs/DETERMINISM.md): it is
-//! reported for profiling, and nothing downstream — proposals,
-//! observations, clocks, routing — is allowed to read it back. Keeping
-//! the actual `Instant::now()` call here, behind a single annotated
-//! type, means `wf-lint`'s `wall-clock-in-det-path` rule flags any
-//! *new* wall-clock read at merge time while this documented carve-out
-//! stays the only allowed one.
+//! No search algorithm reads the clock. Their callers time them from the
+//! outside: the platform session times each wave's ask
+//! (`propose_batch`) and tell (`observe_batch`), and the Fig. 7 harness
+//! times each `propose` + `observe` pair. Those numbers are reported for
+//! profiling and are outside the determinism contract
+//! (docs/DETERMINISM.md): nothing downstream — proposals, observations,
+//! clocks, routing, the stored ledger — may read them back. Keeping the
+//! actual `Instant::now()` call here, behind a single annotated type,
+//! means `wf-lint`'s `wall-clock-in-det-path` rule flags any *new*
+//! wall-clock read at merge time while this documented carve-out stays
+//! the only allowed one.
 
-/// A started host-time measurement for `algo_seconds` reporting.
+/// A started host-time measurement of search work.
 ///
-/// The elapsed value must only ever feed reporting fields
-/// (`last_update_seconds` / `algo_seconds`), never a decision.
+/// The elapsed value must only ever feed reporting, never a decision or
+/// the stored ledger.
 #[derive(Clone, Copy, Debug)]
 pub struct HostTimer(std::time::Instant);
 
 impl HostTimer {
     /// Starts measuring.
     pub fn start() -> Self {
-        // wf-lint: allow(wall-clock-in-det-path, reason = "the documented algo_seconds carve-out: host cost of search-algorithm work, reported for profiling and never fed back into any decision (DETERMINISM.md)")
+        // wf-lint: allow(wall-clock-in-det-path, reason = "the documented host-time carve-out: host cost of search-algorithm work, reported for profiling and never fed back into any decision or the ledger (DETERMINISM.md)")
         HostTimer(std::time::Instant::now())
     }
 

@@ -136,6 +136,13 @@ fn concurrent_daemon_sessions_match_standalone_runs_bit_for_bit() {
             daemon_report, solo_report,
             "daemon session {i} must be bit-identical to its solo run"
         );
+        // The ledgers themselves match raw: no host data in either.
+        let daemon_events = std::fs::read(Path::new(store).join("events.jsonl")).unwrap();
+        let solo_events = std::fs::read(Path::new(reference).join("events.jsonl")).unwrap();
+        assert!(
+            daemon_events == solo_events,
+            "daemon session {i} must write the byte-identical events.jsonl of its solo run"
+        );
     }
 
     // SIGINT shuts the daemon down cleanly and removes its socket.

@@ -30,8 +30,12 @@ fn build(keyword: &str, algorithm: AlgorithmChoice, iterations: usize) -> Specia
         .expect("registered targets build")
 }
 
+/// One record's fingerprint, metric bits, crash, cache hit, duration
+/// and finish-time bits, and algorithm memory.
+type RecordTrace = (u64, Option<u64>, bool, bool, u64, u64, usize);
+
 /// Everything the resume guarantee covers, bit-exact per record.
-fn trace(session: &SpecializationSession) -> Vec<(u64, Option<u64>, bool, bool, u64, u64)> {
+fn trace(session: &SpecializationSession) -> Vec<RecordTrace> {
     session
         .platform()
         .history()
@@ -45,6 +49,7 @@ fn trace(session: &SpecializationSession) -> Vec<(u64, Option<u64>, bool, bool, 
                 r.build_skipped,
                 r.duration_s.to_bits(),
                 r.finished_at_s.to_bits(),
+                r.algo_memory_bytes,
             )
         })
         .collect()
@@ -309,6 +314,36 @@ fn wfctl(args: &[&str]) -> (bool, String) {
         .expect("wfctl runs");
     let text = String::from_utf8_lossy(&output.stdout).into_owned();
     (output.status.success(), text)
+}
+
+/// The ledger is a pure function of the job: two `wfctl run`s of one
+/// multi-worker job write byte-identical event logs, hash chain included.
+#[test]
+fn two_runs_of_one_job_write_byte_identical_ledgers() {
+    let base = temp_dir("ledger");
+    std::fs::create_dir_all(&base).unwrap();
+    let job = base.join("job.yaml");
+    std::fs::write(
+        &job,
+        "name: ledger\nos: linux-4.19\nalgorithm: bayesian\nseed: 11\nworkers: 3\nruntime_params: 64\nbudget:\n  iterations: 24\n",
+    )
+    .unwrap();
+    let job = job.to_str().unwrap();
+    let events: Vec<Vec<u8>> = ["a", "b"]
+        .iter()
+        .map(|run| {
+            let out = base.join(run);
+            let (ok, _) = wfctl(&["run", job, "--out", out.to_str().unwrap()]);
+            assert!(ok, "run {run}");
+            std::fs::read(out.join("events.jsonl")).unwrap()
+        })
+        .collect();
+    assert!(!events[0].is_empty());
+    assert!(
+        events[0] == events[1],
+        "two runs of one job must write the same events.jsonl bytes"
+    );
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// The CLI smoke the CI leg mirrors: run a campaign to completion, run
