@@ -970,7 +970,7 @@ pub fn to_json_tagged(results: &[OpResult], quick: bool, suite: &str) -> String 
         .iter()
         .map(|r| {
             JsonValue::Obj(vec![
-                ("op".into(), JsonValue::Str(r.op.clone())),
+                ("op".into(), JsonValue::Str(r.op.as_str().into())),
                 ("n".into(), JsonValue::Int(r.n as i64)),
                 ("ns_per_iter".into(), JsonValue::Num(r.ns_per_iter)),
                 ("min_ns_per_iter".into(), JsonValue::Num(r.min_ns_per_iter)),

@@ -44,6 +44,7 @@
 use crate::events::{EventSink, SessionEvent};
 use crate::remote::{read_frame, write_frame};
 use crate::store::{event_json, JsonValue};
+use std::borrow::Cow;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -285,25 +286,25 @@ impl SessionEntry {
         }
     }
 
-    fn describe(&self) -> JsonValue {
+    fn describe(&self) -> JsonValue<'static> {
         let inner = lock_recover(&self.inner);
         let mut pairs = vec![
-            ("id".to_string(), JsonValue::Int(self.id as i64)),
-            ("name".to_string(), JsonValue::Str(self.name.clone())),
+            ("id".into(), JsonValue::Int(self.id as i64)),
+            ("name".into(), JsonValue::Str(self.name.clone().into())),
             (
-                "dir".to_string(),
-                JsonValue::Str(self.dir.display().to_string()),
+                "dir".into(),
+                JsonValue::Str(self.dir.display().to_string().into()),
             ),
             (
-                "status".to_string(),
+                "status".into(),
                 JsonValue::Str(inner.status.as_str().into()),
             ),
             (
-                "iterations".to_string(),
+                "iterations".into(),
                 JsonValue::Int(self.iterations() as i64),
             ),
             (
-                "best".to_string(),
+                "best".into(),
                 match inner.best {
                     Some(v) if v.is_finite() => JsonValue::Num(v),
                     _ => JsonValue::Null,
@@ -311,19 +312,19 @@ impl SessionEntry {
             ),
         ];
         if let SessionStatus::Failed(message) = &inner.status {
-            pairs.push(("error".to_string(), JsonValue::Str(message.clone())));
+            pairs.push(("error".into(), JsonValue::Str(message.clone().into())));
         }
         JsonValue::Obj(pairs)
     }
 }
 
-fn end_frame(status: &SessionStatus) -> JsonValue {
+fn end_frame(status: &SessionStatus) -> JsonValue<'static> {
     let mut pairs = vec![
-        ("stream".to_string(), JsonValue::Str("end".into())),
-        ("status".to_string(), JsonValue::Str(status.as_str().into())),
+        ("stream".into(), JsonValue::Str("end".into())),
+        ("status".into(), JsonValue::Str(status.as_str().into())),
     ];
     if let SessionStatus::Failed(message) = status {
-        pairs.push(("error".to_string(), JsonValue::Str(message.clone())));
+        pairs.push(("error".into(), JsonValue::Str(message.clone().into())));
     }
     JsonValue::Obj(pairs)
 }
@@ -495,8 +496,8 @@ fn session_dir_name(id: u64, name: &str) -> String {
     }
 }
 
-fn request(op: &str) -> JsonValue {
-    JsonValue::Obj(vec![("op".to_string(), JsonValue::Str(op.into()))])
+fn request(op: &str) -> JsonValue<'_> {
+    JsonValue::Obj(vec![("op".into(), JsonValue::Str(op.into()))])
 }
 
 /// Sends a frame to a client without propagating transport errors: a
@@ -507,16 +508,16 @@ fn send_best_effort(stream: &mut UnixStream, frame: &JsonValue) {
     let _ = write_frame(stream, frame);
 }
 
-fn ok_reply(mut rest: Vec<(String, JsonValue)>) -> JsonValue {
-    let mut pairs = vec![("ok".to_string(), JsonValue::Bool(true))];
+fn ok_reply(mut rest: Vec<(Cow<'static, str>, JsonValue<'static>)>) -> JsonValue<'static> {
+    let mut pairs = vec![("ok".into(), JsonValue::Bool(true))];
     pairs.append(&mut rest);
     JsonValue::Obj(pairs)
 }
 
-fn err_reply(message: impl Into<String>) -> JsonValue {
+fn err_reply(message: impl Into<String>) -> JsonValue<'static> {
     JsonValue::Obj(vec![
-        ("ok".to_string(), JsonValue::Bool(false)),
-        ("error".to_string(), JsonValue::Str(message.into())),
+        ("ok".into(), JsonValue::Bool(false)),
+        ("error".into(), JsonValue::Str(Cow::Owned(message.into()))),
     ])
 }
 
@@ -531,8 +532,8 @@ fn handle_connection(state: &Arc<DaemonState>, mut stream: UnixStream) {
     match op {
         "ping" => {
             let reply = ok_reply(vec![(
-                "root".to_string(),
-                JsonValue::Str(state.root.display().to_string()),
+                "root".into(),
+                JsonValue::Str(state.root.display().to_string().into()),
             )]);
             send_best_effort(&mut stream, &reply);
         }
@@ -541,11 +542,11 @@ fn handle_connection(state: &Arc<DaemonState>, mut stream: UnixStream) {
                 None => err_reply("submit needs a job field (the job-file text)"),
                 Some(yaml) => match submit(state, yaml) {
                     Ok(entry) => ok_reply(vec![
-                        ("id".to_string(), JsonValue::Int(entry.id as i64)),
-                        ("name".to_string(), JsonValue::Str(entry.name.clone())),
+                        ("id".into(), JsonValue::Int(entry.id as i64)),
+                        ("name".into(), JsonValue::Str(entry.name.clone().into())),
                         (
-                            "dir".to_string(),
-                            JsonValue::Str(entry.dir.display().to_string()),
+                            "dir".into(),
+                            JsonValue::Str(entry.dir.display().to_string().into()),
                         ),
                     ]),
                     Err(message) => err_reply(message),
@@ -558,15 +559,15 @@ fn handle_connection(state: &Arc<DaemonState>, mut stream: UnixStream) {
                 .iter()
                 .map(|e| e.describe())
                 .collect();
-            let reply = ok_reply(vec![("sessions".to_string(), JsonValue::Arr(sessions))]);
+            let reply = ok_reply(vec![("sessions".into(), JsonValue::Arr(sessions))]);
             send_best_effort(&mut stream, &reply);
         }
         "watch" => match find_session(state, &req) {
             Ok(entry) => {
                 let ack = ok_reply(vec![
-                    ("id".to_string(), JsonValue::Int(entry.id as i64)),
+                    ("id".into(), JsonValue::Int(entry.id as i64)),
                     (
-                        "status".to_string(),
+                        "status".into(),
                         JsonValue::Str(entry.status().as_str().into()),
                     ),
                 ]);
@@ -583,9 +584,9 @@ fn handle_connection(state: &Arc<DaemonState>, mut stream: UnixStream) {
                 Ok(entry) => {
                     entry.control().request_stop();
                     ok_reply(vec![
-                        ("id".to_string(), JsonValue::Int(entry.id as i64)),
+                        ("id".into(), JsonValue::Int(entry.id as i64)),
                         (
-                            "status".to_string(),
+                            "status".into(),
                             JsonValue::Str(entry.status().as_str().into()),
                         ),
                     ])
@@ -674,7 +675,7 @@ pub fn connect(root: &Path) -> io::Result<UnixStream> {
 /// Sends one request frame and reads one reply frame; a server-side
 /// `{ok: false, error}` comes back as an [`io::Error`], so callers only
 /// see successful replies.
-pub fn round_trip(stream: &mut UnixStream, req: &JsonValue) -> io::Result<JsonValue> {
+pub fn round_trip(stream: &mut UnixStream, req: &JsonValue) -> io::Result<JsonValue<'static>> {
     write_frame(stream, req)?;
     let reply = read_frame(stream)?.ok_or_else(|| {
         io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
@@ -745,9 +746,9 @@ mod tests {
 
         let mut c = connect(&root).unwrap();
         let submit = JsonValue::Obj(vec![
-            ("op".to_string(), JsonValue::Str("submit".into())),
+            ("op".into(), JsonValue::Str("submit".into())),
             (
-                "job".to_string(),
+                "job".into(),
                 JsonValue::Str("name: proto\nbudget:\n  iterations: 2\n".into()),
             ),
         ]);
@@ -772,8 +773,8 @@ mod tests {
         // Unknown ids are refused, not fatal.
         let mut c = connect(&root).unwrap();
         let stop_req = JsonValue::Obj(vec![
-            ("op".to_string(), JsonValue::Str("stop".into())),
-            ("id".to_string(), JsonValue::Int(99)),
+            ("op".into(), JsonValue::Str("stop".into())),
+            ("id".into(), JsonValue::Int(99)),
         ]);
         assert!(round_trip(&mut c, &stop_req).is_err());
 
@@ -842,8 +843,8 @@ mod tests {
 
         let mut c = connect(&state_root).unwrap();
         let submit = JsonValue::Obj(vec![
-            ("op".to_string(), JsonValue::Str("submit".into())),
-            ("job".to_string(), JsonValue::Str("name: boom\n".into())),
+            ("op".into(), JsonValue::Str("submit".into())),
+            ("job".into(), JsonValue::Str("name: boom\n".into())),
         ]);
         round_trip(&mut c, &submit).unwrap();
         let mut failed = false;
@@ -885,8 +886,8 @@ mod tests {
         );
         let mut c = connect(&root).unwrap();
         let submit = JsonValue::Obj(vec![
-            ("op".to_string(), JsonValue::Str("submit".into())),
-            ("job".to_string(), JsonValue::Str(job)),
+            ("op".into(), JsonValue::Str("submit".into())),
+            ("job".into(), JsonValue::Str(job.into())),
         ]);
         let err = round_trip(&mut c, &submit).unwrap_err();
         assert!(err.to_string().contains("invalid job"), "{err}");

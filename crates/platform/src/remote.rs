@@ -82,7 +82,7 @@ pub fn write_frame(stream: &mut UnixStream, value: &JsonValue) -> io::Result<()>
 }
 
 /// Reads one length-prefixed JSON frame; `Ok(None)` on clean EOF.
-pub fn read_frame(stream: &mut UnixStream) -> io::Result<Option<JsonValue>> {
+pub fn read_frame(stream: &mut UnixStream) -> io::Result<Option<JsonValue<'static>>> {
     let mut len = [0u8; 4];
     match stream.read_exact(&mut len) {
         Ok(()) => {}
@@ -101,7 +101,7 @@ pub fn read_frame(stream: &mut UnixStream) -> io::Result<Option<JsonValue>> {
     let text = String::from_utf8(body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
     JsonValue::parse(&text)
-        .map(Some)
+        .map(|v| Some(v.into_owned()))
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))
 }
 
@@ -109,15 +109,15 @@ pub fn read_frame(stream: &mut UnixStream) -> io::Result<Option<JsonValue>> {
 // Payload (de)serialization.
 // ---------------------------------------------------------------------------
 
-fn u64_json(v: u64) -> JsonValue {
-    JsonValue::Str(v.to_string())
+fn u64_json(v: u64) -> JsonValue<'static> {
+    JsonValue::Str(v.to_string().into())
 }
 
 fn u64_from(v: &JsonValue) -> Option<u64> {
     v.as_str().and_then(|s| s.parse().ok())
 }
 
-fn image_json(img: &KernelImage) -> JsonValue {
+fn image_json(img: &KernelImage) -> JsonValue<'static> {
     JsonValue::Obj(vec![
         ("fp".into(), u64_json(img.fingerprint)),
         ("mb".into(), JsonValue::Num(img.image_mb)),
@@ -133,21 +133,21 @@ fn image_from(v: &JsonValue) -> Option<KernelImage> {
     })
 }
 
-fn opt_json<T>(v: Option<&T>, f: impl Fn(&T) -> JsonValue) -> JsonValue {
+fn opt_json<'a, T>(v: Option<&T>, f: impl Fn(&T) -> JsonValue<'a>) -> JsonValue<'a> {
     match v {
         Some(v) => f(v),
         None => JsonValue::Null,
     }
 }
 
-fn hello_json(lane: usize) -> JsonValue {
+fn hello_json(lane: usize) -> JsonValue<'static> {
     JsonValue::Obj(vec![
         ("op".into(), JsonValue::Str("hello".into())),
         ("lane".into(), JsonValue::Int(lane as i64)),
     ])
 }
 
-fn request_json(session_seed: u64, repetitions: usize, item: &WorkItem) -> JsonValue {
+fn request_json(session_seed: u64, repetitions: usize, item: &WorkItem) -> JsonValue<'static> {
     JsonValue::Obj(vec![
         ("op".into(), JsonValue::Str("eval".into())),
         ("seed".into(), u64_json(session_seed)),
@@ -164,7 +164,7 @@ fn request_json(session_seed: u64, repetitions: usize, item: &WorkItem) -> JsonV
     ])
 }
 
-fn result_json(w: &WorkResult) -> JsonValue {
+fn result_json(w: &WorkResult) -> JsonValue<'static> {
     let (ok, metric, mem, phase, rule) = match &w.eval.outcome {
         Ok(r) => (true, Some(r.metric), Some(r.memory_mb), None, None),
         Err(c) => (false, None, None, Some(phase_str(c.phase)), Some(&c.rule)),
@@ -188,7 +188,7 @@ fn result_json(w: &WorkResult) -> JsonValue {
         ),
         (
             "rule".into(),
-            opt_json(rule, |r| JsonValue::Str((*r).clone())),
+            opt_json(rule, |r| JsonValue::Str((*r).clone().into())),
         ),
         ("image".into(), opt_json(w.image.as_ref(), image_json)),
     ])

@@ -68,7 +68,8 @@
 use crate::events::{EventSink, SessionEvent};
 use crate::history::{History, Record};
 use crate::metrics::WaveStats;
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -128,8 +129,13 @@ pub fn chain_hex(hash: u64) -> String {
 /// counters survive exactly while measured values stay floats; floats are
 /// emitted in Rust's shortest round-trip form (non-finite values, which
 /// the platform never produces, encode as `null`).
+///
+/// Strings and object keys are [`Cow`]s: [`JsonValue::parse`] borrows
+/// every string without an escape straight from its input, and the
+/// encoder's static keys are borrowed too. [`JsonValue::into_owned`]
+/// detaches a parsed value from its buffer.
 #[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
+pub enum JsonValue<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -139,16 +145,16 @@ pub enum JsonValue {
     /// A floating-point literal.
     Num(f64),
     /// A string.
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<JsonValue>),
+    Arr(Vec<JsonValue<'a>>),
     /// An object; key order is preserved.
-    Obj(Vec<(String, JsonValue)>),
+    Obj(Vec<(Cow<'a, str>, JsonValue<'a>)>),
 }
 
-impl JsonValue {
+impl<'a> JsonValue<'a> {
     /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+    pub fn get(&self, key: &str) -> Option<&JsonValue<'a>> {
         match self {
             JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -199,10 +205,31 @@ impl JsonValue {
     }
 
     /// Array payload.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
+    pub fn as_arr(&self) -> Option<&[JsonValue<'a>]> {
         match self {
             JsonValue::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// Copies every borrowed string, so the value outlives the text it
+    /// was parsed from.
+    pub fn into_owned(self) -> JsonValue<'static> {
+        match self {
+            JsonValue::Null => JsonValue::Null,
+            JsonValue::Bool(b) => JsonValue::Bool(b),
+            JsonValue::Int(v) => JsonValue::Int(v),
+            JsonValue::Num(v) => JsonValue::Num(v),
+            JsonValue::Str(s) => JsonValue::Str(Cow::Owned(s.into_owned())),
+            JsonValue::Arr(items) => {
+                JsonValue::Arr(items.into_iter().map(JsonValue::into_owned).collect())
+            }
+            JsonValue::Obj(pairs) => JsonValue::Obj(
+                pairs
+                    .into_iter()
+                    .map(|(k, v)| (Cow::Owned(k.into_owned()), v.into_owned()))
+                    .collect(),
+            ),
         }
     }
 
@@ -214,17 +241,20 @@ impl JsonValue {
     }
 
     fn encode_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Int(v) => out.push_str(&v.to_string()),
+            JsonValue::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
             JsonValue::Num(v) => {
                 if v.is_finite() {
                     // `{:?}` is Rust's shortest round-trip form; it always
                     // carries a fraction or an exponent, so the literal
                     // parses back as a float, bit-for-bit.
-                    out.push_str(&format!("{v:?}"));
+                    let _ = write!(out, "{v:?}");
                 } else {
                     out.push_str("null");
                 }
@@ -257,17 +287,17 @@ impl JsonValue {
 
     /// Parses one JSON document from `text` (must consume all input).
     /// Arrays and objects nested more than 128 levels deep are an error.
-    pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let bytes: Vec<char> = text.chars().collect();
+    /// Strings without escapes borrow from `text`.
+    pub fn parse(text: &'a str) -> Result<JsonValue<'a>, JsonError> {
         let mut p = JsonParser {
-            chars: bytes,
+            text,
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.chars.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after document"));
         }
         Ok(value)
@@ -284,7 +314,7 @@ fn encode_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -295,7 +325,7 @@ fn encode_string(s: &str, out: &mut String) {
 /// A JSON parse error: position plus message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
-    /// Character offset of the failure.
+    /// Byte offset of the failure.
     pub at: usize,
     /// Human-readable message.
     pub message: String,
@@ -303,7 +333,7 @@ pub struct JsonError {
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "char {}: {}", self.at, self.message)
+        write!(f, "byte {}: {}", self.at, self.message)
     }
 }
 
@@ -316,14 +346,18 @@ impl std::error::Error for JsonError {}
 /// nests a few levels at most.
 const MAX_JSON_DEPTH: usize = 128;
 
-struct JsonParser {
-    chars: Vec<char>,
+/// A cursor over the input's bytes. Every token the grammar matches is
+/// ASCII, and UTF-8 never repeats an ASCII byte inside a multi-byte
+/// character, so `pos` only ever stops on a character boundary.
+struct JsonParser<'a> {
+    text: &'a str,
+    /// Byte offset of the cursor.
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl JsonParser {
+impl<'a> JsonParser<'a> {
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -331,50 +365,69 @@ impl JsonParser {
         }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    /// The whole character at the cursor.
+    fn current(&self) -> Option<char> {
+        self.text.get(self.pos..)?.chars().next()
+    }
+
+    /// Consumes and returns the whole character at the cursor.
     fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+        let c = self.current()?;
+        self.pos += c.len_utf8();
+        Some(c)
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<(), JsonError> {
+    #[inline]
+    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            return Ok(());
+        }
+        Err(self.unexpected(c))
+    }
+
+    /// The error for a missing `c`, reported after the character found
+    /// instead. Kept out of line: it formats, and the hot path never
+    /// takes it.
+    #[cold]
+    fn unexpected(&mut self, c: u8) -> JsonError {
+        let c = char::from(c);
         match self.bump() {
-            Some(got) if got == c => Ok(()),
-            Some(got) => Err(self.err(format!("expected {c:?}, got {got:?}"))),
-            None => Err(self.err(format!("expected {c:?}, got end of input"))),
+            Some(got) => self.err(format!("expected {c:?}, got {got:?}")),
+            None => self.err(format!("expected {c:?}, got end of input")),
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        for c in word.chars() {
+    fn literal(&mut self, word: &str, value: JsonValue<'a>) -> Result<JsonValue<'a>, JsonError> {
+        for c in word.bytes() {
             self.expect(c)?;
         }
         Ok(value)
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    fn value(&mut self) -> Result<JsonValue<'a>, JsonError> {
         match self.peek() {
-            Some('n') => self.literal("null", JsonValue::Null),
-            Some('t') => self.literal("true", JsonValue::Bool(true)),
-            Some('f') => self.literal("false", JsonValue::Bool(false)),
-            Some('"') => self.string().map(JsonValue::Str),
-            Some('[') => self.nested(Self::array),
-            Some('{') => self.nested(Self::object),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected {c:?}"))),
-            None => Err(self.err("unexpected end of input")),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'"') => self.string().map(JsonValue::Str),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => match self.current() {
+                Some(c) => Err(self.err(format!("unexpected {c:?}"))),
+                None => Err(self.err("unexpected end of input")),
+            },
         }
     }
 
@@ -382,8 +435,8 @@ impl JsonParser {
     /// than [`MAX_JSON_DEPTH`] levels.
     fn nested(
         &mut self,
-        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
-    ) -> Result<JsonValue, JsonError> {
+        container: fn(&mut Self) -> Result<JsonValue<'a>, JsonError>,
+    ) -> Result<JsonValue<'a>, JsonError> {
         if self.depth == MAX_JSON_DEPTH {
             return Err(self.err(format!("nested deeper than {MAX_JSON_DEPTH} levels")));
         }
@@ -393,11 +446,31 @@ impl JsonParser {
         value
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect('[')?;
+    /// Consumes the `,` between items (`Ok(true)`) or the closing
+    /// `close` (`Ok(false)`); anything else is `message`, reported after
+    /// the offending character.
+    fn separator(&mut self, close: u8, message: &str) -> Result<bool, JsonError> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => {
+                self.bump();
+                Err(self.err(message))
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<JsonValue<'a>, JsonError> {
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(JsonValue::Arr(items));
         }
@@ -405,19 +478,17 @@ impl JsonParser {
             self.skip_ws();
             items.push(self.value()?);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(JsonValue::Arr(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
+            if !self.separator(b']', "expected ',' or ']' in array")? {
+                return Ok(JsonValue::Arr(items));
             }
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect('{')?;
+    fn object(&mut self) -> Result<JsonValue<'a>, JsonError> {
+        self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(JsonValue::Obj(pairs));
         }
@@ -425,61 +496,92 @@ impl JsonParser {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
             pairs.push((key, value));
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(JsonValue::Obj(pairs)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
+            if !self.separator(b'}', "expected ',' or '}' in object")? {
+                return Ok(JsonValue::Obj(pairs));
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{0008}'),
-                    Some('f') => out.push('\u{000c}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let first = self.hex4()?;
-                        let c = if (0xD800..0xDC00).contains(&first) {
-                            // High surrogate: a \uXXXX low surrogate must
-                            // follow.
-                            self.expect('\\')?;
-                            self.expect('u')?;
-                            let second = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&second) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let combined = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                            char::from_u32(combined)
-                        } else {
-                            char::from_u32(first)
-                        };
-                        match c {
-                            Some(c) => out.push(c),
-                            None => return Err(self.err("invalid \\u escape")),
-                        }
-                    }
-                    _ => return Err(self.err("invalid escape")),
-                },
-                Some(c) => out.push(c),
-            }
+    /// A string literal: borrowed from the input unless it holds an
+    /// escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.skip_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
         }
+        self.escaped_string(start).map(Cow::Owned)
+    }
+
+    /// Moves the cursor to the next quote or backslash, or to the end.
+    fn skip_run(&mut self) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|b| matches!(b, b'"' | b'\\'))
+            .unwrap_or(rest.len());
+    }
+
+    /// Unescapes the rest of a string literal whose escape-free run from
+    /// `start` ends at the cursor.
+    fn escaped_string(&mut self, start: usize) -> Result<String, JsonError> {
+        let mut out = String::new();
+        let mut run = start;
+        loop {
+            out.push_str(&self.text[run..self.pos]);
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                _ => {
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
+            }
+            run = self.pos;
+            self.skip_run();
+        }
+    }
+
+    /// The character an escape stands for; the cursor is past its `\`.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        Ok(match self.bump() {
+            Some('"') => '"',
+            Some('\\') => '\\',
+            Some('/') => '/',
+            Some('b') => '\u{0008}',
+            Some('f') => '\u{000c}',
+            Some('n') => '\n',
+            Some('r') => '\r',
+            Some('t') => '\t',
+            Some('u') => {
+                let first = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&first) {
+                    // High surrogate: a \uXXXX low surrogate must follow.
+                    self.expect(b'\\')?;
+                    self.expect(b'u')?;
+                    let second = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&second) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let combined = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
+                    char::from_u32(combined)
+                } else {
+                    char::from_u32(first)
+                };
+                c.ok_or_else(|| self.err("invalid \\u escape"))?
+            }
+            _ => return Err(self.err("invalid escape")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -496,23 +598,23 @@ impl JsonParser {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<JsonValue<'a>, JsonError> {
         let start = self.pos;
-        if self.peek() == Some('-') {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         let mut is_float = false;
         while let Some(c) = self.peek() {
             match c {
-                '0'..='9' => self.pos += 1,
-                '.' | 'e' | 'E' | '+' | '-' => {
+                b'0'..=b'9' => self.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
                     is_float = true;
                     self.pos += 1;
                 }
                 _ => break,
             }
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(JsonValue::Num)
@@ -558,12 +660,12 @@ pub(crate) fn token_value(s: &str) -> Option<Value> {
     }
 }
 
-pub(crate) fn config_json(config: &Configuration) -> JsonValue {
+pub(crate) fn config_json(config: &Configuration) -> JsonValue<'static> {
     JsonValue::Arr(
         config
             .values()
             .iter()
-            .map(|v| JsonValue::Str(value_token(v)))
+            .map(|v| JsonValue::Str(value_token(v).into()))
             .collect(),
     )
 }
@@ -577,7 +679,7 @@ pub(crate) fn config_from_json(v: &JsonValue) -> Option<Configuration> {
     Some(Configuration::from_values(values))
 }
 
-fn opt_f64(v: Option<f64>) -> JsonValue {
+fn opt_f64(v: Option<f64>) -> JsonValue<'static> {
     match v {
         Some(v) if v.is_finite() => JsonValue::Num(v),
         _ => JsonValue::Null,
@@ -601,7 +703,7 @@ pub(crate) fn phase_from_str(s: &str) -> Option<Phase> {
     }
 }
 
-fn record_json(r: &Record) -> JsonValue {
+fn record_json(r: &Record) -> JsonValue<'static> {
     JsonValue::Obj(vec![
         ("v".into(), JsonValue::Int(FORMAT_VERSION)),
         ("event".into(), JsonValue::Str("candidate".into())),
@@ -645,7 +747,7 @@ fn record_from_json(v: &JsonValue) -> Option<Record> {
     })
 }
 
-fn wave_stats_json(w: &WaveStats) -> JsonValue {
+fn wave_stats_json(w: &WaveStats) -> JsonValue<'static> {
     JsonValue::Obj(vec![
         ("v".into(), JsonValue::Int(FORMAT_VERSION)),
         ("event".into(), JsonValue::Str("wave_completed".into())),
@@ -692,8 +794,8 @@ fn wave_stats_from_json(v: &JsonValue) -> Option<WaveStats> {
 }
 
 /// Serializes one [`SessionEvent`] as a versioned JSON object.
-pub fn event_json(event: &SessionEvent) -> JsonValue {
-    let tagged = |tag: &str, mut rest: Vec<(String, JsonValue)>| {
+pub fn event_json(event: &SessionEvent) -> JsonValue<'_> {
+    let tagged = |tag: &'static str, mut rest: Vec<_>| {
         let mut pairs = vec![
             ("v".into(), JsonValue::Int(FORMAT_VERSION)),
             ("event".into(), JsonValue::Str(tag.into())),
@@ -710,12 +812,18 @@ pub fn event_json(event: &SessionEvent) -> JsonValue {
         } => tagged(
             "session_started",
             vec![
-                ("target".into(), JsonValue::Str(descriptor.name.clone())),
-                ("app".into(), JsonValue::Str(descriptor.app.clone())),
-                ("metric".into(), JsonValue::Str(descriptor.metric.clone())),
+                (
+                    "target".into(),
+                    JsonValue::Str(descriptor.name.as_str().into()),
+                ),
+                ("app".into(), JsonValue::Str(descriptor.app.as_str().into())),
+                (
+                    "metric".into(),
+                    JsonValue::Str(descriptor.metric.as_str().into()),
+                ),
                 // u64 seeds are stored as strings so the full range
                 // survives the i64-based integer literal.
-                ("seed".into(), JsonValue::Str(seed.to_string())),
+                ("seed".into(), JsonValue::Str(seed.to_string().into())),
                 ("workers".into(), JsonValue::Int(*workers as i64)),
                 (
                     "first_iteration".into(),
@@ -762,7 +870,7 @@ pub fn event_json(event: &SessionEvent) -> JsonValue {
                 ("epoch".into(), JsonValue::Int(*epoch as i64)),
                 ("at_iteration".into(), JsonValue::Int(*at_iteration as i64)),
                 ("at_s".into(), JsonValue::Num(*at_s)),
-                ("detector".into(), JsonValue::Str(detector.clone())),
+                ("detector".into(), JsonValue::Str(detector.as_str().into())),
                 ("signal".into(), JsonValue::Num(*signal)),
                 ("baseline".into(), JsonValue::Num(*baseline)),
             ],
@@ -784,7 +892,7 @@ pub fn event_json(event: &SessionEvent) -> JsonValue {
                 ),
                 ("at_s".into(), JsonValue::Num(*at_s)),
                 ("transfer".into(), JsonValue::Bool(*transfer)),
-                ("phase".into(), JsonValue::Str(phase.clone())),
+                ("phase".into(), JsonValue::Str(phase.as_str().into())),
                 ("oracle_metric".into(), JsonValue::Num(*oracle_metric)),
             ],
         ),
@@ -848,8 +956,7 @@ impl JsonlSink {
     /// seeded from the surviving tail line, so a resumed log stays one
     /// unbroken chain across run segments.
     pub fn append(path: &Path) -> io::Result<JsonlSink> {
-        heal_torn_tail(path)?;
-        let prev = tail_hash(path)?;
+        let prev = heal_torn_tail(path)?;
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(JsonlSink {
             file,
@@ -882,7 +989,7 @@ impl JsonlSink {
     }
 
     /// Encodes, chains, and buffers one line (no I/O).
-    fn buffer_line(&mut self, value: JsonValue) {
+    fn buffer_line(&mut self, value: JsonValue<'_>) {
         if self.error.is_some() {
             return;
         }
@@ -906,48 +1013,41 @@ impl JsonlSink {
 
 /// Inserts the `prev` chain field (hash of the prior line) right after
 /// the version stamp.
-fn chain_value(value: JsonValue, prev: u64) -> JsonValue {
+fn chain_value(value: JsonValue<'_>, prev: u64) -> JsonValue<'_> {
     match value {
         JsonValue::Obj(mut pairs) => {
             let at = pairs.len().min(1);
-            pairs.insert(at, ("prev".into(), JsonValue::Str(chain_hex(prev))));
+            pairs.insert(at, ("prev".into(), JsonValue::Str(chain_hex(prev).into())));
             JsonValue::Obj(pairs)
         }
         other => other,
     }
 }
 
-/// The chain state a sink appending to `path` starts from: the hash of
-/// the last non-blank line, or [`CHAIN_GENESIS`] for a missing or empty
-/// log.
-fn tail_hash(path: &Path) -> io::Result<u64> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+/// Truncates an unterminated final line (the signature of a writer
+/// killed mid-write) so the log ends at a record boundary again, and
+/// returns the chain state a sink appending to `path` starts from: the
+/// hash of the last non-blank line that remains, or [`CHAIN_GENESIS`]
+/// for a missing or empty log. The log is read once for both.
+fn heal_torn_tail(path: &Path) -> io::Result<u64> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CHAIN_GENESIS),
         Err(e) => return Err(e),
     };
+    let keep = bytes.iter().rposition(|b| *b == b'\n').map_or(0, |p| p + 1);
+    if keep < bytes.len() {
+        OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .set_len(keep as u64)?;
+    }
+    let text = std::str::from_utf8(&bytes[..keep])
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     Ok(text
         .lines()
         .rfind(|l| !l.trim().is_empty())
         .map_or(CHAIN_GENESIS, line_hash))
-}
-
-/// Truncates an unterminated final line (the signature of a writer
-/// killed mid-write) so the log ends at a record boundary again.
-fn heal_torn_tail(path: &Path) -> io::Result<()> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    if bytes.last().is_none_or(|b| *b == b'\n') {
-        return Ok(());
-    }
-    let keep = bytes.iter().rposition(|b| *b == b'\n').map_or(0, |p| p + 1);
-    OpenOptions::new()
-        .write(true)
-        .open(path)?
-        .set_len(keep as u64)
 }
 
 impl EventSink for JsonlSink {
@@ -1349,8 +1449,8 @@ fn walk_log(
 ) -> Result<usize, StoreError> {
     let mut chain = CHAIN_GENESIS;
     let mut verified = 0;
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, raw) in lines.iter().enumerate() {
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((i, raw)) = lines.next() {
         if raw.trim().is_empty() {
             continue;
         }
@@ -1361,7 +1461,7 @@ fn walk_log(
         };
         let value = match JsonValue::parse(raw) {
             Ok(v) => v,
-            Err(_) if i + 1 == lines.len() => break,
+            Err(_) if lines.peek().is_none() => break,
             Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
         };
         check_chain(&value, chain)
@@ -1553,6 +1653,71 @@ mod tests {
         let v = JsonValue::parse(r#""aé😀b""#).unwrap();
         assert_eq!(v, JsonValue::Str("aé😀b".into()));
         assert!(JsonValue::parse(r#""\ud83d oops""#).is_err());
+    }
+
+    #[test]
+    fn parsed_candidate_lines_borrow_every_unescaped_string() {
+        let mut s = session(2, 1);
+        let _ = s.run();
+        let record = s.history().records()[0].clone();
+        let event = SessionEvent::CandidateEvaluated(record);
+        let line = chain_value(event_json(&event), CHAIN_GENESIS).encode();
+        let value = JsonValue::parse(&line).unwrap();
+        let JsonValue::Obj(pairs) = &value else {
+            panic!("a candidate line is an object");
+        };
+        assert!(pairs.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        assert!(matches!(
+            value.get("prev"),
+            Some(JsonValue::Str(Cow::Borrowed(_)))
+        ));
+        let config = value.get("config").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(config.len(), 56);
+        assert!(config
+            .iter()
+            .all(|token| matches!(token, JsonValue::Str(Cow::Borrowed(_)))));
+        assert_eq!(value.clone().into_owned(), value);
+        assert_eq!(value.encode(), line);
+    }
+
+    #[test]
+    fn escaped_strings_are_unescaped_into_owned_copies() {
+        let text = r#"{"k\"ey":"a\\b\u00e9\n\ud83d\ude00","plain":"p"}"#;
+        let value = JsonValue::parse(text).unwrap();
+        let JsonValue::Obj(pairs) = &value else {
+            panic!("an object");
+        };
+        assert!(matches!(&pairs[0].0, Cow::Owned(k) if k == "k\"ey"));
+        assert!(matches!(&pairs[0].1, JsonValue::Str(Cow::Owned(v)) if v == "a\\bé\n😀"));
+        assert!(matches!(&pairs[1].0, Cow::Borrowed("plain")));
+        assert!(matches!(&pairs[1].1, JsonValue::Str(Cow::Borrowed("p"))));
+        // The encoder spells the same text back, escapes included.
+        let owned = value.clone().into_owned();
+        assert_eq!(owned, value);
+        assert_eq!(JsonValue::parse(&owned.encode()).unwrap(), value);
+    }
+
+    #[test]
+    fn json_errors_name_the_character_at_a_byte_offset() {
+        // `{"é"` is five bytes but four characters.
+        let err = JsonValue::parse("{\"é\"é").unwrap_err();
+        assert_eq!(err.message, "expected ':', got 'é'");
+        assert_eq!(err.at, 7, "reported after the offending character");
+        assert_eq!(err.to_string(), "byte 7: expected ':', got 'é'");
+        let err = JsonValue::parse("[\"é\",ß]").unwrap_err();
+        assert_eq!((err.at, err.message.as_str()), (6, "unexpected 'ß'"));
+        let err = JsonValue::parse("\"é").unwrap_err();
+        assert_eq!((err.at, err.message.as_str()), (3, "unterminated string"));
+        let err = JsonValue::parse("[1 ß]").unwrap_err();
+        assert_eq!(
+            (err.at, err.message.as_str()),
+            (5, "expected ',' or ']' in array")
+        );
+        let err = JsonValue::parse("1 x").unwrap_err();
+        assert_eq!(
+            (err.at, err.message.as_str()),
+            (2, "trailing characters after document")
+        );
     }
 
     #[test]
@@ -1913,7 +2078,7 @@ mod tests {
                         pairs.retain(|(k, _)| k != "prev");
                     }
                     for (k, v) in pairs.iter_mut() {
-                        match k.as_str() {
+                        match k.as_ref() {
                             "v" => *v = JsonValue::Int(version),
                             "metric" if i == 0 => *v = JsonValue::Num(v.as_f64().unwrap() * 2.0),
                             _ => {}

@@ -1,7 +1,8 @@
 //! Property tests for the session-store serialization: the JSON encoder
 //! parses what it emits (escaped strings, round-trip floats, deep
 //! documents), and whole event logs written by [`JsonlSink`] reload into
-//! the exact records that were stored. Bytes that were never a document —
+//! the exact records that were stored, every line of them in canonical
+//! form (it re-encodes to its own bytes). Bytes that were never a document —
 //! arbitrary input, and valid documents with flipped bytes or cut short —
 //! come back from `JsonValue::parse` and the `wf-evald` frame reader as
 //! an error, never a panic.
@@ -64,21 +65,23 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     ]
 }
 
-fn json_leaf() -> impl Strategy<Value = JsonValue> {
+fn json_leaf() -> impl Strategy<Value = JsonValue<'static>> {
     prop_oneof![
         Just(JsonValue::Null),
         any::<bool>().prop_map(JsonValue::Bool),
         any::<i64>().prop_map(JsonValue::Int),
         finite_f64().prop_map(JsonValue::Num),
-        string_strategy().prop_map(JsonValue::Str),
+        string_strategy().prop_map(|s| JsonValue::Str(s.into())),
     ]
 }
 
-fn json_value() -> impl Strategy<Value = JsonValue> {
+fn json_value() -> impl Strategy<Value = JsonValue<'static>> {
     json_leaf().prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..4).prop_map(JsonValue::Arr),
-            proptest::collection::vec((string_strategy(), inner), 0..4).prop_map(JsonValue::Obj),
+            proptest::collection::vec((string_strategy(), inner), 0..4).prop_map(|pairs| {
+                JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+            }),
         ]
     })
 }
@@ -313,8 +316,9 @@ proptest! {
         let back = JsonValue::parse(&text)
             .unwrap_or_else(|e| panic!("emitted JSON must parse: {e}\n{text}"));
         prop_assert!(json_eq(&back, &doc), "round-trip changed the document:\n{}", text);
+        prop_assert_eq!(back.clone().into_owned(), back.clone());
         // Encoding is a fixed point after one round trip.
-        prop_assert_eq!(back.encode(), text);
+        prop_assert_eq!(back.encode(), text.as_str());
     }
 
     /// A whole event log — waves of candidate records plus their
@@ -376,6 +380,77 @@ proptest! {
             prop_assert_eq!(a.finished_at_s.to_bits(), b.finished_at_s.to_bits());
             prop_assert_eq!(a.algo_memory_bytes, b.algo_memory_bytes);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every line `JsonlSink` writes is in canonical form: it parses and
+    /// re-encodes to exactly its own bytes, and detaching the parsed
+    /// value from the line (`into_owned`) changes nothing. The drift and
+    /// epoch lines carry strings with escapes, which the parser copies;
+    /// everything else it borrows.
+    #[test]
+    fn sink_lines_reencode_to_their_own_bytes(
+        waves in proptest::collection::vec(
+            (
+                proptest::collection::vec(record_strategy(), 1..4),
+                string_strategy(),
+                string_strategy(),
+                finite_f64(),
+            ),
+            1..4,
+        ),
+    ) {
+        let dir = case_dir();
+        let store = SessionStore::create(&dir, &Job::default()).unwrap();
+        {
+            let mut sink = store.sink().unwrap();
+            let mut iteration = 0;
+            for (w, (wave, detector, phase, signal)) in waves.iter().enumerate() {
+                for r in wave {
+                    let mut record = r.clone();
+                    record.iteration = iteration;
+                    iteration += 1;
+                    sink.on_event(&SessionEvent::CandidateEvaluated(record));
+                }
+                sink.on_event(&SessionEvent::NewBest { iteration: iteration - 1, objective: *signal });
+                sink.on_event(&SessionEvent::DriftDetected {
+                    epoch: w,
+                    at_iteration: iteration - 1,
+                    at_s: *signal,
+                    detector: detector.clone(),
+                    signal: *signal,
+                    baseline: -*signal,
+                });
+                sink.on_event(&SessionEvent::EpochStarted {
+                    epoch: w + 1,
+                    first_iteration: iteration,
+                    at_s: *signal,
+                    transfer: w % 2 == 0,
+                    phase: phase.clone(),
+                    oracle_metric: *signal,
+                });
+                sink.on_event(&SessionEvent::WaveCompleted(WaveStats {
+                    wave: w,
+                    size: wave.len(),
+                    wall_s: *signal,
+                    busy_s: 0.0,
+                    cache_hits: 0,
+                    cache_misses: wave.len() as u64,
+                }));
+            }
+            prop_assert!(sink.error().is_none());
+        }
+        let text = std::fs::read_to_string(store.events_path()).unwrap();
+        for line in text.lines() {
+            let value = JsonValue::parse(line).unwrap();
+            prop_assert_eq!(value.encode(), line);
+            prop_assert_eq!(value.clone().into_owned(), value);
+        }
+        prop_assert!(store.verify_chain().unwrap() > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

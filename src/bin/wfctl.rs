@@ -819,7 +819,7 @@ impl ClientArgs {
 }
 
 /// One request frame, one reply frame.
-fn daemon_request(root: &std::path::Path, req: &JsonValue) -> std::io::Result<JsonValue> {
+fn daemon_request(root: &std::path::Path, req: &JsonValue) -> std::io::Result<JsonValue<'static>> {
     let mut stream = connect(root)?;
     round_trip(&mut stream, req)
 }
@@ -862,8 +862,8 @@ fn submit_job(args: &ClientArgs) -> ExitCode {
         }
     };
     let req = JsonValue::Obj(vec![
-        ("op".to_string(), JsonValue::Str("submit".into())),
-        ("job".to_string(), JsonValue::Str(text)),
+        ("op".into(), JsonValue::Str("submit".into())),
+        ("job".into(), JsonValue::Str(text.into())),
     ]);
     match daemon_request(&root, &req) {
         Ok(reply) => {
@@ -892,7 +892,7 @@ fn list_sessions(args: &ClientArgs) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let req = JsonValue::Obj(vec![("op".to_string(), JsonValue::Str("sessions".into()))]);
+    let req = JsonValue::Obj(vec![("op".into(), JsonValue::Str("sessions".into()))]);
     match daemon_request(&root, &req) {
         Ok(reply) => {
             let sessions = reply
@@ -953,8 +953,8 @@ fn watch_session(args: &ClientArgs) -> ExitCode {
         }
     };
     let req = JsonValue::Obj(vec![
-        ("op".to_string(), JsonValue::Str("watch".into())),
-        ("id".to_string(), JsonValue::Int(id as i64)),
+        ("op".into(), JsonValue::Str("watch".into())),
+        ("id".into(), JsonValue::Int(id as i64)),
     ]);
     let ack = match round_trip(&mut stream, &req) {
         Ok(ack) => ack,
@@ -1042,8 +1042,8 @@ fn stop_session(args: &ClientArgs) -> ExitCode {
         }
     };
     let req = JsonValue::Obj(vec![
-        ("op".to_string(), JsonValue::Str("stop".into())),
-        ("id".to_string(), JsonValue::Int(id as i64)),
+        ("op".into(), JsonValue::Str("stop".into())),
+        ("id".into(), JsonValue::Int(id as i64)),
     ]);
     match daemon_request(&root, &req) {
         Ok(_) => {

@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use wayfinder::platform::store::line_hash;
 use wayfinder::prelude::*;
 use wayfinder::scenarios;
 
@@ -342,6 +343,49 @@ fn two_runs_of_one_job_write_byte_identical_ledgers() {
     assert!(
         events[0] == events[1],
         "two runs of one job must write the same events.jsonl bytes"
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// The ledger bytes are pinned, not only reproducible: a small
+/// continuous job whose log holds every event kind (including
+/// `epoch_started`, `drift_detected` and `new_best`) must end its hash
+/// chain on this exact line hash. The chain commits to every byte of
+/// the log, so any change to the encoder, the event order or the
+/// session's arithmetic moves it, even one that moves every run alike.
+#[test]
+fn a_fixed_continuous_job_writes_the_golden_ledger() {
+    const GOLDEN_TAIL: u64 = 0xf8a9_71aa_5f47_3f6d;
+    let base = temp_dir("golden");
+    std::fs::create_dir_all(&base).unwrap();
+    let job = base.join("job.yaml");
+    std::fs::write(
+        &job,
+        "name: drift-smoke\nos: linux-4.19\nalgorithm: random\nseed: 29\nworkers: 2\n\
+         runtime_params: 56\nmode: continuous\nbudget:\n  iterations: 40\ndrift:\n  \
+         scenario: step\n  shift_at_s: 600\n  window: 4\n  threshold: 0.12\n  min_epoch: 6\n",
+    )
+    .unwrap();
+    let out = base.join("run");
+    let (ok, _) = wfctl(&["run", job.to_str().unwrap(), "--out", out.to_str().unwrap()]);
+    assert!(ok, "wfctl run");
+    let text = std::fs::read_to_string(out.join("events.jsonl")).unwrap();
+    for kind in [
+        "epoch_started",
+        "drift_detected",
+        "new_best",
+        "session_finished",
+    ] {
+        assert!(
+            text.contains(&format!("\"event\":\"{kind}\"")),
+            "the golden job logs {kind}"
+        );
+    }
+    assert_eq!((text.lines().count(), text.len()), (106, 34_427));
+    let tail = text.lines().last().map(line_hash).unwrap();
+    assert_eq!(
+        tail, GOLDEN_TAIL,
+        "the ledger's bytes moved: tail line hash {tail:016x}"
     );
     std::fs::remove_dir_all(&base).ok();
 }
