@@ -3,7 +3,9 @@
 use crate::param::Stage;
 use crate::space::ConfigSpace;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A complete assignment of one [`Value`] per parameter of a
 /// [`ConfigSpace`], stored positionally.
@@ -148,13 +150,22 @@ impl Configuration {
             .collect()
     }
 
-    /// Materializes a name → value map (the view the simulated OS consumes).
+    /// The name → value view the simulated OS consumes.
+    ///
+    /// The view shares `space`'s name index and copies this
+    /// configuration's values, so it costs one `Arc` clone plus one
+    /// allocation for the value vector, however many parameters (and
+    /// however long their names) the space has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration and the space differ in length.
     pub fn named(&self, space: &ConfigSpace) -> NamedConfig {
-        let mut map = HashMap::with_capacity(self.values.len());
-        for (i, v) in self.values.iter().enumerate() {
-            map.insert(space.spec(i).name.clone(), *v);
+        assert_eq!(self.values.len(), space.len(), "length mismatch");
+        NamedConfig {
+            index: Arc::clone(&space.index),
+            values: self.values.clone(),
         }
-        NamedConfig { map }
     }
 }
 
@@ -164,9 +175,18 @@ impl Configuration {
 /// from positional parameter indices: a search may only cover a *subset* of
 /// the OS's parameters, in which case lookups for uncovered names return
 /// `None` and the OS falls back to its defaults.
+///
+/// A view is a name → position index plus positional values. A view made
+/// by [`Configuration::named`] shares its space's index, so a lookup is
+/// one hash of the name and one vector read. [`NamedConfig::set`] is
+/// copy-on-write: an existing name is overwritten in place, and a new
+/// name copies the index first if it is shared, so a view never changes
+/// its space or a sibling view.
 #[derive(Clone, Debug, Default)]
 pub struct NamedConfig {
-    map: HashMap<String, Value>,
+    /// Name → position in `values`; exactly one entry per value.
+    index: Arc<HashMap<String, usize>>,
+    values: Vec<Value>,
 }
 
 impl NamedConfig {
@@ -175,26 +195,35 @@ impl NamedConfig {
         Self::default()
     }
 
-    /// Creates a view from explicit pairs.
+    /// Creates a view from explicit pairs; a repeated name keeps its last
+    /// value.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (String, Value)>) -> Self {
+        let pairs = pairs.into_iter();
+        let (hint, _) = pairs.size_hint();
+        let mut index = HashMap::with_capacity(hint);
+        let mut values = Vec::with_capacity(hint);
+        for (name, value) in pairs {
+            insert(&mut index, &mut values, name, value);
+        }
         Self {
-            map: pairs.into_iter().collect(),
+            index: Arc::new(index),
+            values,
         }
     }
 
     /// Number of assigned names.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.values.len()
     }
 
     /// Returns `true` if no names are assigned.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.values.is_empty()
     }
 
     /// Looks up a value.
     pub fn get(&self, name: &str) -> Option<Value> {
-        self.map.get(name).copied()
+        self.index.get(name).map(|&i| self.values[i])
     }
 
     /// Integer view with fallback.
@@ -221,21 +250,51 @@ impl NamedConfig {
     }
 
     /// Inserts or replaces a value.
+    ///
+    /// A name already in the view is overwritten in place. A new name is
+    /// appended; if the index is shared (with the space or a sibling
+    /// view), it is copied first, so no other view sees the new name.
     pub fn set(&mut self, name: impl Into<String>, value: Value) {
-        self.map.insert(name.into(), value);
+        let name = name.into();
+        match Arc::get_mut(&mut self.index) {
+            Some(index) => insert(index, &mut self.values, name, value),
+            None => match self.index.get(&name) {
+                Some(&i) => self.values[i] = value,
+                None => insert(
+                    Arc::make_mut(&mut self.index),
+                    &mut self.values,
+                    name,
+                    value,
+                ),
+            },
+        }
     }
 
     /// Iterates over all `(name, value)` pairs in sorted name order.
     ///
-    /// The backing store is a `HashMap`, whose iteration order varies
-    /// with hasher seeding and insertion history; sorting here keeps
-    /// every consumer that renders or hashes the pairs (reports,
-    /// fingerprints, event logs) deterministic by construction.
+    /// The index is a `HashMap`, whose iteration order varies with
+    /// hasher seeding and insertion history; sorting here keeps every
+    /// consumer that renders or hashes the pairs (reports, fingerprints,
+    /// event logs) deterministic by construction.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Value)> {
-        let mut pairs: Vec<(&str, Value)> =
-            self.map.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let mut pairs: Vec<(&str, Value)> = self
+            .index
+            .iter()
+            .map(|(k, &i)| (k.as_str(), self.values[i]))
+            .collect();
         pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
         pairs.into_iter()
+    }
+}
+
+/// Overwrites `name`'s value, or appends it: one hash of the name.
+fn insert(index: &mut HashMap<String, usize>, values: &mut Vec<Value>, name: String, value: Value) {
+    match index.entry(name) {
+        Entry::Occupied(slot) => values[*slot.get()] = value,
+        Entry::Vacant(slot) => {
+            slot.insert(values.len());
+            values.push(value);
+        }
     }
 }
 
@@ -334,7 +393,7 @@ mod tests {
     #[test]
     fn named_iter_is_sorted_and_insertion_order_invariant() {
         // Two opposite insertion orders must iterate identically: the
-        // HashMap behind NamedConfig must never leak its order.
+        // HashMap index behind NamedConfig must never leak its order.
         let names = ["zeta", "alpha", "net.core.somaxconn", "mid", "beta"];
         let mut fwd = NamedConfig::empty();
         for (i, n) in names.iter().enumerate() {
@@ -350,6 +409,48 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort_by(|x, y| x.0.cmp(&y.0));
         assert_eq!(a, sorted, "iter() must yield sorted key order");
+    }
+
+    #[test]
+    fn set_on_a_space_view_leaves_the_space_and_siblings_unchanged() {
+        let s = small_space();
+        let c = s.default_config();
+        let mut view = c.named(&s);
+        let sibling = c.named(&s);
+        view.set("quiet", Value::Bool(true));
+        view.set("vm.swappiness", Value::Int(10));
+        assert_eq!(view.get("quiet"), Some(Value::Bool(true)));
+        assert_eq!(view.get("vm.swappiness"), Some(Value::Int(10)));
+        assert_eq!(view.len(), 4);
+        assert_eq!(sibling.get("quiet"), Some(Value::Bool(false)));
+        assert_eq!(sibling.get("vm.swappiness"), None);
+        assert_eq!(sibling.len(), 3);
+        assert_eq!(s.index_of("vm.swappiness"), None);
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn add_after_named_leaves_the_view_unchanged() {
+        let mut s = small_space();
+        let view = s.default_config().named(&s);
+        let idx = s.add(ParamSpec::new("nosmt", ParamKind::Bool, Stage::BootTime));
+        assert_eq!(s.index_of("nosmt"), Some(idx));
+        assert_eq!(view.get("nosmt"), None);
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.iter().count(), 3);
+    }
+
+    #[test]
+    fn from_pairs_keeps_the_last_value_of_a_repeated_name() {
+        let n = NamedConfig::from_pairs([
+            ("a".to_string(), Value::Int(1)),
+            ("b".to_string(), Value::Int(2)),
+            ("a".to_string(), Value::Int(3)),
+        ]);
+        assert_eq!(n.len(), 2);
+        assert_eq!(n.get("a"), Some(Value::Int(3)));
+        let pairs: Vec<(&str, Value)> = n.iter().collect();
+        assert_eq!(pairs, [("a", Value::Int(3)), ("b", Value::Int(2))]);
     }
 
     #[test]

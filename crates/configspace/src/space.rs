@@ -6,18 +6,22 @@ use crate::param::{ParamKind, ParamSpec, Stage};
 use crate::value::{Tristate, Value};
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A typed OS configuration space.
 ///
 /// Parameters are indexed positionally; [`ConfigSpace::index_of`] resolves
-/// names. A space also acts as the sampling distribution for random search
+/// names. The name index is shared with every
+/// [`NamedConfig`](crate::NamedConfig) the space hands out, so a named
+/// view costs one reference-count bump instead of a copy of every name.
+/// A space also acts as the sampling distribution for random search
 /// and for DeepTune's candidate pool: integers are sampled uniformly (or
 /// log-uniformly), categorical kinds uniformly over their values, and fixed
 /// parameters always keep their default.
 #[derive(Clone, Debug, Default)]
 pub struct ConfigSpace {
     params: Vec<ParamSpec>,
-    index: HashMap<String, usize>,
+    pub(crate) index: Arc<HashMap<String, usize>>,
 }
 
 /// Census of a configuration space, mirroring Table 1 of the paper.
@@ -78,7 +82,9 @@ impl ConfigSpace {
             spec.name
         );
         let idx = self.params.len();
-        self.index.insert(spec.name.clone(), idx);
+        // Copy-on-write: a view taken before this call keeps the index
+        // it was made with.
+        Arc::make_mut(&mut self.index).insert(spec.name.clone(), idx);
         self.params.push(spec);
         idx
     }

@@ -3,9 +3,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 use wf_configspace::{
     distance, ConfigSpace, Encoder, ParamKind, ParamSpec, Stage, Tristate, Value,
 };
+use wf_kconfig::LinuxVersion;
+use wf_ossim::SimOs;
 
 /// Strategy producing an arbitrary parameter kind.
 fn kind_strategy() -> impl Strategy<Value = ParamKind> {
@@ -43,8 +47,89 @@ fn space_strategy() -> impl Strategy<Value = ConfigSpace> {
     })
 }
 
+/// The space of every builtin target (200 runtime parameters where the
+/// target takes a count, as a job does by default), plus a subset space
+/// made of every third linux-4.19 parameter.
+fn builtin_spaces() -> &'static [(&'static str, ConfigSpace)] {
+    static SPACES: OnceLock<Vec<(&'static str, ConfigSpace)>> = OnceLock::new();
+    SPACES.get_or_init(|| {
+        let linux = SimOs::linux_runtime(LinuxVersion::V4_19, 200).space;
+        let thirds: Vec<&str> = linux
+            .specs()
+            .iter()
+            .step_by(3)
+            .map(|p| p.name.as_str())
+            .collect();
+        let subset = linux.subset(&thirds);
+        vec![
+            ("linux-4.19", linux),
+            (
+                "linux-4.19-all",
+                SimOs::linux_all_stages(LinuxVersion::V4_19, 200).space,
+            ),
+            (
+                "linux-6.0",
+                SimOs::linux_runtime(LinuxVersion::V6_0, 200).space,
+            ),
+            ("linux-riscv", SimOs::linux_riscv_footprint().space),
+            ("unikraft", SimOs::unikraft_nginx().space),
+            ("linux-4.19 subset", subset),
+        ]
+    })
+}
+
+/// `NamedConfig::bool_or`'s coercion, restated over a plain lookup.
+fn reference_bool(value: Option<Value>, default: bool) -> bool {
+    match value {
+        Some(Value::Bool(b)) => b,
+        Some(Value::Int(i)) => i != 0,
+        Some(Value::Tristate(t)) => t.enabled(),
+        Some(Value::Choice(_)) | None => default,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A named view answers every lookup the way a map from each spec's
+    /// name to its value does: for every name of every builtin space
+    /// (so names outside this space miss) and for made-up names, and it
+    /// iterates that map's pairs in sorted name order.
+    #[test]
+    fn named_view_matches_a_reference_map(which in 0..6usize, seed in any::<u64>()) {
+        let spaces = builtin_spaces();
+        let (target, space) = &spaces[which];
+        let c = space.sample(&mut StdRng::seed_from_u64(seed));
+        let reference: HashMap<&str, Value> = (0..space.len())
+            .map(|i| (space.spec(i).name.as_str(), c.get(i)))
+            .collect();
+        let view = c.named(space);
+        prop_assert_eq!(view.len(), reference.len());
+        prop_assert_eq!(view.is_empty(), reference.is_empty());
+        let made_up = ["", "CONFIG_NOT_A_PARAM", "net.core.somaxconn.extra"];
+        let names = spaces
+            .iter()
+            .flat_map(|(_, s)| s.specs().iter().map(|p| p.name.as_str()))
+            .chain(made_up);
+        for name in names {
+            let want = reference.get(name).copied();
+            prop_assert_eq!(view.get(name), want, "{} {}", target, name);
+            prop_assert_eq!(
+                view.int_or(name, -7),
+                want.and_then(|v| v.as_int()).unwrap_or(-7)
+            );
+            for default in [false, true] {
+                prop_assert_eq!(view.bool_or(name, default), reference_bool(want, default));
+            }
+            prop_assert_eq!(
+                view.choice_or(name, 99),
+                want.and_then(|v| v.as_choice()).unwrap_or(99)
+            );
+        }
+        let mut sorted: Vec<(&str, Value)> = reference.into_iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(b.0));
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), sorted);
+    }
 
     /// Every random sample respects its parameter domains.
     #[test]

@@ -33,6 +33,10 @@
 //! | `shutdown` | `{op}` | `{ok}` — stop every session at its boundary, then exit |
 //! | `ping` | `{op}` | `{ok, root}` |
 //!
+//! Admission is capped: past `MAX_CONNECTIONS` open request handlers a
+//! new connection, and past `MAX_SESSIONS` running sessions a `submit`,
+//! gets one `{ok: false, error: "busy: …"}` frame instead of a thread.
+//!
 //! Session *construction* needs the target registry, which lives above
 //! this crate — the daemon therefore takes a [`SessionLauncher`] (the
 //! `wfd`/`wfctl daemon` binaries inject one built on
@@ -64,6 +68,11 @@ pub const SESSIONS_DIR: &str = "sessions";
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 /// Accept-loop poll interval while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Connections served at once. One more is answered `busy` and closed
+/// instead of getting a handler thread.
+const MAX_CONNECTIONS: usize = 64;
+/// Sessions running at once. A `submit` past it is answered `busy`.
+const MAX_SESSIONS: usize = 32;
 
 pub use crate::sync::lock_recover;
 
@@ -385,6 +394,18 @@ struct DaemonState {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     launcher: Arc<dyn SessionLauncher>,
+    /// Request handlers alive now (see [`ConnectionGuard`]).
+    connections: AtomicUsize,
+}
+
+/// Holds one slot of [`MAX_CONNECTIONS`]; the slot frees when the
+/// handler exits, however it exits.
+struct ConnectionGuard(Arc<DaemonState>);
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// The `wfd` daemon: a Unix-socket listener over a state root, one
@@ -428,6 +449,7 @@ impl Daemon {
                 next_id: AtomicU64::new(1),
                 shutdown: AtomicBool::new(false),
                 launcher,
+                connections: AtomicUsize::new(0),
             }),
         })
     }
@@ -449,11 +471,19 @@ impl Daemon {
     pub fn run(&self, stop: &AtomicBool) -> io::Result<()> {
         while !stop.load(Ordering::SeqCst) && !self.state.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
+                Ok((mut stream, _)) => {
+                    // Only this loop takes slots, so the check and the
+                    // increment cannot race each other.
+                    if self.state.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                        let busy = format!("busy: {MAX_CONNECTIONS} connections open");
+                        send_best_effort(&mut stream, &err_reply(busy));
+                        continue;
+                    }
+                    self.state.connections.fetch_add(1, Ordering::SeqCst);
+                    let guard = ConnectionGuard(Arc::clone(&self.state));
                     let _ = std::thread::Builder::new()
                         .name("wfd-conn".into())
-                        .spawn(move || handle_connection(&state, stream));
+                        .spawn(move || handle_connection(&guard.0, stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
@@ -622,6 +652,16 @@ fn submit(state: &Arc<DaemonState>, yaml: &str) -> Result<Arc<SessionEntry>, Str
         return Err("daemon is shutting down".into());
     }
     let job = Job::parse(yaml).map_err(|e| format!("invalid job: {e}"))?;
+    // The check and the push below hold the registry lock together, so
+    // concurrent submits cannot overshoot the cap.
+    let mut sessions = lock_recover(&state.sessions);
+    let running = sessions
+        .iter()
+        .filter(|e| !e.status().is_terminal())
+        .count();
+    if running >= MAX_SESSIONS {
+        return Err(format!("busy: {MAX_SESSIONS} sessions running"));
+    }
     let id = state.next_id.fetch_add(1, Ordering::SeqCst);
     let dir = state
         .root
@@ -631,7 +671,8 @@ fn submit(state: &Arc<DaemonState>, yaml: &str) -> Result<Arc<SessionEntry>, Str
         return Err(format!("{} already exists", dir.display()));
     }
     let entry = Arc::new(SessionEntry::new(id, job.name.clone(), dir));
-    lock_recover(&state.sessions).push(Arc::clone(&entry));
+    sessions.push(Arc::clone(&entry));
+    drop(sessions);
 
     let launcher = Arc::clone(&state.launcher);
     let thread_entry = Arc::clone(&entry);
@@ -713,7 +754,14 @@ mod tests {
     }
 
     fn spawn_daemon(root: &Path) -> (std::thread::JoinHandle<io::Result<()>>, Arc<AtomicBool>) {
-        let daemon = Daemon::bind(root, noop_launcher()).unwrap();
+        spawn_daemon_with(root, noop_launcher())
+    }
+
+    fn spawn_daemon_with(
+        root: &Path,
+        launcher: Arc<dyn SessionLauncher>,
+    ) -> (std::thread::JoinHandle<io::Result<()>>, Arc<AtomicBool>) {
+        let daemon = Daemon::bind(root, launcher).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || daemon.run(&flag));
@@ -900,6 +948,77 @@ mod tests {
         round_trip(&mut c, &request("shutdown")).unwrap();
         handle.join().unwrap().unwrap();
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Sends `req` on fresh connections until one is served, for up to a
+    /// second: a slot freed by a closing client frees when its handler
+    /// exits, a moment after the close.
+    fn round_trip_when_admitted(root: &Path, req: &JsonValue) -> JsonValue<'static> {
+        for _ in 0..200 {
+            let mut c = connect(root).unwrap();
+            if let Ok(reply) = round_trip(&mut c, req) {
+                return reply;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("no connection admitted within a second");
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_busy_until_one_closes() {
+        let root = temp_root("admission");
+        let (handle, _stop) = spawn_daemon(&root);
+
+        // Idle clients: each holds a handler waiting for its request.
+        let mut held: Vec<UnixStream> = (0..MAX_CONNECTIONS)
+            .map(|_| connect(&root).unwrap())
+            .collect();
+        let mut extra = connect(&root).unwrap();
+        let reply = read_frame(&mut extra).unwrap().unwrap();
+        assert_eq!(reply.get("ok").unwrap().as_bool(), Some(false));
+        let error = reply.get("error").unwrap().as_str().unwrap();
+        assert!(error.starts_with("busy"), "{error}");
+        assert_eq!(read_frame(&mut extra).unwrap(), None, "closed after busy");
+
+        drop(held.pop());
+        let reply = round_trip_when_admitted(&root, &request("ping"));
+        assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+
+        drop(held);
+        round_trip_when_admitted(&root, &request("shutdown"));
+        handle.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn submits_past_the_session_cap_get_busy() {
+        let root = temp_root("session-cap");
+        // Sessions that run until the daemon parks them.
+        let launcher: Arc<dyn SessionLauncher> = Arc::new(
+            |_job: &Job, _dir: &Path, _sink: &mut dyn EventSink, control: &SessionControl| {
+                while !control.stop_requested() {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Ok(false)
+            },
+        );
+        let (handle, _stop) = spawn_daemon_with(&root, launcher);
+        let submit = JsonValue::Obj(vec![
+            ("op".into(), JsonValue::Str("submit".into())),
+            ("job".into(), JsonValue::Str("name: capped\n".into())),
+        ]);
+        for _ in 0..MAX_SESSIONS {
+            let mut c = connect(&root).unwrap();
+            round_trip(&mut c, &submit).unwrap();
+        }
+        let mut c = connect(&root).unwrap();
+        let err = round_trip(&mut c, &submit).unwrap_err();
+        assert!(err.to_string().starts_with("busy"), "{err}");
+
+        let mut c = connect(&root).unwrap();
+        round_trip(&mut c, &request("shutdown")).unwrap();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
