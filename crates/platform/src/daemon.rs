@@ -46,8 +46,8 @@
 //! locks throughout ([`lock_recover`]).
 
 use crate::events::{EventSink, SessionEvent};
-use crate::remote::{read_frame, write_frame};
-use crate::store::{event_json, JsonValue};
+use crate::remote::{read_frame, send_frame, start_frame, write_frame};
+use crate::store::{write_event, JsonValue};
 use std::borrow::Cow;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -82,7 +82,9 @@ pub use crate::sync::lock_recover;
 
 /// An [`EventSink`] forwarding every event as one length-prefixed JSON
 /// frame over a Unix stream — the live half of the daemon's
-/// `Tee(JsonlSink, SocketSink)`. Like [`crate::JsonlSink`], I/O errors
+/// `Tee(JsonlSink, SocketSink)`. A frame's body is the event's ledger
+/// line without its `prev` field, written by the same
+/// [`crate::store::write_event`]. Like [`crate::JsonlSink`], I/O errors
 /// are sticky: the first failed write marks the sink dead and later
 /// events are dropped (a watcher hanging up must not fail the session).
 ///
@@ -105,6 +107,8 @@ pub use crate::sync::lock_recover;
 pub struct SocketSink {
     stream: UnixStream,
     dead: bool,
+    /// The frame being sent, reused from event to event.
+    frame: String,
 }
 
 impl SocketSink {
@@ -113,6 +117,7 @@ impl SocketSink {
         SocketSink {
             stream,
             dead: false,
+            frame: String::new(),
         }
     }
 
@@ -136,8 +141,14 @@ impl SocketSink {
 
 impl EventSink for SocketSink {
     fn on_event(&mut self, event: &SessionEvent) {
-        let frame = event_json(event);
-        self.send(&frame);
+        if self.dead {
+            return;
+        }
+        start_frame(&mut self.frame);
+        write_event(event, None, &mut self.frame);
+        if send_frame(&mut self.stream, &mut self.frame).is_err() {
+            self.dead = true;
+        }
     }
 }
 

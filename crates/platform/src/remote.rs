@@ -73,12 +73,43 @@ pub struct RemoteSpec {
 
 /// Writes one length-prefixed JSON frame.
 pub fn write_frame(stream: &mut UnixStream, value: &JsonValue) -> io::Result<()> {
-    let body = value.encode().into_bytes();
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(&body)?;
-    stream.flush()
+    let mut frame = String::new();
+    start_frame(&mut frame);
+    value.encode_into(&mut frame);
+    send_frame(stream, &mut frame)
+}
+
+/// Placeholder for a frame's length prefix: four bytes that
+/// [`send_frame`] overwrites once the body's length is known.
+const LENGTH_PLACEHOLDER: &str = "\0\0\0\0";
+
+/// Empties `frame` and reserves its length prefix; the caller then
+/// appends the JSON body and hands the buffer to [`send_frame`].
+pub(crate) fn start_frame(frame: &mut String) {
+    frame.clear();
+    frame.push_str(LENGTH_PLACEHOLDER);
+}
+
+/// Sends a frame built since [`start_frame`]: fills in the length prefix
+/// and writes prefix and body with one `write_all`, so a frame costs one
+/// syscall. `frame` comes back empty with its capacity kept, whether or
+/// not the write succeeded.
+pub(crate) fn send_frame(stream: &mut UnixStream, frame: &mut String) -> io::Result<()> {
+    let mut bytes = std::mem::take(frame).into_bytes();
+    let sent = match u32::try_from(bytes.len() - LENGTH_PLACEHOLDER.len()) {
+        Ok(len) => {
+            bytes[..LENGTH_PLACEHOLDER.len()].copy_from_slice(&len.to_be_bytes());
+            stream.write_all(&bytes).and_then(|()| stream.flush())
+        }
+        Err(_) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame too large",
+        )),
+    };
+    bytes.clear();
+    // An empty buffer is valid UTF-8, so this keeps the allocation.
+    *frame = String::from_utf8(bytes).unwrap_or_default();
+    sent
 }
 
 /// Reads one length-prefixed JSON frame; `Ok(None)` on clean EOF.

@@ -8,10 +8,11 @@
 //!   written with the ordinary [`wf_jobfile::Job`] YAML emitter so it is
 //!   itself a runnable job file;
 //! * `events.jsonl` — every [`SessionEvent`] as one versioned JSON line,
-//!   written by [`JsonlSink`] through a small hand-rolled encoder (no
-//!   external dependencies) with escape-correct strings and round-trip
-//!   floats. Lines are hash-chained: each carries `prev`, the FNV-1a
-//!   hash of the line before it ([`line_hash`]), so the loader — and
+//!   written by [`JsonlSink`] through [`write_event`], a small
+//!   hand-rolled streaming encoder (no external dependencies) with
+//!   escape-correct strings and round-trip floats. Lines are
+//!   hash-chained: each carries `prev`, the FNV-1a hash of the line
+//!   before it ([`line_hash`]), so the loader — and
 //!   [`SessionStore::verify_chain`] — detect any edit or truncation
 //!   other than a torn tail. No line holds host measurements, so the log
 //!   is a pure function of the job: two runs write identical bytes.
@@ -118,7 +119,15 @@ pub fn line_hash(line: &str) -> u64 {
 /// The canonical hex spelling of a chain hash, as stored in `prev`
 /// fields: 16 lowercase hex digits, zero-padded.
 pub fn chain_hex(hash: u64) -> String {
-    format!("{hash:016x}")
+    let mut hex = String::with_capacity(16);
+    push_chain_hex(hash, &mut hex);
+    hex
+}
+
+/// Appends [`chain_hex`]'s spelling of `hash` to `out`.
+fn push_chain_hex(hash: u64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{hash:016x}");
 }
 
 // ---------------------------------------------------------------------------
@@ -240,7 +249,8 @@ impl<'a> JsonValue<'a> {
         out
     }
 
-    fn encode_into(&self, out: &mut String) {
+    /// Appends this value's compact JSON text to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
         // Writing into a `String` cannot fail.
         match self {
             JsonValue::Null => out.push_str("null"),
@@ -249,16 +259,7 @@ impl<'a> JsonValue<'a> {
             JsonValue::Int(v) => {
                 let _ = write!(out, "{v}");
             }
-            JsonValue::Num(v) => {
-                if v.is_finite() {
-                    // `{:?}` is Rust's shortest round-trip form; it always
-                    // carries a fraction or an exponent, so the literal
-                    // parses back as a float, bit-for-bit.
-                    let _ = write!(out, "{v:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            JsonValue::Num(v) => push_f64(*v, out),
             JsonValue::Str(s) => encode_string(s, out),
             JsonValue::Arr(items) => {
                 out.push('[');
@@ -301,6 +302,18 @@ impl<'a> JsonValue<'a> {
             return Err(p.err("trailing characters after document"));
         }
         Ok(value)
+    }
+}
+
+/// Appends a float literal to `out`, or `null` for a non-finite value.
+fn push_f64(v: f64, out: &mut String) {
+    if v.is_finite() {
+        // `{:?}` is Rust's shortest round-trip form; it always carries a
+        // fraction or an exponent, so the literal parses back as a float,
+        // bit-for-bit. Writing into a `String` cannot fail.
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
     }
 }
 
@@ -636,12 +649,22 @@ impl<'a> JsonParser<'a> {
 // Event (de)serialization.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn value_token(v: &Value) -> String {
+/// Appends `v`'s config token to `out`: a type letter, then the
+/// payload (`b1`, `tm`, `i42`, `c3`). The one spelling of a value, shared
+/// by ledger lines and protocol frames; [`token_value`] reads it back.
+pub(crate) fn push_value_token(v: &Value, out: &mut String) {
+    // Writing into a `String` cannot fail.
     match v {
-        Value::Bool(b) => format!("b{}", *b as u8),
-        Value::Tristate(t) => format!("t{t}"),
-        Value::Int(i) => format!("i{i}"),
-        Value::Choice(c) => format!("c{c}"),
+        Value::Bool(b) => out.push_str(if *b { "b1" } else { "b0" }),
+        Value::Tristate(t) => {
+            let _ = write!(out, "t{t}");
+        }
+        Value::Int(i) => {
+            let _ = write!(out, "i{i}");
+        }
+        Value::Choice(c) => {
+            let _ = write!(out, "c{c}");
+        }
     }
 }
 
@@ -665,7 +688,11 @@ pub(crate) fn config_json(config: &Configuration) -> JsonValue<'static> {
         config
             .values()
             .iter()
-            .map(|v| JsonValue::Str(value_token(v).into()))
+            .map(|v| {
+                let mut token = String::new();
+                push_value_token(v, &mut token);
+                JsonValue::Str(token.into())
+            })
             .collect(),
     )
 }
@@ -677,13 +704,6 @@ pub(crate) fn config_from_json(v: &JsonValue) -> Option<Configuration> {
         values.push(token_value(item.as_str()?)?);
     }
     Some(Configuration::from_values(values))
-}
-
-fn opt_f64(v: Option<f64>) -> JsonValue<'static> {
-    match v {
-        Some(v) if v.is_finite() => JsonValue::Num(v),
-        _ => JsonValue::Null,
-    }
 }
 
 pub(crate) fn phase_str(p: Phase) -> &'static str {
@@ -703,32 +723,6 @@ pub(crate) fn phase_from_str(s: &str) -> Option<Phase> {
     }
 }
 
-fn record_json(r: &Record) -> JsonValue<'static> {
-    JsonValue::Obj(vec![
-        ("v".into(), JsonValue::Int(FORMAT_VERSION)),
-        ("event".into(), JsonValue::Str("candidate".into())),
-        ("iteration".into(), JsonValue::Int(r.iteration as i64)),
-        ("config".into(), config_json(&r.config)),
-        ("objective".into(), opt_f64(r.objective)),
-        ("metric".into(), opt_f64(r.metric)),
-        ("memory_mb".into(), opt_f64(r.memory_mb)),
-        (
-            "crash_phase".into(),
-            match r.crash_phase {
-                None => JsonValue::Null,
-                Some(p) => JsonValue::Str(phase_str(p).into()),
-            },
-        ),
-        ("build_skipped".into(), JsonValue::Bool(r.build_skipped)),
-        ("duration_s".into(), JsonValue::Num(r.duration_s)),
-        ("finished_at_s".into(), JsonValue::Num(r.finished_at_s)),
-        (
-            "algo_memory_bytes".into(),
-            JsonValue::Int(r.algo_memory_bytes as i64),
-        ),
-    ])
-}
-
 fn record_from_json(v: &JsonValue) -> Option<Record> {
     Some(Record {
         iteration: v.get("iteration")?.as_usize()?,
@@ -745,19 +739,6 @@ fn record_from_json(v: &JsonValue) -> Option<Record> {
         finished_at_s: v.get("finished_at_s")?.as_f64()?,
         algo_memory_bytes: v.get("algo_memory_bytes")?.as_usize()?,
     })
-}
-
-fn wave_stats_json(w: &WaveStats) -> JsonValue<'static> {
-    JsonValue::Obj(vec![
-        ("v".into(), JsonValue::Int(FORMAT_VERSION)),
-        ("event".into(), JsonValue::Str("wave_completed".into())),
-        ("wave".into(), JsonValue::Int(w.wave as i64)),
-        ("size".into(), JsonValue::Int(w.size as i64)),
-        ("wall_s".into(), JsonValue::Num(w.wall_s)),
-        ("busy_s".into(), JsonValue::Num(w.busy_s)),
-        ("cache_hits".into(), JsonValue::Int(w.cache_hits as i64)),
-        ("cache_misses".into(), JsonValue::Int(w.cache_misses as i64)),
-    ])
 }
 
 fn epoch_from_json(v: &JsonValue) -> Option<StoredEpoch> {
@@ -793,70 +774,102 @@ fn wave_stats_from_json(v: &JsonValue) -> Option<WaveStats> {
     })
 }
 
-/// Serializes one [`SessionEvent`] as a versioned JSON object.
-pub fn event_json(event: &SessionEvent) -> JsonValue<'_> {
-    let tagged = |tag: &'static str, mut rest: Vec<_>| {
-        let mut pairs = vec![
-            ("v".into(), JsonValue::Int(FORMAT_VERSION)),
-            ("event".into(), JsonValue::Str(tag.into())),
-        ];
-        pairs.append(&mut rest);
-        JsonValue::Obj(pairs)
-    };
+/// Writes one [`SessionEvent`] into `out` as a versioned JSON object
+/// (no trailing newline): the one event encoder, behind both the
+/// ledger's lines and the daemon's watch frames. With `chain`, the
+/// object carries `prev` — that hash in [`chain_hex`] spelling — right
+/// after the version stamp, as every ledger line does.
+///
+/// The object is streamed field by field, with no document tree in
+/// between; its bytes are exactly what [`JsonValue::encode`] makes of
+/// the same fields, so a line re-encodes to itself after a parse.
+///
+/// # Examples
+///
+/// ```
+/// use wf_platform::store::write_event;
+/// use wf_platform::SessionEvent;
+///
+/// let mut line = String::new();
+/// write_event(&SessionEvent::CheckpointWritten { iterations: 4 }, Some(0xab), &mut line);
+/// assert_eq!(
+///     line,
+///     r#"{"v":3,"prev":"00000000000000ab","event":"checkpoint","iterations":4}"#
+/// );
+/// ```
+pub fn write_event(event: &SessionEvent, chain: Option<u64>, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{{\"v\":{FORMAT_VERSION}");
+    if let Some(prev) = chain {
+        out.push_str(",\"prev\":\"");
+        push_chain_hex(prev, out);
+        out.push('"');
+    }
+    let mut f = Fields { out };
     match event {
         SessionEvent::SessionStarted {
             descriptor,
             seed,
             workers,
             first_iteration,
-        } => tagged(
-            "session_started",
-            vec![
-                (
-                    "target".into(),
-                    JsonValue::Str(descriptor.name.as_str().into()),
-                ),
-                ("app".into(), JsonValue::Str(descriptor.app.as_str().into())),
-                (
-                    "metric".into(),
-                    JsonValue::Str(descriptor.metric.as_str().into()),
-                ),
-                // u64 seeds are stored as strings so the full range
-                // survives the i64-based integer literal.
-                ("seed".into(), JsonValue::Str(seed.to_string().into())),
-                ("workers".into(), JsonValue::Int(*workers as i64)),
-                (
-                    "first_iteration".into(),
-                    JsonValue::Int(*first_iteration as i64),
-                ),
-            ],
-        ),
+        } => {
+            f.str("event", "session_started");
+            f.str("target", &descriptor.name);
+            f.str("app", &descriptor.app);
+            f.str("metric", &descriptor.metric);
+            // u64 seeds are stored as strings so the full range survives
+            // the i64-based integer literal.
+            f.key("seed");
+            let _ = write!(f.out, "\"{seed}\"");
+            f.int("workers", *workers as i64);
+            f.int("first_iteration", *first_iteration as i64);
+        }
         SessionEvent::WaveDispatched {
             wave,
             first_iteration,
             size,
-        } => tagged(
-            "wave_dispatched",
-            vec![
-                ("wave".into(), JsonValue::Int(*wave as i64)),
-                (
-                    "first_iteration".into(),
-                    JsonValue::Int(*first_iteration as i64),
-                ),
-                ("size".into(), JsonValue::Int(*size as i64)),
-            ],
-        ),
-        SessionEvent::CandidateEvaluated(record) => record_json(record),
+        } => {
+            f.str("event", "wave_dispatched");
+            f.int("wave", *wave as i64);
+            f.int("first_iteration", *first_iteration as i64);
+            f.int("size", *size as i64);
+        }
+        SessionEvent::CandidateEvaluated(r) => {
+            f.str("event", "candidate");
+            f.int("iteration", r.iteration as i64);
+            f.key("config");
+            f.out.push('[');
+            for (i, v) in r.config.values().iter().enumerate() {
+                if i > 0 {
+                    f.out.push(',');
+                }
+                // Tokens are ASCII letters, digits and `-`: nothing to
+                // escape.
+                f.out.push('"');
+                push_value_token(v, f.out);
+                f.out.push('"');
+            }
+            f.out.push(']');
+            f.opt_num("objective", r.objective);
+            f.opt_num("metric", r.metric);
+            f.opt_num("memory_mb", r.memory_mb);
+            match r.crash_phase {
+                None => f.null("crash_phase"),
+                Some(p) => f.str("crash_phase", phase_str(p)),
+            }
+            f.bool("build_skipped", r.build_skipped);
+            f.num("duration_s", r.duration_s);
+            f.num("finished_at_s", r.finished_at_s);
+            f.int("algo_memory_bytes", r.algo_memory_bytes as i64);
+        }
         SessionEvent::NewBest {
             iteration,
             objective,
-        } => tagged(
-            "new_best",
-            vec![
-                ("iteration".into(), JsonValue::Int(*iteration as i64)),
-                ("objective".into(), JsonValue::Num(*objective)),
-            ],
-        ),
+        } => {
+            f.str("event", "new_best");
+            f.int("iteration", *iteration as i64);
+            f.num("objective", *objective);
+        }
         SessionEvent::DriftDetected {
             epoch,
             at_iteration,
@@ -864,17 +877,15 @@ pub fn event_json(event: &SessionEvent) -> JsonValue<'_> {
             detector,
             signal,
             baseline,
-        } => tagged(
-            "drift_detected",
-            vec![
-                ("epoch".into(), JsonValue::Int(*epoch as i64)),
-                ("at_iteration".into(), JsonValue::Int(*at_iteration as i64)),
-                ("at_s".into(), JsonValue::Num(*at_s)),
-                ("detector".into(), JsonValue::Str(detector.as_str().into())),
-                ("signal".into(), JsonValue::Num(*signal)),
-                ("baseline".into(), JsonValue::Num(*baseline)),
-            ],
-        ),
+        } => {
+            f.str("event", "drift_detected");
+            f.int("epoch", *epoch as i64);
+            f.int("at_iteration", *at_iteration as i64);
+            f.num("at_s", *at_s);
+            f.str("detector", detector);
+            f.num("signal", *signal);
+            f.num("baseline", *baseline);
+        }
         SessionEvent::EpochStarted {
             epoch,
             first_iteration,
@@ -882,39 +893,87 @@ pub fn event_json(event: &SessionEvent) -> JsonValue<'_> {
             transfer,
             phase,
             oracle_metric,
-        } => tagged(
-            "epoch_started",
-            vec![
-                ("epoch".into(), JsonValue::Int(*epoch as i64)),
-                (
-                    "first_iteration".into(),
-                    JsonValue::Int(*first_iteration as i64),
-                ),
-                ("at_s".into(), JsonValue::Num(*at_s)),
-                ("transfer".into(), JsonValue::Bool(*transfer)),
-                ("phase".into(), JsonValue::Str(phase.as_str().into())),
-                ("oracle_metric".into(), JsonValue::Num(*oracle_metric)),
-            ],
-        ),
-        SessionEvent::WaveCompleted(stats) => wave_stats_json(stats),
-        SessionEvent::CheckpointWritten { iterations } => tagged(
-            "checkpoint",
-            vec![("iterations".into(), JsonValue::Int(*iterations as i64))],
-        ),
-        SessionEvent::SessionFinished(summary) => tagged(
-            "session_finished",
-            vec![
-                (
-                    "iterations".into(),
-                    JsonValue::Int(summary.iterations as i64),
-                ),
-                ("crash_rate".into(), JsonValue::Num(summary.crash_rate)),
-                ("elapsed_s".into(), JsonValue::Num(summary.elapsed_s)),
-                ("compute_s".into(), JsonValue::Num(summary.compute_s)),
-                ("waves".into(), JsonValue::Int(summary.waves as i64)),
-                ("workers".into(), JsonValue::Int(summary.workers as i64)),
-            ],
-        ),
+        } => {
+            f.str("event", "epoch_started");
+            f.int("epoch", *epoch as i64);
+            f.int("first_iteration", *first_iteration as i64);
+            f.num("at_s", *at_s);
+            f.bool("transfer", *transfer);
+            f.str("phase", phase);
+            f.num("oracle_metric", *oracle_metric);
+        }
+        SessionEvent::WaveCompleted(w) => {
+            f.str("event", "wave_completed");
+            f.int("wave", w.wave as i64);
+            f.int("size", w.size as i64);
+            f.num("wall_s", w.wall_s);
+            f.num("busy_s", w.busy_s);
+            f.int("cache_hits", w.cache_hits as i64);
+            f.int("cache_misses", w.cache_misses as i64);
+        }
+        SessionEvent::CheckpointWritten { iterations } => {
+            f.str("event", "checkpoint");
+            f.int("iterations", *iterations as i64);
+        }
+        SessionEvent::SessionFinished(summary) => {
+            f.str("event", "session_finished");
+            f.int("iterations", summary.iterations as i64);
+            f.num("crash_rate", summary.crash_rate);
+            f.num("elapsed_s", summary.elapsed_s);
+            f.num("compute_s", summary.compute_s);
+            f.int("waves", summary.waves as i64);
+            f.int("workers", summary.workers as i64);
+        }
+    }
+    f.out.push('}');
+}
+
+/// The fields after the first of one JSON object being streamed into a
+/// buffer, each written with its leading comma. Keys are the encoder's
+/// own ASCII names, which need no escaping; values follow
+/// [`JsonValue::encode`]'s rules.
+struct Fields<'a> {
+    out: &'a mut String,
+}
+
+impl Fields<'_> {
+    fn key(&mut self, key: &str) {
+        self.out.push_str(",\"");
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    fn null(&mut self, key: &str) {
+        self.key(key);
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, key: &str, v: bool) {
+        self.key(key);
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn int(&mut self, key: &str, v: i64) {
+        self.key(key);
+        let _ = write!(self.out, "{v}");
+    }
+
+    fn num(&mut self, key: &str, v: f64) {
+        self.key(key);
+        push_f64(v, self.out);
+    }
+
+    /// `null` for `None`, like a non-finite float.
+    fn opt_num(&mut self, key: &str, v: Option<f64>) {
+        match v {
+            Some(v) => self.num(key, v),
+            None => self.null(key),
+        }
+    }
+
+    fn str(&mut self, key: &str, v: &str) {
+        self.key(key);
+        encode_string(v, self.out);
     }
 }
 
@@ -979,23 +1038,27 @@ impl JsonlSink {
         self.error.as_ref()
     }
 
-    /// Commits any buffered lines and flushes them to the OS.
+    /// Commits any buffered lines and flushes them to the OS. The
+    /// buffer is emptied either way and keeps its capacity for the next
+    /// wave.
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.buf.is_empty() {
-            let bytes = std::mem::take(&mut self.buf);
-            self.file.write_all(bytes.as_bytes())?;
+            let written = self.file.write_all(self.buf.as_bytes());
+            self.buf.clear();
+            written?;
         }
         self.file.flush()
     }
 
-    /// Encodes, chains, and buffers one line (no I/O).
-    fn buffer_line(&mut self, value: JsonValue<'_>) {
+    /// Encodes, chains, and buffers one line (no I/O): the line is
+    /// written straight into the wave buffer and hashed where it lies.
+    fn buffer_line(&mut self, event: &SessionEvent) {
         if self.error.is_some() {
             return;
         }
-        let line = chain_value(value, self.prev).encode();
-        self.prev = line_hash(&line);
-        self.buf.push_str(&line);
+        let start = self.buf.len();
+        write_event(event, Some(self.prev), &mut self.buf);
+        self.prev = line_hash(&self.buf[start..]);
         self.buf.push('\n');
     }
 
@@ -1008,19 +1071,6 @@ impl JsonlSink {
         if let Err(e) = self.flush() {
             self.error = Some(e);
         }
-    }
-}
-
-/// Inserts the `prev` chain field (hash of the prior line) right after
-/// the version stamp.
-fn chain_value(value: JsonValue<'_>, prev: u64) -> JsonValue<'_> {
-    match value {
-        JsonValue::Obj(mut pairs) => {
-            let at = pairs.len().min(1);
-            pairs.insert(at, ("prev".into(), JsonValue::Str(chain_hex(prev).into())));
-            JsonValue::Obj(pairs)
-        }
-        other => other,
     }
 }
 
@@ -1052,7 +1102,7 @@ fn heal_torn_tail(path: &Path) -> io::Result<u64> {
 
 impl EventSink for JsonlSink {
     fn on_event(&mut self, event: &SessionEvent) {
-        self.buffer_line(event_json(event));
+        self.buffer_line(event);
         match event {
             SessionEvent::CandidateEvaluated(r) => self.iterations = r.iteration + 1,
             SessionEvent::WaveCompleted(_) if self.error.is_none() => {
@@ -1061,7 +1111,7 @@ impl EventSink for JsonlSink {
                 // (modulo a torn final line, which the loader heals).
                 self.checkpoints += 1;
                 let iterations = self.iterations;
-                self.buffer_line(event_json(&SessionEvent::CheckpointWritten { iterations }));
+                self.buffer_line(&SessionEvent::CheckpointWritten { iterations });
                 self.commit();
             }
             // Segment markers are durable immediately.
@@ -1661,7 +1711,8 @@ mod tests {
         let _ = s.run();
         let record = s.history().records()[0].clone();
         let event = SessionEvent::CandidateEvaluated(record);
-        let line = chain_value(event_json(&event), CHAIN_GENESIS).encode();
+        let mut line = String::new();
+        write_event(&event, Some(CHAIN_GENESIS), &mut line);
         let value = JsonValue::parse(&line).unwrap();
         let JsonValue::Obj(pairs) = &value else {
             panic!("a candidate line is an object");
@@ -1678,6 +1729,53 @@ mod tests {
             .all(|token| matches!(token, JsonValue::Str(Cow::Borrowed(_)))));
         assert_eq!(value.clone().into_owned(), value);
         assert_eq!(value.encode(), line);
+    }
+
+    #[test]
+    fn a_small_candidate_line_has_these_exact_bytes() {
+        // A readable oracle for the writer, beside the golden tail hash:
+        // every token kind, a null for `None` and for a non-finite float,
+        // a crash phase, and a float that prints without a fraction.
+        let record = |crash_phase: Option<Phase>| Record {
+            iteration: 7,
+            config: Configuration::from_values(vec![
+                Value::Bool(true),
+                Value::Tristate(Tristate::Module),
+                Value::Int(-42),
+                Value::Choice(3),
+            ]),
+            objective: crash_phase.is_none().then_some(-1250.5),
+            metric: crash_phase.is_none().then_some(1250.5),
+            memory_mb: crash_phase.is_none().then_some(f64::NAN),
+            crash_phase,
+            build_skipped: true,
+            duration_s: 12.25,
+            finished_at_s: 100.0,
+            algo_memory_bytes: 4096,
+        };
+        let line = |r: Record, chain: Option<u64>| {
+            let mut out = String::new();
+            write_event(&SessionEvent::CandidateEvaluated(r), chain, &mut out);
+            out
+        };
+        assert_eq!(
+            line(record(None), Some(CHAIN_GENESIS)),
+            concat!(
+                r#"{"v":3,"prev":"cbf29ce484222325","event":"candidate","iteration":7,"#,
+                r#""config":["b1","tm","i-42","c3"],"objective":-1250.5,"metric":1250.5,"#,
+                r#""memory_mb":null,"crash_phase":null,"build_skipped":true,"#,
+                r#""duration_s":12.25,"finished_at_s":100.0,"algo_memory_bytes":4096}"#
+            )
+        );
+        assert_eq!(
+            line(record(Some(Phase::Boot)), None),
+            concat!(
+                r#"{"v":3,"event":"candidate","iteration":7,"#,
+                r#""config":["b1","tm","i-42","c3"],"objective":null,"metric":null,"#,
+                r#""memory_mb":null,"crash_phase":"boot","build_skipped":true,"#,
+                r#""duration_s":12.25,"finished_at_s":100.0,"algo_memory_bytes":4096}"#
+            )
+        );
     }
 
     #[test]
@@ -1766,7 +1864,9 @@ mod tests {
             Value::Int(i64::MAX),
             Value::Choice(7),
         ] {
-            assert_eq!(token_value(&value_token(&v)), Some(v));
+            let mut token = String::new();
+            push_value_token(&v, &mut token);
+            assert_eq!(token_value(&token), Some(v));
         }
         assert_eq!(token_value("x1"), None);
         assert_eq!(token_value(""), None);

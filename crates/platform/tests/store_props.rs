@@ -5,7 +5,10 @@
 //! form (it re-encodes to its own bytes). Bytes that were never a document —
 //! arbitrary input, and valid documents with flipped bytes or cut short —
 //! come back from `JsonValue::parse` and the `wf-evald` frame reader as
-//! an error, never a panic.
+//! an error, never a panic. At the edges `record_strategy` never draws —
+//! `i64` bounds, non-finite and subnormal floats, both zeros — ledger
+//! lines stay canonical and reload, and the daemon's watch frame of an
+//! event is its ledger line without the chain field.
 
 use proptest::prelude::*;
 use std::io::Write;
@@ -15,6 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use wf_configspace::{Configuration, Tristate, Value};
 use wf_jobfile::Job;
 use wf_ossim::Phase;
+use wf_platform::daemon::SocketSink;
 use wf_platform::remote::{read_frame, write_frame};
 use wf_platform::store::JsonValue;
 use wf_platform::{EventSink, Record, SessionEvent, SessionStore, WaveStats};
@@ -515,6 +519,188 @@ proptest! {
         let loaded = store.load().unwrap();
         prop_assert_eq!(loaded.records.len(), total);
         prop_assert!(store.verify_chain().unwrap() > 0, "final chain verifies");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The event writer at the edges: values `record_strategy` never draws.
+// ---------------------------------------------------------------------------
+
+/// Floats at every edge the writer's `{:?}`-or-`null` rule has: NaN and
+/// both infinities (written as `null`), both zeros, subnormals, and the
+/// extremes.
+fn edge_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0),
+        Just(5e-324),
+        Just(-5e-324),
+        Just(f64::MIN_POSITIVE / 3.0),
+        Just(f64::MIN),
+        finite_f64(),
+    ]
+}
+
+/// A measurement that may be missing.
+fn opt_edge_f64() -> impl Strategy<Value = Option<f64>> {
+    prop_oneof![Just(None), edge_f64().prop_map(Some)]
+}
+
+/// Finite floats at the edges: the fields that are never `null`.
+fn finite_edge_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(-0.0),
+        Just(5e-324),
+        Just(f64::MIN_POSITIVE / 3.0),
+        finite_f64()
+    ]
+}
+
+fn edge_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
+        value_strategy(),
+    ]
+}
+
+fn edge_record() -> impl Strategy<Value = Record> {
+    (
+        proptest::collection::vec(edge_value(), 1..12),
+        prop_oneof![
+            Just(None),
+            Just(Some(Phase::Build)),
+            Just(Some(Phase::Boot)),
+            Just(Some(Phase::Run)),
+        ],
+        (opt_edge_f64(), opt_edge_f64(), opt_edge_f64()),
+        (finite_edge_f64(), finite_edge_f64(), any::<bool>()),
+    )
+        .prop_map(
+            |(
+                values,
+                crash_phase,
+                (objective, metric, memory_mb),
+                (duration_s, finished_at_s, build_skipped),
+            )| {
+                Record {
+                    iteration: 0, // assigned when written
+                    config: Configuration::from_values(values),
+                    objective,
+                    metric,
+                    memory_mb,
+                    crash_phase,
+                    build_skipped,
+                    duration_s,
+                    finished_at_s,
+                    algo_memory_bytes: 1 << 40,
+                }
+            },
+        )
+}
+
+/// What the store reads back for a written measurement: a non-finite
+/// float is written as `null`, which loads as `None`.
+fn as_stored(v: Option<f64>) -> Option<u64> {
+    v.filter(|v| v.is_finite()).map(f64::to_bits)
+}
+
+/// The frames a sink wrote to `rx` before hanging up, as body text.
+fn frame_bodies(mut rx: UnixStream) -> Vec<String> {
+    let mut wire = Vec::new();
+    std::io::Read::read_to_end(&mut rx, &mut wire).expect("read back");
+    let mut bodies = Vec::new();
+    let mut rest = wire.as_slice();
+    while let Some((len, tail)) = rest.split_first_chunk::<4>() {
+        let (body, tail) = tail.split_at(u32::from_be_bytes(*len) as usize);
+        bodies.push(String::from_utf8(body.to_vec()).expect("frames are UTF-8"));
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "a partial frame");
+    bodies
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every line the writer puts in a ledger parses, re-encodes to its
+    /// own bytes, and loads back to the record it was written from, at
+    /// the extremes too: `i64` bounds in the config, NaN and infinities
+    /// (stored as `null`), both zeros, subnormals, every crash phase.
+    /// The daemon's watch frame of each event is the same line without
+    /// its `"prev":"…",` field.
+    #[test]
+    fn edge_records_write_canonical_lines_and_matching_frames(
+        waves in proptest::collection::vec(
+            proptest::collection::vec(edge_record(), 1..4),
+            1..4,
+        ),
+    ) {
+        let dir = case_dir();
+        let store = SessionStore::create(&dir, &Job::default()).unwrap();
+        let (tx, rx) = UnixStream::pair().expect("socketpair");
+        let mut written: Vec<Record> = Vec::new();
+        {
+            let mut ledger = store.sink().unwrap();
+            let mut watch = SocketSink::new(tx);
+            for (w, wave) in waves.iter().enumerate() {
+                for r in wave {
+                    let mut record = r.clone();
+                    record.iteration = written.len();
+                    let event = SessionEvent::CandidateEvaluated(record.clone());
+                    ledger.on_event(&event);
+                    watch.on_event(&event);
+                    written.push(record);
+                }
+                let event = SessionEvent::WaveCompleted(WaveStats {
+                    wave: w,
+                    size: wave.len(),
+                    wall_s: -0.0,
+                    busy_s: 5e-324,
+                    cache_hits: 0,
+                    cache_misses: wave.len() as u64,
+                });
+                ledger.on_event(&event);
+                watch.on_event(&event);
+            }
+            prop_assert!(ledger.error().is_none());
+            prop_assert!(!watch.is_dead());
+        }
+
+        let text = std::fs::read_to_string(store.events_path()).unwrap();
+        let mut unchained = Vec::new();
+        for line in text.lines() {
+            let value = JsonValue::parse(line)
+                .unwrap_or_else(|e| panic!("a written line must parse: {e}\n{line}"));
+            prop_assert_eq!(value.encode(), line);
+            // The sink's own checkpoint lines are not events a watcher sees.
+            if value.get("event").and_then(JsonValue::as_str) == Some("checkpoint") {
+                continue;
+            }
+            let prev = value.get("prev").and_then(JsonValue::as_str).unwrap();
+            let field = format!("\"prev\":\"{prev}\",");
+            prop_assert!(line.contains(&field));
+            unchained.push(line.replacen(&field, "", 1));
+        }
+        prop_assert_eq!(frame_bodies(rx), unchained);
+
+        let loaded = store.load().unwrap();
+        prop_assert_eq!(loaded.records.len(), written.len());
+        for (a, b) in loaded.records.iter().zip(&written) {
+            prop_assert_eq!(a.iteration, b.iteration);
+            prop_assert_eq!(&a.config, &b.config);
+            prop_assert_eq!(a.objective.map(f64::to_bits), as_stored(b.objective));
+            prop_assert_eq!(a.metric.map(f64::to_bits), as_stored(b.metric));
+            prop_assert_eq!(a.memory_mb.map(f64::to_bits), as_stored(b.memory_mb));
+            prop_assert_eq!(a.crash_phase, b.crash_phase);
+            prop_assert_eq!(a.build_skipped, b.build_skipped);
+            prop_assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
+            prop_assert_eq!(a.finished_at_s.to_bits(), b.finished_at_s.to_bits());
+            prop_assert_eq!(a.algo_memory_bytes, b.algo_memory_bytes);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
