@@ -5,7 +5,7 @@
 //! uniform and diff-friendly.
 
 use wf_configspace::ConfigSpace;
-use wf_platform::{Series, StoredSession, WaveStats};
+use wf_platform::{history, Series, StoredSession, WaveStats};
 
 /// A fixed-width text table.
 #[derive(Clone, Debug, Default)]
@@ -153,26 +153,22 @@ pub fn store_report(stored: &StoredSession, space: Option<&ConfigSpace>) -> Stri
         stored.dropped_records,
     ));
 
-    let history = stored.history();
-    if history.is_empty() {
+    let records = &stored.records;
+    if records.is_empty() {
         out.push_str("no evaluations recorded\n");
         return out;
     }
-    let elapsed_s = history
-        .records()
-        .last()
-        .map(|r| r.finished_at_s)
-        .unwrap_or(0.0);
-    let compute_s: f64 = history.records().iter().map(|r| r.duration_s).sum();
+    let elapsed_s = records.last().map(|r| r.finished_at_s).unwrap_or(0.0);
+    let compute_s: f64 = records.iter().map(|r| r.duration_s).sum();
     out.push_str(&format!(
         "clock: {:.2} virtual hours wall, {:.2} VM-hours compute, crash rate {:.0}%\n",
         elapsed_s / 3600.0,
         compute_s / 3600.0,
-        history.crash_rate() * 100.0,
+        history::crash_rate(records) * 100.0,
     ));
 
     let direction = job.direction;
-    match history.best(direction) {
+    match history::best(records, direction) {
         None => out.push_str("best: none (every configuration crashed)\n"),
         Some(best) => {
             out.push_str(&format!(
@@ -182,7 +178,7 @@ pub fn store_report(stored: &StoredSession, space: Option<&ConfigSpace>) -> Stri
                 best.iteration,
                 direction.keyword(),
             ));
-            if let Some(interval) = history.mean_improvement_interval_s(direction) {
+            if let Some(interval) = history::mean_improvement_interval_s(records, direction) {
                 out.push_str(&format!(
                     "mean improvement interval: {interval:.0} virtual s\n"
                 ));

@@ -94,49 +94,18 @@ impl History {
 
     /// The best record under `direction` (by objective).
     pub fn best(&self, direction: Direction) -> Option<&Record> {
-        self.records
-            .iter()
-            .filter(|r| r.objective.is_some())
-            .max_by(|a, b| {
-                let (x, y) = (a.objective.unwrap(), b.objective.unwrap());
-                match direction {
-                    Direction::Maximize => x.partial_cmp(&y).unwrap(),
-                    Direction::Minimize => y.partial_cmp(&x).unwrap(),
-                }
-            })
+        best(&self.records, direction)
     }
 
     /// Overall crash rate.
     pub fn crash_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.crashed()).count() as f64 / self.records.len() as f64
+        crash_rate(&self.records)
     }
 
     /// Mean virtual time between successive improvements of the
-    /// best-so-far objective — the "Avg. time to find" column of Table 2
-    /// (see DESIGN.md §4 for why this interpretation).
+    /// best-so-far objective; see [`mean_improvement_interval_s`].
     pub fn mean_improvement_interval_s(&self, direction: Direction) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        let mut improvement_times = Vec::new();
-        for r in &self.records {
-            let Some(v) = r.objective else { continue };
-            let improved = match (best, direction) {
-                (None, _) => true,
-                (Some(b), Direction::Maximize) => v > b,
-                (Some(b), Direction::Minimize) => v < b,
-            };
-            if improved {
-                best = Some(v);
-                improvement_times.push(r.finished_at_s);
-            }
-        }
-        if improvement_times.len() < 2 {
-            return None;
-        }
-        let span = improvement_times.last().unwrap() - improvement_times.first().unwrap();
-        Some(span / (improvement_times.len() - 1) as f64)
+        mean_improvement_interval_s(&self.records, direction)
     }
 
     /// The observations slice algorithms receive (maintained at push;
@@ -144,6 +113,55 @@ impl History {
     pub fn observations(&self) -> &[Observation] {
         &self.observations
     }
+}
+
+/// The best of `records` under `direction` (by objective).
+pub fn best(records: &[Record], direction: Direction) -> Option<&Record> {
+    records
+        .iter()
+        .filter_map(|r| Some((r, r.objective?)))
+        .max_by(|(_, x), (_, y)| {
+            let order = match direction {
+                Direction::Maximize => x.partial_cmp(y),
+                Direction::Minimize => y.partial_cmp(x),
+            };
+            order.expect("objectives are never NaN")
+        })
+        .map(|(r, _)| r)
+}
+
+/// The share of `records` that crashed (0 for none).
+pub fn crash_rate(records: &[Record]) -> f64 {
+    if records.is_empty() {
+        return 0.0;
+    }
+    records.iter().filter(|r| r.crashed()).count() as f64 / records.len() as f64
+}
+
+/// Mean virtual time between successive improvements of the best-so-far
+/// objective over `records` — the "Avg. time to find" column of Table 2
+/// (see DESIGN.md §4 for why this interpretation). `None` with fewer
+/// than two improvements.
+pub fn mean_improvement_interval_s(records: &[Record], direction: Direction) -> Option<f64> {
+    let mut best: Option<f64> = None;
+    let mut improvement_times = Vec::new();
+    for r in records {
+        let Some(v) = r.objective else { continue };
+        let improved = match (best, direction) {
+            (None, _) => true,
+            (Some(b), Direction::Maximize) => v > b,
+            (Some(b), Direction::Minimize) => v < b,
+        };
+        if improved {
+            best = Some(v);
+            improvement_times.push(r.finished_at_s);
+        }
+    }
+    if improvement_times.len() < 2 {
+        return None;
+    }
+    let span = improvement_times[improvement_times.len() - 1] - improvement_times[0];
+    Some(span / (improvement_times.len() - 1) as f64)
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@
 //! ```
 
 use crate::events::{EventSink, SessionEvent};
-use crate::history::{History, Record};
+use crate::history::Record;
 use crate::metrics::WaveStats;
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -288,19 +288,13 @@ impl<'a> JsonValue<'a> {
 
     /// Parses one JSON document from `text` (must consume all input).
     /// Arrays and objects nested more than 128 levels deep are an error.
-    /// Strings without escapes borrow from `text`.
+    /// Strings without escapes borrow from `text`. This is a tree built
+    /// over the one JSON cursor, whose grammar the ledger reader shares
+    /// without building a tree.
     pub fn parse(text: &'a str) -> Result<JsonValue<'a>, JsonError> {
-        let mut p = JsonParser {
-            text,
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != text.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut cursor = JsonCursor::new(text);
+        let value = cursor.tree()?;
+        cursor.finish()?;
         Ok(value)
     }
 }
@@ -352,17 +346,42 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
-/// recurses once per level, so without a bound a frame of nothing but
-/// `[` overflows the stack and aborts the process (a `wfd` client's first
+/// Deepest array/object nesting [`JsonCursor`] accepts. Its readers
+/// recurse once per level, so without a bound a frame of nothing but `[`
+/// overflows the stack and aborts the process (a `wfd` client's first
 /// frame goes through this parser). Every document the workspace writes
 /// nests a few levels at most.
 const MAX_JSON_DEPTH: usize = 128;
 
-/// A cursor over the input's bytes. Every token the grammar matches is
-/// ASCII, and UTF-8 never repeats an ASCII byte inside a multi-byte
-/// character, so `pos` only ever stops on a character boundary.
-struct JsonParser<'a> {
+/// What kind of value starts at a [`JsonCursor`]'s position, judged
+/// from its first byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A string: read it with [`JsonCursor::string`].
+    Str,
+    /// An array: [`JsonCursor::open`] it, then pull its items with
+    /// [`JsonCursor::next_item`].
+    Arr,
+    /// An object: [`JsonCursor::open`] it, then pull its keys with
+    /// [`JsonCursor::next_key`].
+    Obj,
+    /// Anything else: a number, a literal, or an error, which
+    /// [`JsonCursor::scalar`] tells apart.
+    Other,
+}
+
+/// A pull cursor over one JSON document, and the one copy of its
+/// grammar: strings and their escapes, numbers, literals, the
+/// [`MAX_JSON_DEPTH`] limit and every error message with its byte
+/// offset. [`JsonValue::parse`] builds a tree from it; the ledger's
+/// [`read_line`] pulls the fields it wants and reads past the rest
+/// with [`JsonCursor::skip`], which rejects what a tree build rejects
+/// and builds nothing.
+///
+/// Every token the grammar matches is ASCII, and UTF-8 never repeats an
+/// ASCII byte inside a multi-byte character, so `pos` only ever stops on
+/// a character boundary.
+struct JsonCursor<'a> {
     text: &'a str,
     /// Byte offset of the cursor.
     pos: usize,
@@ -370,7 +389,15 @@ struct JsonParser<'a> {
     depth: usize,
 }
 
-impl<'a> JsonParser<'a> {
+impl<'a> JsonCursor<'a> {
+    fn new(text: &'a str) -> JsonCursor<'a> {
+        JsonCursor {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -421,6 +448,15 @@ impl<'a> JsonParser<'a> {
         }
     }
 
+    /// Ends the document: only whitespace may follow the value.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn literal(&mut self, word: &str, value: JsonValue<'a>) -> Result<JsonValue<'a>, JsonError> {
         for c in word.bytes() {
             self.expect(c)?;
@@ -428,35 +464,90 @@ impl<'a> JsonParser<'a> {
         Ok(value)
     }
 
-    fn value(&mut self) -> Result<JsonValue<'a>, JsonError> {
+    /// Skips whitespace and tells what kind of value starts next.
+    fn kind(&mut self) -> Kind {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => Kind::Str,
+            Some(b'[') => Kind::Arr,
+            Some(b'{') => Kind::Obj,
+            _ => Kind::Other,
+        }
+    }
+
+    /// Reads a value of [`Kind::Other`]: a number or a literal.
+    fn scalar(&mut self) -> Result<JsonValue<'a>, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => match self.current() {
-                Some(c) => Err(self.err(format!("unexpected {c:?}"))),
-                None => Err(self.err("unexpected end of input")),
-            },
+            _ => Err(self.no_value()),
         }
     }
 
-    /// Parses one array or object a level deeper, refusing to open more
-    /// than [`MAX_JSON_DEPTH`] levels.
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<JsonValue<'a>, JsonError>,
-    ) -> Result<JsonValue<'a>, JsonError> {
+    /// The error for a value that cannot start at the cursor. Out of
+    /// line, like [`JsonCursor::unexpected`].
+    #[cold]
+    fn no_value(&self) -> JsonError {
+        match self.current() {
+            Some(c) => self.err(format!("unexpected {c:?}")),
+            None => self.err("unexpected end of input"),
+        }
+    }
+
+    /// Consumes the bracket at the cursor, one level deeper, refusing to
+    /// open more than [`MAX_JSON_DEPTH`] levels.
+    fn open(&mut self) -> Result<(), JsonError> {
         if self.depth == MAX_JSON_DEPTH {
             return Err(self.err(format!("nested deeper than {MAX_JSON_DEPTH} levels")));
         }
         self.depth += 1;
-        let value = container(self);
-        self.depth -= 1;
-        value
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Inside an array: `Ok(true)` when another item follows (the caller
+    /// reads it next), `Ok(false)` once the closing `]` is consumed.
+    /// `first` marks the call right after the array opened.
+    fn next_item(&mut self, first: bool) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let more = if !first {
+            self.separator(b']', "expected ',' or ']' in array")?
+        } else if self.peek() == Some(b']') {
+            self.pos += 1;
+            false
+        } else {
+            true
+        };
+        if !more {
+            self.depth -= 1;
+        }
+        Ok(more)
+    }
+
+    /// Inside an object: the next key, with the cursor past its `:` (the
+    /// caller reads the value next), or `None` once the closing `}` is
+    /// consumed. `first` marks the call right after the object opened.
+    fn next_key(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        let more = if !first {
+            self.separator(b'}', "expected ',' or '}' in object")?
+        } else if self.peek() == Some(b'}') {
+            self.pos += 1;
+            false
+        } else {
+            true
+        };
+        if !more {
+            self.depth -= 1;
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
     }
 
     /// Consumes the `,` between items (`Ok(true)`) or the closing
@@ -479,45 +570,60 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue<'a>, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            if !self.separator(b']', "expected ',' or ']' in array")? {
-                return Ok(JsonValue::Arr(items));
+    /// Reads the value at the cursor as a tree.
+    fn tree(&mut self) -> Result<JsonValue<'a>, JsonError> {
+        match self.kind() {
+            Kind::Str => self.string().map(JsonValue::Str),
+            Kind::Arr => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.next_item(items.is_empty())? {
+                    items.push(self.tree()?);
+                }
+                Ok(JsonValue::Arr(items))
             }
+            Kind::Obj => {
+                self.open()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key(pairs.is_empty())? {
+                    let value = self.tree()?;
+                    pairs.push((key, value));
+                }
+                Ok(JsonValue::Obj(pairs))
+            }
+            Kind::Other => self.scalar(),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue<'a>, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            if !self.separator(b'}', "expected ',' or '}' in object")? {
-                return Ok(JsonValue::Obj(pairs));
+    /// Reads past the value at the cursor, building nothing but
+    /// rejecting everything [`JsonCursor::tree`] rejects, with the same
+    /// error.
+    fn skip(&mut self) -> Result<(), JsonError> {
+        match self.kind() {
+            Kind::Str => {
+                self.string()?;
+            }
+            Kind::Arr => {
+                self.open()?;
+                let mut first = true;
+                while self.next_item(first)? {
+                    first = false;
+                    self.skip()?;
+                }
+            }
+            Kind::Obj => {
+                self.open()?;
+                let mut first = true;
+                while self.next_key(first)?.is_some() {
+                    first = false;
+                    self.skip()?;
+                }
+            }
+            Kind::Other => {
+                self.scalar()?;
             }
         }
+        Ok(())
     }
 
     /// A string literal: borrowed from the input unless it holds an
@@ -533,9 +639,23 @@ impl<'a> JsonParser<'a> {
         self.escaped_string(start).map(Cow::Owned)
     }
 
-    /// Moves the cursor to the next quote or backslash, or to the end.
+    /// Moves the cursor to the next quote or backslash, or to the end,
+    /// testing eight bytes at a time while eight remain.
     fn skip_run(&mut self) {
-        let rest = &self.text.as_bytes()[self.pos..];
+        let bytes = self.text.as_bytes();
+        while let Some(chunk) = bytes
+            .get(self.pos..self.pos + 8)
+            .and_then(|chunk| <[u8; 8]>::try_from(chunk).ok())
+        {
+            let word = u64::from_le_bytes(chunk);
+            let hits = byte_marks(word, b'"') | byte_marks(word, b'\\');
+            if hits != 0 {
+                self.pos += hits.trailing_zeros() as usize / 8;
+                return;
+            }
+            self.pos += 8;
+        }
+        let rest = &bytes[self.pos..];
         self.pos += rest
             .iter()
             .position(|b| matches!(b, b'"' | b'\\'))
@@ -645,6 +765,16 @@ impl<'a> JsonParser<'a> {
     }
 }
 
+/// Sets the top bit of the lowest byte of `word` (read little-endian)
+/// that equals `b`. Bits above that byte may be set too (a borrow
+/// runs on), but none below it, so `trailing_zeros() / 8` of the
+/// result, or of several such results or-ed, is the first match.
+fn byte_marks(word: u64, b: u8) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let x = word ^ (ONES * u64::from(b));
+    x.wrapping_sub(ONES) & !x & (ONES << 7)
+}
+
 // ---------------------------------------------------------------------------
 // Event (de)serialization.
 // ---------------------------------------------------------------------------
@@ -723,54 +853,233 @@ pub(crate) fn phase_from_str(s: &str) -> Option<Phase> {
     }
 }
 
-fn record_from_json(v: &JsonValue) -> Option<Record> {
+/// A key of an event line that the loader reads; [`LineView`] keeps one
+/// slot per key. `config` is not among them: its tokens are decoded on
+/// the spot.
+#[derive(Clone, Copy)]
+enum Key {
+    V,
+    Prev,
+    Event,
+    Iteration,
+    Objective,
+    Metric,
+    MemoryMb,
+    CrashPhase,
+    BuildSkipped,
+    DurationS,
+    FinishedAtS,
+    AlgoMemoryBytes,
+    Epoch,
+    FirstIteration,
+    AtS,
+    Transfer,
+    Phase,
+    OracleMetric,
+    AtIteration,
+    Detector,
+    Signal,
+    Baseline,
+    Wave,
+    Size,
+    WallS,
+    BusyS,
+    CacheHits,
+    CacheMisses,
+}
+
+/// The number of [`Key`]s.
+const KEYS: usize = Key::CacheMisses as usize + 1;
+
+impl Key {
+    fn of(name: &str) -> Option<Key> {
+        Some(match name {
+            "v" => Key::V,
+            "prev" => Key::Prev,
+            "event" => Key::Event,
+            "iteration" => Key::Iteration,
+            "objective" => Key::Objective,
+            "metric" => Key::Metric,
+            "memory_mb" => Key::MemoryMb,
+            "crash_phase" => Key::CrashPhase,
+            "build_skipped" => Key::BuildSkipped,
+            "duration_s" => Key::DurationS,
+            "finished_at_s" => Key::FinishedAtS,
+            "algo_memory_bytes" => Key::AlgoMemoryBytes,
+            "epoch" => Key::Epoch,
+            "first_iteration" => Key::FirstIteration,
+            "at_s" => Key::AtS,
+            "transfer" => Key::Transfer,
+            "phase" => Key::Phase,
+            "oracle_metric" => Key::OracleMetric,
+            "at_iteration" => Key::AtIteration,
+            "detector" => Key::Detector,
+            "signal" => Key::Signal,
+            "baseline" => Key::Baseline,
+            "wave" => Key::Wave,
+            "size" => Key::Size,
+            "wall_s" => Key::WallS,
+            "busy_s" => Key::BusyS,
+            "cache_hits" => Key::CacheHits,
+            "cache_misses" => Key::CacheMisses,
+            _ => return None,
+        })
+    }
+}
+
+/// The fields of one event line the loader reads, without a document
+/// tree: for each [`Key`], its first occurrence (what [`JsonValue::get`]
+/// finds in a tree of the line), and the first `config` decoded straight
+/// into a [`Configuration`]. Scalars are kept as [`JsonValue`]s, so the
+/// loader applies the tree's type rules; a nested value under a key is
+/// read past and kept as an empty array, which every scalar accessor
+/// refuses just as it refuses the value it stands for.
+struct LineView<'a> {
+    fields: [Option<JsonValue<'a>>; KEYS],
+    /// `None` when the line has no `config`; `Some(None)` when the first
+    /// one is not an array of valid value tokens.
+    config: Option<Option<Configuration>>,
+}
+
+impl<'a> LineView<'a> {
+    fn get(&self, key: Key) -> Option<&JsonValue<'a>> {
+        self.fields[key as usize].as_ref()
+    }
+}
+
+/// Reads one ledger line as [`SessionStore::load`] needs it: every
+/// field of its [`LineView`], the configuration included.
+fn read_line(line: &str) -> Result<LineView<'_>, JsonError> {
+    read_view(line, true)
+}
+
+/// Reads one ledger line as [`SessionStore::verify_chain`] needs it:
+/// its `config` is validated but not decoded.
+fn read_chain(line: &str) -> Result<LineView<'_>, JsonError> {
+    read_view(line, false)
+}
+
+/// Reads one ledger line with a [`JsonCursor`], decoding its first
+/// `config` when `config` is set. The whole line is validated, skipped
+/// values included, so a line this reader accepts is exactly a line
+/// [`JsonValue::parse`] accepts, and a rejected line fails with the same
+/// error. A line that is not an object leaves every field empty.
+fn read_view(line: &str, config: bool) -> Result<LineView<'_>, JsonError> {
+    let mut view = LineView {
+        fields: [const { None }; KEYS],
+        config: None,
+    };
+    let mut cursor = JsonCursor::new(line);
+    if cursor.kind() == Kind::Obj {
+        cursor.open()?;
+        let mut first = true;
+        while let Some(key) = cursor.next_key(first)? {
+            first = false;
+            if config && key == "config" && view.config.is_none() {
+                view.config = Some(read_config(&mut cursor)?);
+                continue;
+            }
+            let slot = match Key::of(&key) {
+                Some(k) if view.fields[k as usize].is_none() => &mut view.fields[k as usize],
+                _ => {
+                    cursor.skip()?;
+                    continue;
+                }
+            };
+            *slot = Some(match cursor.kind() {
+                Kind::Str => JsonValue::Str(cursor.string()?),
+                Kind::Other => cursor.scalar()?,
+                Kind::Arr | Kind::Obj => {
+                    cursor.skip()?;
+                    JsonValue::Arr(Vec::new())
+                }
+            });
+        }
+    } else {
+        cursor.skip()?;
+    }
+    cursor.finish()?;
+    Ok(view)
+}
+
+/// Reads the `config` value at the cursor: its value tokens decoded
+/// into a configuration, or `None` when it is not an array of valid
+/// tokens (read past and validated all the same).
+fn read_config(cursor: &mut JsonCursor) -> Result<Option<Configuration>, JsonError> {
+    if cursor.kind() != Kind::Arr {
+        cursor.skip()?;
+        return Ok(None);
+    }
+    cursor.open()?;
+    let mut values = Some(Vec::new());
+    let mut first = true;
+    while cursor.next_item(first)? {
+        first = false;
+        let value = if cursor.kind() == Kind::Str {
+            token_value(&cursor.string()?)
+        } else {
+            cursor.skip()?;
+            None
+        };
+        match (value, &mut values) {
+            (Some(value), Some(values)) => values.push(value),
+            _ => values = None,
+        }
+    }
+    Ok(values.map(|mut values| {
+        values.shrink_to_fit();
+        Configuration::from_values(values)
+    }))
+}
+
+fn record_from_view(v: &mut LineView) -> Option<Record> {
     Some(Record {
-        iteration: v.get("iteration")?.as_usize()?,
-        config: config_from_json(v.get("config")?)?,
-        objective: v.get("objective")?.as_f64(),
-        metric: v.get("metric")?.as_f64(),
-        memory_mb: v.get("memory_mb")?.as_f64(),
-        crash_phase: match v.get("crash_phase")? {
+        iteration: v.get(Key::Iteration)?.as_usize()?,
+        objective: v.get(Key::Objective)?.as_f64(),
+        metric: v.get(Key::Metric)?.as_f64(),
+        memory_mb: v.get(Key::MemoryMb)?.as_f64(),
+        crash_phase: match v.get(Key::CrashPhase)? {
             JsonValue::Null => None,
             other => Some(phase_from_str(other.as_str()?)?),
         },
-        build_skipped: v.get("build_skipped")?.as_bool()?,
-        duration_s: v.get("duration_s")?.as_f64()?,
-        finished_at_s: v.get("finished_at_s")?.as_f64()?,
-        algo_memory_bytes: v.get("algo_memory_bytes")?.as_usize()?,
+        build_skipped: v.get(Key::BuildSkipped)?.as_bool()?,
+        duration_s: v.get(Key::DurationS)?.as_f64()?,
+        finished_at_s: v.get(Key::FinishedAtS)?.as_f64()?,
+        algo_memory_bytes: v.get(Key::AlgoMemoryBytes)?.as_usize()?,
+        config: v.config.take()??,
     })
 }
 
-fn epoch_from_json(v: &JsonValue) -> Option<StoredEpoch> {
+fn epoch_from_view(v: &LineView) -> Option<StoredEpoch> {
     Some(StoredEpoch {
-        epoch: v.get("epoch")?.as_usize()?,
-        first_iteration: v.get("first_iteration")?.as_usize()?,
-        at_s: v.get("at_s")?.as_f64()?,
-        transfer: v.get("transfer")?.as_bool()?,
-        phase: v.get("phase")?.as_str()?.to_string(),
-        oracle_metric: v.get("oracle_metric")?.as_f64()?,
+        epoch: v.get(Key::Epoch)?.as_usize()?,
+        first_iteration: v.get(Key::FirstIteration)?.as_usize()?,
+        at_s: v.get(Key::AtS)?.as_f64()?,
+        transfer: v.get(Key::Transfer)?.as_bool()?,
+        phase: v.get(Key::Phase)?.as_str()?.to_string(),
+        oracle_metric: v.get(Key::OracleMetric)?.as_f64()?,
     })
 }
 
-fn drift_from_json(v: &JsonValue) -> Option<StoredDrift> {
+fn drift_from_view(v: &LineView) -> Option<StoredDrift> {
     Some(StoredDrift {
-        epoch: v.get("epoch")?.as_usize()?,
-        at_iteration: v.get("at_iteration")?.as_usize()?,
-        at_s: v.get("at_s")?.as_f64()?,
-        detector: v.get("detector")?.as_str()?.to_string(),
-        signal: v.get("signal")?.as_f64()?,
-        baseline: v.get("baseline")?.as_f64()?,
+        epoch: v.get(Key::Epoch)?.as_usize()?,
+        at_iteration: v.get(Key::AtIteration)?.as_usize()?,
+        at_s: v.get(Key::AtS)?.as_f64()?,
+        detector: v.get(Key::Detector)?.as_str()?.to_string(),
+        signal: v.get(Key::Signal)?.as_f64()?,
+        baseline: v.get(Key::Baseline)?.as_f64()?,
     })
 }
 
-fn wave_stats_from_json(v: &JsonValue) -> Option<WaveStats> {
+fn wave_stats_from_view(v: &LineView) -> Option<WaveStats> {
     Some(WaveStats {
-        wave: v.get("wave")?.as_usize()?,
-        size: v.get("size")?.as_usize()?,
-        wall_s: v.get("wall_s")?.as_f64()?,
-        busy_s: v.get("busy_s")?.as_f64()?,
-        cache_hits: v.get("cache_hits")?.as_u64()?,
-        cache_misses: v.get("cache_misses")?.as_u64()?,
+        wave: v.get(Key::Wave)?.as_usize()?,
+        size: v.get(Key::Size)?.as_usize()?,
+        wall_s: v.get(Key::WallS)?.as_f64()?,
+        busy_s: v.get(Key::BusyS)?.as_f64()?,
+        cache_hits: v.get(Key::CacheHits)?.as_u64()?,
+        cache_misses: v.get(Key::CacheMisses)?.as_u64()?,
     })
 }
 
@@ -1256,17 +1565,6 @@ pub struct StoredSession {
     pub dropped_records: usize,
 }
 
-impl StoredSession {
-    /// Rebuilds the [`History`] the stored records describe.
-    pub fn history(&self) -> History {
-        let mut h = History::new();
-        for r in &self.records {
-            h.push(r.clone());
-        }
-        h
-    }
-}
-
 /// A session store directory: `manifest.yaml` + `events.jsonl`.
 #[derive(Clone, Debug)]
 pub struct SessionStore {
@@ -1343,6 +1641,11 @@ impl SessionStore {
     /// [`StoredSession`]. A missing log is an empty (never-run) session;
     /// a torn final line and a trailing incomplete wave are dropped.
     pub fn load(&self) -> Result<StoredSession, StoreError> {
+        self.load_with(read_line)
+    }
+
+    /// [`SessionStore::load`] with each line read by `read`.
+    fn load_with(&self, read: LineReader) -> Result<StoredSession, StoreError> {
         let job = self.manifest()?;
         let path = self.events_path();
         let mut out = StoredSession {
@@ -1364,9 +1667,9 @@ impl SessionStore {
         };
         // Candidates of the wave currently being read.
         let mut pending: Vec<Record> = Vec::new();
-        walk_log(&path, &text, |value| {
-            let kind = value
-                .get("event")
+        walk_log(&path, &text, read, |view| {
+            let kind = view
+                .get(Key::Event)
                 .and_then(JsonValue::as_str)
                 .ok_or("missing event tag")?;
             match kind {
@@ -1388,7 +1691,7 @@ impl SessionStore {
                     out.finished = false;
                 }
                 "candidate" => {
-                    let record = record_from_json(value).ok_or("malformed candidate record")?;
+                    let record = record_from_view(view).ok_or("malformed candidate record")?;
                     let expected = out.records.len() + pending.len();
                     if record.iteration != expected {
                         return Err(format!(
@@ -1399,7 +1702,7 @@ impl SessionStore {
                     pending.push(record);
                 }
                 "wave_completed" => {
-                    let stats = wave_stats_from_json(value).ok_or("malformed wave stats")?;
+                    let stats = wave_stats_from_view(view).ok_or("malformed wave stats")?;
                     if stats.size != pending.len() {
                         return Err(format!(
                             "wave of {} completed but {} candidate(s) were recorded",
@@ -1412,22 +1715,22 @@ impl SessionStore {
                     out.records.append(&mut pending);
                 }
                 "new_best" => {
-                    let iteration = value
-                        .get("iteration")
+                    let iteration = view
+                        .get(Key::Iteration)
                         .and_then(JsonValue::as_usize)
                         .ok_or("malformed new_best")?;
-                    let objective = value
-                        .get("objective")
+                    let objective = view
+                        .get(Key::Objective)
                         .and_then(JsonValue::as_f64)
                         .ok_or("malformed new_best")?;
                     out.new_bests.push((iteration, objective));
                 }
                 "drift_detected" => {
-                    let drift = drift_from_json(value).ok_or("malformed drift_detected")?;
+                    let drift = drift_from_view(view).ok_or("malformed drift_detected")?;
                     out.drift_events.push(drift);
                 }
                 "epoch_started" => {
-                    let epoch = epoch_from_json(value).ok_or("malformed epoch_started")?;
+                    let epoch = epoch_from_view(view).ok_or("malformed epoch_started")?;
                     // A resumed segment re-announces the epoch it picks
                     // up in (epoch 0 on every fresh-start retry, a
                     // re-detected boundary after a dropped wave): the
@@ -1476,26 +1779,37 @@ impl SessionStore {
     /// std::fs::remove_dir_all(&dir).unwrap();
     /// ```
     pub fn verify_chain(&self) -> Result<usize, StoreError> {
+        self.verify_with(read_chain)
+    }
+
+    /// [`SessionStore::verify_chain`] with each line read by `read`.
+    fn verify_with(&self, read: LineReader) -> Result<usize, StoreError> {
         let path = self.events_path();
         match std::fs::read_to_string(&path) {
-            Ok(text) => walk_log(&path, &text, |_| Ok(())),
+            Ok(text) => walk_log(&path, &text, read, |_| Ok(())),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
             Err(source) => Err(StoreError::Io { path, source }),
         }
     }
 }
 
+/// How the walk reads one line into its fields: [`read_line`] for
+/// `load`, [`read_chain`] for `verify_chain`. The tests also walk with
+/// the tree-building reader the streaming one replaced, as the oracle.
+type LineReader = for<'t> fn(&'t str) -> Result<LineView<'t>, JsonError>;
+
 /// The one walk over an event log, shared by [`SessionStore::load`] and
 /// [`SessionStore::verify_chain`]. Blank lines are skipped, an
 /// unparseable *final* line (the torn tail of a killed writer) ends the
 /// walk, and every other line must parse, carry [`FORMAT_VERSION`], and
 /// carry as `prev` the [`line_hash`] of the line before it. `visit` then
-/// sees the line; an error from it is corruption at that line. Returns
-/// the number of lines verified.
+/// sees the line's fields; an error from it is corruption at that line.
+/// Returns the number of lines verified.
 fn walk_log(
     path: &Path,
     text: &str,
-    mut visit: impl FnMut(&JsonValue) -> Result<(), String>,
+    read: LineReader,
+    mut visit: impl FnMut(&mut LineView) -> Result<(), String>,
 ) -> Result<usize, StoreError> {
     let mut chain = CHAIN_GENESIS;
     let mut verified = 0;
@@ -1509,13 +1823,13 @@ fn walk_log(
             line: i + 1,
             message,
         };
-        let value = match JsonValue::parse(raw) {
-            Ok(v) => v,
+        let mut view = match read(raw) {
+            Ok(view) => view,
             Err(_) if lines.peek().is_none() => break,
             Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
         };
-        check_chain(&value, chain)
-            .and_then(|()| visit(&value))
+        check_chain(&view, chain)
+            .and_then(|()| visit(&mut view))
             .map_err(corrupt)?;
         chain = line_hash(raw);
         verified += 1;
@@ -1523,15 +1837,16 @@ fn walk_log(
     Ok(verified)
 }
 
-/// Checks one parsed log line's version stamp and its `prev` hash
-/// against `chain`, the hash of the line before it.
-fn check_chain(value: &JsonValue, chain: u64) -> Result<(), String> {
-    let version = value.get("v").and_then(JsonValue::as_i64).unwrap_or(-1);
+/// Checks one read log line's version stamp and its `prev` hash
+/// against `chain`, the hash of the line before it. An escaped `prev`
+/// is compared unescaped.
+fn check_chain(view: &LineView, chain: u64) -> Result<(), String> {
+    let version = view.get(Key::V).and_then(JsonValue::as_i64).unwrap_or(-1);
     if version != FORMAT_VERSION {
         return Err(format!("unsupported store version {version}"));
     }
-    let prev = value
-        .get("prev")
+    let prev = view
+        .get(Key::Prev)
         .and_then(JsonValue::as_str)
         .ok_or("record missing prev hash")?;
     let expected = chain_hex(chain);
@@ -1900,8 +2215,6 @@ mod tests {
             assert_eq!(stored.duration_s.to_bits(), live.duration_s.to_bits());
             assert_eq!(stored.finished_at_s.to_bits(), live.finished_at_s.to_bits());
         }
-        let history = loaded.history();
-        assert_eq!(history.len(), 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2202,6 +2515,358 @@ mod tests {
             unsupported(store.load().unwrap_err());
             unsupported(store.verify_chain().unwrap_err());
             std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// The tree-based walk the streaming reader replaced, and proof that
+    /// the two accept, reject and load the same ledgers.
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::OnceLock;
+
+        /// Every key name [`Key::of`] knows.
+        const NAMES: [&str; KEYS] = [
+            "v",
+            "prev",
+            "event",
+            "iteration",
+            "objective",
+            "metric",
+            "memory_mb",
+            "crash_phase",
+            "build_skipped",
+            "duration_s",
+            "finished_at_s",
+            "algo_memory_bytes",
+            "epoch",
+            "first_iteration",
+            "at_s",
+            "transfer",
+            "phase",
+            "oracle_metric",
+            "at_iteration",
+            "detector",
+            "signal",
+            "baseline",
+            "wave",
+            "size",
+            "wall_s",
+            "busy_s",
+            "cache_hits",
+            "cache_misses",
+        ];
+
+        /// The oracle reader: the whole line parsed into a tree, each
+        /// field looked up with [`JsonValue::get`] and the configuration
+        /// decoded with [`config_from_json`], as the loader did before it
+        /// streamed.
+        fn read_tree(line: &str) -> Result<LineView<'_>, JsonError> {
+            let tree = JsonValue::parse(line)?;
+            let mut view = LineView {
+                fields: [const { None }; KEYS],
+                config: tree.get("config").map(config_from_json),
+            };
+            for name in NAMES {
+                let key = Key::of(name).expect("a known key");
+                view.fields[key as usize] = tree.get(name).cloned();
+            }
+            Ok(view)
+        }
+
+        #[test]
+        fn every_key_has_its_own_slot() {
+            let mut seen = [false; KEYS];
+            for name in NAMES {
+                let slot = Key::of(name).expect("a known key") as usize;
+                assert!(!seen[slot], "{name} shares a slot");
+                seen[slot] = true;
+            }
+            assert!(Key::of("config").is_none());
+        }
+
+        /// A continuous run's ledger: every event kind the loader reads.
+        fn base_ledger() -> &'static str {
+            static TEXT: OnceLock<String> = OnceLock::new();
+            TEXT.get_or_init(|| {
+                let dir = temp_dir("oracle-base");
+                let store = SessionStore::create(&dir, &Job::default()).unwrap();
+                let mut s = drift_session(36, 2);
+                {
+                    let mut sink = store.sink().unwrap();
+                    let _ = s.run_with(&mut sink);
+                }
+                let text = std::fs::read_to_string(store.events_path()).unwrap();
+                std::fs::remove_dir_all(&dir).unwrap();
+                for kind in ["candidate", "new_best", "drift_detected", "epoch_started"] {
+                    assert!(text.contains(&format!("\"event\":\"{kind}\"")), "{kind}");
+                }
+                text
+            })
+        }
+
+        /// One edit of a ledger; line and pair indices wrap.
+        #[derive(Clone, Debug)]
+        enum Mutation {
+            /// Rotates a line's keys.
+            Reorder { line: usize, by: usize },
+            /// Repeats one of a line's fields with another value, before
+            /// (so the repeat is the first occurrence) or after it.
+            Duplicate {
+                line: usize,
+                pair: usize,
+                before: bool,
+            },
+            /// Spells a line's `prev`, `event` and `phase` strings with
+            /// `\u` escapes.
+            Escape { line: usize },
+            /// Writes one of a line's integers as a float (`3.0`).
+            FloatInt { line: usize, pair: usize },
+            /// Wraps one of a line's values in an array or an object.
+            Nest {
+                line: usize,
+                pair: usize,
+                object: bool,
+            },
+            /// Replaces a line with a JSON document that is no object.
+            NonObject { line: usize, which: usize },
+            /// Inserts an escape, valid or not, into a line's config
+            /// array, or anywhere in a line without one.
+            Insert {
+                line: usize,
+                at: usize,
+                which: usize,
+            },
+        }
+
+        fn mutation() -> impl Strategy<Value = Mutation> {
+            let n = 0usize..1000;
+            prop_oneof![
+                (n.clone(), 1usize..20).prop_map(|(line, by)| Mutation::Reorder { line, by }),
+                (n.clone(), 0usize..20, any::<bool>()).prop_map(|(line, pair, before)| {
+                    Mutation::Duplicate { line, pair, before }
+                }),
+                n.clone().prop_map(|line| Mutation::Escape { line }),
+                (n.clone(), 0usize..20).prop_map(|(line, pair)| Mutation::FloatInt { line, pair }),
+                (n.clone(), 0usize..20, any::<bool>())
+                    .prop_map(|(line, pair, object)| Mutation::Nest { line, pair, object }),
+                (n.clone(), 0usize..6)
+                    .prop_map(|(line, which)| Mutation::NonObject { line, which }),
+                (n, any::<usize>(), 0usize..ESCAPES.len())
+                    .prop_map(|(line, at, which)| Mutation::Insert { line, at, which }),
+            ]
+        }
+
+        /// Escapes, valid and not, for [`Mutation::Insert`].
+        const ESCAPES: [&str; 8] = [
+            "\\u0069",
+            "\\\"",
+            "\\/",
+            "\\ud83d\\ude00",
+            "\\ud83d",
+            "\\u12",
+            "\\q",
+            "\\",
+        ];
+
+        fn pairs_of<'t>(
+            tree: &'t mut JsonValue<'static>,
+        ) -> Option<&'t mut Vec<(Cow<'static, str>, JsonValue<'static>)>> {
+            match tree {
+                JsonValue::Obj(pairs) if !pairs.is_empty() => Some(pairs),
+                _ => None,
+            }
+        }
+
+        /// Another value of the same field, to repeat it with.
+        fn other_value(v: &JsonValue<'static>) -> JsonValue<'static> {
+            match v {
+                JsonValue::Null => JsonValue::Int(0),
+                JsonValue::Bool(b) => JsonValue::Bool(!b),
+                JsonValue::Int(i) => JsonValue::Int(i.wrapping_add(1)),
+                JsonValue::Num(x) => JsonValue::Num(x * 2.0 + 1.0),
+                JsonValue::Str(s) => JsonValue::Str(format!("{s}x").into()),
+                JsonValue::Arr(items) => JsonValue::Arr(items.iter().rev().cloned().collect()),
+                JsonValue::Obj(_) => JsonValue::Null,
+            }
+        }
+
+        /// `s` with every character written as a `\u` escape.
+        fn escaped(s: &str) -> String {
+            s.chars().map(|c| format!("\\u{:04x}", c as u32)).collect()
+        }
+
+        /// Replaces the content of the first `"key":"…"` string in
+        /// `line` with `with(content)`.
+        fn rewrite_string(line: &mut String, key: &str, with: impl Fn(&str) -> String) {
+            let needle = format!("\"{key}\":\"");
+            let Some(at) = line.find(&needle) else { return };
+            let start = at + needle.len();
+            let mut end = start;
+            let bytes = line.as_bytes();
+            while end < bytes.len() && bytes[end] != b'"' {
+                end += if bytes[end] == b'\\' { 2 } else { 1 };
+            }
+            if end >= bytes.len() {
+                return;
+            }
+            let content = with(&line[start..end]);
+            line.replace_range(start..end, &content);
+        }
+
+        /// Applies `mutations` to `base`'s lines and then, with
+        /// `rechain`, rewrites every `prev` (escaped where the line's
+        /// strings were) so the chain holds again and the loader reaches
+        /// the edited fields.
+        fn mutate(base: &str, mutations: &[Mutation], rechain: bool) -> String {
+            let mut lines: Vec<String> = base.lines().map(str::to_string).collect();
+            let mut escape = vec![false; lines.len()];
+            for m in mutations {
+                let line = match m {
+                    Mutation::Reorder { line, .. }
+                    | Mutation::Duplicate { line, .. }
+                    | Mutation::Escape { line }
+                    | Mutation::FloatInt { line, .. }
+                    | Mutation::Nest { line, .. }
+                    | Mutation::NonObject { line, .. }
+                    | Mutation::Insert { line, .. } => line % lines.len(),
+                };
+                if let Mutation::Insert { at, which, .. } = m {
+                    // Into the config array when the line has one: the
+                    // loader decodes it, the chain check reads past it.
+                    let text = &mut lines[line];
+                    let (from, len) = match text.find("\"config\":[") {
+                        Some(start) => (start + 10, text[start..].find(']').unwrap_or(0)),
+                        None => (0, text.len()),
+                    };
+                    let at = from + at % (len + 1);
+                    if text.is_char_boundary(at) {
+                        text.insert_str(at, ESCAPES[*which]);
+                    }
+                    continue;
+                }
+                let Ok(tree) = JsonValue::parse(&lines[line]) else {
+                    continue;
+                };
+                let mut tree = tree.into_owned();
+                match m {
+                    Mutation::Reorder { by, .. } => {
+                        if let Some(pairs) = pairs_of(&mut tree) {
+                            let by = by % pairs.len();
+                            pairs.rotate_left(by);
+                        }
+                    }
+                    Mutation::Duplicate { pair, before, .. } => {
+                        if let Some(pairs) = pairs_of(&mut tree) {
+                            let at = pair % pairs.len();
+                            let repeat = (pairs[at].0.clone(), other_value(&pairs[at].1));
+                            pairs.insert(if *before { at } else { at + 1 }, repeat);
+                        }
+                    }
+                    Mutation::Escape { .. } => escape[line] = true,
+                    Mutation::FloatInt { pair, .. } => {
+                        if let Some(pairs) = pairs_of(&mut tree) {
+                            let ints: Vec<usize> = (0..pairs.len())
+                                .filter(|&i| matches!(pairs[i].1, JsonValue::Int(_)))
+                                .collect();
+                            if !ints.is_empty() {
+                                let at = ints[pair % ints.len()];
+                                let v = pairs[at].1.as_f64().unwrap();
+                                pairs[at].1 = JsonValue::Num(v);
+                            }
+                        }
+                    }
+                    Mutation::Nest { pair, object, .. } => {
+                        if let Some(pairs) = pairs_of(&mut tree) {
+                            let at = pair % pairs.len();
+                            let value = std::mem::replace(&mut pairs[at].1, JsonValue::Null);
+                            pairs[at].1 = if *object {
+                                JsonValue::Obj(vec![("k".into(), value)])
+                            } else {
+                                JsonValue::Arr(vec![value])
+                            };
+                        }
+                    }
+                    // Applied to the line's text above.
+                    Mutation::Insert { .. } => continue,
+                    Mutation::NonObject { which, .. } => {
+                        tree = match which {
+                            0 => JsonValue::Arr(vec![JsonValue::Int(1), JsonValue::Int(2)]),
+                            1 => JsonValue::Str("candidate".into()),
+                            2 => JsonValue::Int(3),
+                            3 => JsonValue::Null,
+                            4 => JsonValue::Arr(Vec::new()),
+                            _ => JsonValue::Obj(Vec::new()),
+                        };
+                    }
+                }
+                lines[line] = tree.encode();
+            }
+            let mut chain = CHAIN_GENESIS;
+            for (line, escape) in lines.iter_mut().zip(escape) {
+                if rechain {
+                    let hex = chain_hex(chain);
+                    rewrite_string(line, "prev", |_| hex.clone());
+                }
+                if escape {
+                    for key in ["prev", "event", "phase"] {
+                        rewrite_string(line, key, escaped);
+                    }
+                }
+                chain = line_hash(line);
+            }
+            lines.join("\n") + "\n"
+        }
+
+        /// XORs each `(position, mask)` into `text`'s bytes (positions
+        /// wrap), then cuts it to `cut` bytes when that is shorter.
+        fn damage(text: String, flips: &[(usize, u8)], cut: usize) -> Vec<u8> {
+            let mut bytes = text.into_bytes();
+            let len = bytes.len();
+            for &(at, mask) in flips {
+                bytes[at % len] ^= mask;
+            }
+            bytes.truncate(cut);
+            bytes
+        }
+
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+
+        /// A result, spelled so that equal spellings are equal results:
+        /// `Debug` prints every float exactly and every error with its
+        /// variant, line and message.
+        fn spell<T: fmt::Debug>(result: Result<T, StoreError>) -> String {
+            format!("{result:?}")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// On mutated ledgers the streaming reader and the tree walk
+            /// agree: equal sessions and counts on success, the same
+            /// variant, line and message on failure.
+            #[test]
+            fn streaming_reads_match_the_tree_walk(
+                mutations in proptest::collection::vec(mutation(), 0..4),
+                rechain in any::<bool>(),
+                flips in proptest::collection::vec((any::<usize>(), 1u8..128), 0..3),
+                cut in prop_oneof![Just(usize::MAX), 0usize..40_000],
+            ) {
+                let dir = temp_dir(&format!("oracle-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+                let store = SessionStore::create(&dir, &Job::default()).unwrap();
+                let text = mutate(base_ledger(), &mutations, rechain);
+                std::fs::write(store.events_path(), damage(text, &flips, cut)).unwrap();
+                prop_assert_eq!(
+                    spell(store.load_with(read_line)),
+                    spell(store.load_with(read_tree))
+                );
+                prop_assert_eq!(
+                    spell(store.verify_with(read_chain)),
+                    spell(store.verify_with(read_tree))
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
         }
     }
 }

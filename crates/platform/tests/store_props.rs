@@ -5,7 +5,9 @@
 //! form (it re-encodes to its own bytes). Bytes that were never a document —
 //! arbitrary input, and valid documents with flipped bytes or cut short —
 //! come back from `JsonValue::parse` and the `wf-evald` frame reader as
-//! an error, never a panic. At the edges `record_strategy` never draws —
+//! an error, never a panic, and so do whole ledgers with flipped bytes,
+//! spliced ranges or cut tails from `SessionStore::load` and
+//! `verify_chain`. At the edges `record_strategy` never draws —
 //! `i64` bounds, non-finite and subnormal floats, both zeros — ledger
 //! lines stay canonical and reload, and the daemon's watch frame of an
 //! event is its ledger line without the chain field.
@@ -701,6 +703,108 @@ proptest! {
             prop_assert_eq!(a.finished_at_s.to_bits(), b.finished_at_s.to_bits());
             prop_assert_eq!(a.algo_memory_bytes, b.algo_memory_bytes);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The loader at its input boundary: damaged ledgers.
+// ---------------------------------------------------------------------------
+
+/// How a written ledger is damaged: flipped bytes, then a copy of one
+/// byte range pasted over another (a splice), then a cut.
+#[derive(Clone, Debug)]
+struct Damage {
+    flips: Vec<(usize, u8)>,
+    splice: Option<(usize, usize, usize)>,
+    cut: usize,
+}
+
+fn damage() -> impl Strategy<Value = Damage> {
+    (
+        // Mostly masks below 0x80, which keep ASCII bytes ASCII, so the
+        // damaged log still reads as text and reaches the parser.
+        proptest::collection::vec(
+            (
+                any::<usize>(),
+                prop_oneof![1u8..0x80, 1u8..0x80, 1u8..0x80, 0x80u8..=0xff],
+            ),
+            0..4,
+        ),
+        prop_oneof![
+            Just(None),
+            (any::<usize>(), any::<usize>(), 1usize..400).prop_map(Some),
+        ],
+        prop_oneof![Just(usize::MAX), 0usize..8192],
+    )
+        .prop_map(|(flips, splice, cut)| Damage { flips, splice, cut })
+}
+
+impl Damage {
+    fn apply(&self, mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes = mutate(bytes, &self.flips, usize::MAX);
+        if let Some((from, to, len)) = self.splice {
+            if !bytes.is_empty() {
+                let from = from % bytes.len();
+                let piece = bytes[from..(from + len).min(bytes.len())].to_vec();
+                let to = to % bytes.len();
+                bytes.splice(to..(to + piece.len()).min(bytes.len()), piece);
+            }
+        }
+        bytes.truncate(self.cut);
+        bytes
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A ledger with flipped bytes, a spliced range or a cut tail loads
+    /// and verifies to a result or an error, never a panic.
+    #[test]
+    fn damaged_ledgers_load_and_verify_without_panicking(
+        waves in proptest::collection::vec(
+            proptest::collection::vec(record_strategy(), 1..4),
+            1..4,
+        ),
+        detector in string_strategy(),
+        damage in damage(),
+    ) {
+        let dir = case_dir();
+        let store = SessionStore::create(&dir, &Job::default()).unwrap();
+        {
+            let mut sink = store.sink().unwrap();
+            let mut iteration = 0;
+            for (w, wave) in waves.iter().enumerate() {
+                for r in wave {
+                    let mut record = r.clone();
+                    record.iteration = iteration;
+                    iteration += 1;
+                    sink.on_event(&SessionEvent::CandidateEvaluated(record));
+                }
+                sink.on_event(&SessionEvent::DriftDetected {
+                    epoch: w,
+                    at_iteration: iteration - 1,
+                    at_s: w as f64,
+                    detector: detector.clone(),
+                    signal: 1.0,
+                    baseline: 2.0,
+                });
+                sink.on_event(&SessionEvent::WaveCompleted(WaveStats {
+                    wave: w,
+                    size: wave.len(),
+                    wall_s: w as f64,
+                    busy_s: 0.0,
+                    cache_hits: 0,
+                    cache_misses: wave.len() as u64,
+                }));
+            }
+            prop_assert!(sink.error().is_none());
+        }
+        let bytes = std::fs::read(store.events_path()).unwrap();
+        std::fs::write(store.events_path(), damage.apply(bytes)).unwrap();
+        let _ = store.load();
+        let _ = store.verify_chain();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

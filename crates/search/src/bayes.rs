@@ -457,6 +457,55 @@ impl BayesOpt {
     }
 }
 
+/// One sampled candidate of a q-EI pool: its configuration, encoding,
+/// expected improvement and fingerprint.
+struct PoolEntry {
+    config: Configuration,
+    x: Vec<f64>,
+    ei: f64,
+    fingerprint: u64,
+}
+
+impl BayesOpt {
+    /// Greedy local penalization over `pool`: up to `n` pool indices of
+    /// distinct fingerprints, each the entry whose EI times
+    /// `Π (1 − corr)` over the picks before it is highest (the first
+    /// such entry on ties). Fewer than `n` when the pool runs out of
+    /// distinct fingerprints. Each entry keeps its running product and
+    /// multiplies in the newest pick's factor, the same product in the
+    /// same order as folding over every pick at every step.
+    fn penalized_picks(&self, pool: &[PoolEntry], n: usize) -> Vec<usize> {
+        let mut picks = Vec::with_capacity(n);
+        let mut penalty = vec![1.0f64; pool.len()];
+        let mut open = vec![true; pool.len()];
+        for _ in 0..n {
+            let mut best_idx = None;
+            let mut best_score = f64::MIN;
+            for (i, entry) in pool.iter().enumerate() {
+                if !open[i] {
+                    continue;
+                }
+                let score = entry.ei * penalty[i];
+                if score > best_score {
+                    best_score = score;
+                    best_idx = Some(i);
+                }
+            }
+            // Pool exhausted of distinct fingerprints: the caller tops
+            // up with fresh samples outside the pool.
+            let Some(pick) = best_idx else { break };
+            picks.push(pick);
+            for (i, entry) in pool.iter().enumerate() {
+                open[i] = open[i] && entry.fingerprint != pool[pick].fingerprint;
+                if open[i] {
+                    penalty[i] *= 1.0 - self.correlation(&entry.x, &pool[pick].x);
+                }
+            }
+        }
+        picks
+    }
+}
+
 /// Candidate-block width of the batched EI scorer: the number of lanes
 /// every stage of [`BayesOpt::ei_batch_body`] works on at once. At 16 a
 /// block's accumulators fill four AVX2 registers (eight SSE2 ones) and
@@ -556,12 +605,6 @@ impl SearchAlgorithm for BayesOpt {
             // the wave — n workers explore n hypotheses instead of one.
             let best = self.standardized_best();
             let pool_n = self.pool.max(4 * n);
-            struct PoolEntry {
-                config: Configuration,
-                x: Vec<f64>,
-                ei: f64,
-                fingerprint: u64,
-            }
             let mut configs = Vec::with_capacity(pool_n);
             let mut xs = Vec::with_capacity(pool_n);
             for _ in 0..pool_n {
@@ -584,38 +627,11 @@ impl SearchAlgorithm for BayesOpt {
                     }
                 })
                 .collect();
-            let mut picked: Vec<Configuration> = Vec::with_capacity(n);
-            let mut picked_xs: Vec<&[f64]> = Vec::with_capacity(n);
+            let mut picked = Vec::with_capacity(n);
             let mut picked_fps = std::collections::HashSet::new();
-            let mut used = vec![false; pool.len()];
-            for _ in 0..n {
-                let mut best_idx = None;
-                let mut best_score = f64::MIN;
-                for (i, entry) in pool.iter().enumerate() {
-                    if used[i] || picked_fps.contains(&entry.fingerprint) {
-                        continue;
-                    }
-                    let penalty: f64 = picked_xs
-                        .iter()
-                        .map(|p| 1.0 - self.correlation(&entry.x, p))
-                        .product();
-                    let score = entry.ei * penalty;
-                    if score > best_score {
-                        best_score = score;
-                        best_idx = Some(i);
-                    }
-                }
-                match best_idx {
-                    Some(i) => {
-                        used[i] = true;
-                        picked_fps.insert(pool[i].fingerprint);
-                        picked.push(pool[i].config.clone());
-                        picked_xs.push(&pool[i].x);
-                    }
-                    // Pool exhausted of distinct fingerprints: top up with
-                    // fresh samples outside the pool.
-                    None => break,
-                }
+            for i in self.penalized_picks(&pool, n) {
+                picked_fps.insert(pool[i].fingerprint);
+                picked.push(pool[i].config.clone());
             }
             fill_distinct(&mut picked, n, ctx, rng, &mut picked_fps);
             picked
@@ -1270,5 +1286,70 @@ mod tests {
         let x = encoder.encode(&space, &space.default_config());
         let (mu, var) = alg.predict(&x);
         assert!(mu.is_finite() && var.is_finite() && var > 0.0);
+    }
+
+    /// Local penalization as a product over every pending pick,
+    /// recomputed for every entry at every step: the form the running
+    /// penalty of [`BayesOpt::penalized_picks`] replaced.
+    fn product_picks(alg: &BayesOpt, pool: &[PoolEntry], n: usize) -> Vec<usize> {
+        let mut picks: Vec<usize> = Vec::new();
+        let mut picked_fps = std::collections::HashSet::new();
+        for _ in 0..n {
+            let mut best_idx = None;
+            let mut best_score = f64::MIN;
+            for (i, entry) in pool.iter().enumerate() {
+                if picks.contains(&i) || picked_fps.contains(&entry.fingerprint) {
+                    continue;
+                }
+                let penalty: f64 = picks
+                    .iter()
+                    .map(|&p| 1.0 - alg.correlation(&entry.x, &pool[p].x))
+                    .product();
+                let score = entry.ei * penalty;
+                if score > best_score {
+                    best_score = score;
+                    best_idx = Some(i);
+                }
+            }
+            let Some(pick) = best_idx else { break };
+            picked_fps.insert(pool[pick].fingerprint);
+            picks.push(pick);
+        }
+        picks
+    }
+
+    #[test]
+    fn running_penalty_picks_match_the_product_form() {
+        let space = wide_space();
+        let encoder = Encoder::new(&space);
+        for seed in 0..4 {
+            let alg = drive_in(BayesOpt::new(), &space, 24, seed);
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let mut configs: Vec<Configuration> = (0..48)
+                .map(|_| SamplePolicy::Uniform.sample(&space, &mut rng))
+                .collect();
+            // Repeats share a fingerprint: only one copy may be picked.
+            configs.extend(configs[..8].to_vec());
+            let xs: Vec<Vec<f64>> = configs.iter().map(|c| encoder.encode(&space, c)).collect();
+            let eis = alg.pool_ei(&xs, alg.standardized_best());
+            let pool: Vec<PoolEntry> = configs
+                .into_iter()
+                .zip(xs)
+                .zip(eis)
+                .map(|((config, x), ei)| PoolEntry {
+                    fingerprint: config.fingerprint(),
+                    config,
+                    x,
+                    ei,
+                })
+                .collect();
+            let picks = alg.penalized_picks(&pool, 4);
+            assert_eq!(picks, product_picks(&alg, &pool, 4), "seed {seed}");
+            assert_eq!(picks.len(), 4);
+            // Past the distinct fingerprints, both stop at the same place.
+            let all = alg.penalized_picks(&pool, pool.len());
+            assert_eq!(all, product_picks(&alg, &pool, pool.len()), "seed {seed}");
+            assert_eq!(all.len(), 48, "one pick per distinct configuration");
+        }
     }
 }

@@ -41,7 +41,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
-use wayfinder::core::{serve_daemon, store_report, BuildError, ServeError};
+use wayfinder::core::{serve_daemon, store_report, target_from_job, BuildError, ServeError};
 use wayfinder::ossim::{first_crash, SimOs, SysctlTree};
 use wayfinder::platform::daemon::{connect, round_trip};
 use wayfinder::platform::store::JsonValue;
@@ -709,16 +709,13 @@ fn resume_job(args: &ResumeArgs) -> ExitCode {
 }
 
 /// Rebuilds the manifest's configuration space for offline naming
-/// through the one authoritative resolution path — building the session
-/// runs zero evaluations, and reusing it keeps the report's space
-/// identical to the one the campaign searched.
+/// through the one authoritative resolution path, so the report's space
+/// is the one the campaign searched. Only the target is materialized:
+/// no session, so no backend, and a `backend: remote` store reports
+/// without launching a `wf-evald` worker.
 fn manifest_space(job: &Job) -> Option<ConfigSpace> {
-    let session = SessionBuilder::from_job(job)
-        .ok()?
-        .registry(wayfinder::scenarios::registry())
-        .build()
-        .ok()?;
-    Some(session.platform().space().clone())
+    let target = target_from_job(job, &wayfinder::scenarios::registry()).ok()?;
+    Some(target.space().clone())
 }
 
 fn report_store(dir: &str) -> ExitCode {

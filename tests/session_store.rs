@@ -393,6 +393,57 @@ fn a_fixed_continuous_job_writes_the_golden_ledger() {
 /// The CLI smoke the CI leg mirrors: run a campaign to completion, run
 /// the same job to half budget, resume it to the full budget, and demand
 /// byte-identical offline reports.
+/// `wfctl report` names the best configuration's parameters from the
+/// manifest's target alone. A `backend: remote` store reports without
+/// launching a `wf-evald` worker, so it still reports with none to find,
+/// and its report is the in-process store's.
+#[test]
+fn wfctl_reports_a_remote_store_with_no_worker_reachable() {
+    let base = temp_dir("remote-report");
+    std::fs::create_dir_all(&base).unwrap();
+    let job = base.join("job.yaml");
+    std::fs::write(
+        &job,
+        "name: remote-report\nos: linux-4.19\nalgorithm: random\nseed: 11\nworkers: 2\nruntime_params: 64\nbudget:\n  iterations: 8\n",
+    )
+    .unwrap();
+    let job = job.to_str().unwrap();
+    let store = |name: &str| base.join(name).to_str().unwrap().to_string();
+    let (inproc, remote) = (store("inproc"), store("remote"));
+    let run = |backend: &str, out: &str| {
+        Command::new(env!("CARGO_BIN_EXE_wfctl"))
+            .args(["run", job, "--backend", backend, "--out", out])
+            .env("WF_EVALD", env!("CARGO_BIN_EXE_wf-evald"))
+            .output()
+            .expect("wfctl runs")
+    };
+    assert!(run("in-process", &inproc).status.success());
+    assert!(run("remote", &remote).status.success());
+    let manifest = std::fs::read_to_string(base.join("remote").join("manifest.yaml")).unwrap();
+    assert!(manifest.contains("backend: remote"), "{manifest}");
+
+    let report = |dir: &str| {
+        let output = Command::new(env!("CARGO_BIN_EXE_wfctl"))
+            .args(["report", dir])
+            .env("WF_EVALD", base.join("no-such-wf-evald"))
+            .output()
+            .expect("wfctl runs");
+        assert!(output.status.success(), "report {dir}");
+        String::from_utf8_lossy(&output.stdout).into_owned()
+    };
+    let remote_report = report(&remote);
+    assert!(
+        remote_report.contains("non-default parameters of the best configuration:"),
+        "parameters are named:\n{remote_report}"
+    );
+    assert!(
+        !remote_report.contains("space unavailable"),
+        "{remote_report}"
+    );
+    assert_eq!(remote_report, report(&inproc));
+    std::fs::remove_dir_all(&base).ok();
+}
+
 #[test]
 fn wfctl_run_resume_report_round_trip() {
     let base = temp_dir("cli");
