@@ -9,18 +9,27 @@ use std::sync::Arc;
 
 /// A complete assignment of one [`Value`] per parameter of a
 /// [`ConfigSpace`], stored positionally.
+///
+/// The values sit in one shared allocation: `clone` bumps a reference
+/// count, and [`Configuration::set`] / [`Configuration::set_by_name`]
+/// copy on write, so a session's record, its history observation and
+/// its ledger event hold one copy of each configuration between them.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Configuration {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Configuration {
     /// Creates a configuration from positional values.
     ///
     /// Prefer [`ConfigSpace::default_config`] / sampling helpers, which
-    /// guarantee domain validity.
+    /// guarantee domain validity. The values are copied into the shared
+    /// allocation; collecting an iterator of known length into a
+    /// `Configuration` fills it in place instead.
     pub fn from_values(values: Vec<Value>) -> Self {
-        Self { values }
+        Self {
+            values: values.into(),
+        }
     }
 
     /// Number of assigned parameters.
@@ -44,7 +53,7 @@ impl Configuration {
     ///
     /// Panics if `idx` is out of bounds.
     pub fn set(&mut self, idx: usize, value: Value) {
-        self.values[idx] = value;
+        Arc::make_mut(&mut self.values)[idx] = value;
     }
 
     /// All values in parameter order.
@@ -62,7 +71,7 @@ impl Configuration {
     pub fn set_by_name(&mut self, space: &ConfigSpace, name: &str, value: Value) -> bool {
         match space.index_of(name) {
             Some(i) if space.spec(i).kind.admits(&value) => {
-                self.values[i] = value;
+                self.set(i, value);
                 true
             }
             _ => false,
@@ -77,7 +86,7 @@ impl Configuration {
             h ^= v;
             h = h.wrapping_mul(0x1000_0000_01b3);
         };
-        for v in &self.values {
+        for v in self.values.iter() {
             match v {
                 Value::Bool(b) => {
                     mix(1);
@@ -164,7 +173,18 @@ impl Configuration {
         assert_eq!(self.values.len(), space.len(), "length mismatch");
         NamedConfig {
             index: Arc::clone(&space.index),
-            values: self.values.clone(),
+            values: self.values.to_vec(),
+        }
+    }
+}
+
+impl FromIterator<Value> for Configuration {
+    /// Collects positional values. An iterator of known length (a mapped
+    /// range or slice) fills the shared allocation in place, with no
+    /// intermediate vector.
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Self {
+            values: iter.into_iter().collect(),
         }
     }
 }
@@ -451,6 +471,53 @@ mod tests {
         assert_eq!(n.get("a"), Some(Value::Int(3)));
         let pairs: Vec<(&str, Value)> = n.iter().collect();
         assert_eq!(pairs, [("a", Value::Int(3)), ("b", Value::Int(2))]);
+    }
+
+    #[test]
+    fn shared_values_copy_on_write_and_keep_their_spellings() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        let s = small_space();
+        let original = s.default_config();
+        let mut by_index = original.clone();
+        assert_eq!(by_index.values().as_ptr(), original.values().as_ptr());
+        by_index.set(1, Value::Bool(true));
+        let mut by_name = original.clone();
+        assert!(by_name.set_by_name(&s, "net.core.somaxconn", Value::Int(4096)));
+        assert_eq!(
+            original,
+            s.default_config(),
+            "a write never reaches the original"
+        );
+        assert_eq!(by_index.get(1), Value::Bool(true));
+        assert_eq!(
+            by_name.by_name(&s, "net.core.somaxconn"),
+            Some(Value::Int(4096))
+        );
+
+        let literal = Configuration::from_values(vec![
+            Value::Bool(true),
+            Value::Tristate(Tristate::Module),
+            Value::Int(-7),
+            Value::Choice(2),
+        ]);
+        assert_eq!(
+            format!("{literal:?}"),
+            "Configuration { values: [Bool(true), Tristate(Module), Int(-7), Choice(2)] }"
+        );
+        assert_eq!(literal.fingerprint(), 0x115d_24e5_31a6_64dc);
+
+        let hash = |c: &Configuration| {
+            let mut h = DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        };
+        let rebuilt = Configuration::from_values(literal.values().to_vec());
+        assert_ne!(rebuilt.values().as_ptr(), literal.values().as_ptr());
+        assert_eq!(rebuilt, literal);
+        assert_eq!(hash(&rebuilt), hash(&literal));
+        assert_eq!(hash(&literal.clone()), hash(&literal));
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl ConfigSpace {
 
     /// The configuration holding every parameter's default.
     pub fn default_config(&self) -> Configuration {
-        Configuration::from_values(self.params.iter().map(|p| p.default).collect())
+        self.params.iter().map(|p| p.default).collect()
     }
 
     /// Samples one value from a parameter's domain.
@@ -155,28 +155,24 @@ impl ConfigSpace {
     /// Samples a uniformly random configuration (fixed parameters keep their
     /// defaults).
     pub fn sample(&self, rng: &mut impl Rng) -> Configuration {
-        Configuration::from_values(
-            (0..self.params.len())
-                .map(|i| self.sample_value(i, rng))
-                .collect(),
-        )
+        (0..self.params.len())
+            .map(|i| self.sample_value(i, rng))
+            .collect()
     }
 
     /// Samples a configuration that randomizes only parameters of `stage`,
     /// leaving the rest at their defaults. Used when a job focuses the
     /// search on one parameter type (§3.5).
     pub fn sample_stage(&self, stage: Stage, rng: &mut impl Rng) -> Configuration {
-        Configuration::from_values(
-            (0..self.params.len())
-                .map(|i| {
-                    if self.params[i].stage == stage {
-                        self.sample_value(i, rng)
-                    } else {
-                        self.params[i].default
-                    }
-                })
-                .collect(),
-        )
+        (0..self.params.len())
+            .map(|i| {
+                if self.params[i].stage == stage {
+                    self.sample_value(i, rng)
+                } else {
+                    self.params[i].default
+                }
+            })
+            .collect()
     }
 
     /// Returns a copy of `base` with `n_changes` randomly chosen non-fixed

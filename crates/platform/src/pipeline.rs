@@ -298,6 +298,9 @@ pub struct Session {
     compute: VirtualClock,
     cache: SharedImageCache,
     history: History,
+    /// The best objective in `history` under [`Session::direction`],
+    /// kept up to date by `finish_wave` so no wave rescans the history.
+    best_objective: Option<f64>,
     rng: StdRng,
     /// Where candidate evaluations execute.
     backend: Box<dyn EvalBackend>,
@@ -392,6 +395,7 @@ impl Session {
             compute: VirtualClock::new(),
             cache: SharedImageCache::new(32),
             history: History::new(),
+            best_objective: None,
             rng,
             backend,
             router: Router::new(spec.routing, workers),
@@ -682,13 +686,15 @@ impl Session {
         }
         self.algo_seconds.push(ask_s + t_tell.seconds());
         let memory_bytes = self.algorithm.stats().memory_bytes;
-        let mut best = self.history.best(direction).and_then(|r| r.objective);
         for mut record in records {
             record.algo_memory_bytes = memory_bytes;
             sink.on_event(&SessionEvent::CandidateEvaluated(record.clone()));
             if let Some(objective) = record.objective {
-                if best.is_none_or(|b| direction.better(objective, b)) {
-                    best = Some(objective);
+                if self
+                    .best_objective
+                    .is_none_or(|b| direction.better(objective, b))
+                {
+                    self.best_objective = Some(objective);
                     sink.on_event(&SessionEvent::NewBest {
                         iteration: record.iteration,
                         objective,
@@ -1587,6 +1593,50 @@ mod tests {
             transfer: false,
         });
         s
+    }
+
+    #[test]
+    fn a_record_its_observation_and_its_event_share_one_configuration() {
+        let mut s = session_with_workers(12, 5, 3);
+        let mut sink = RecordingSink::new();
+        let _ = s.run_with(&mut sink);
+        let records = s.history().records();
+        let observations = s.history().observations();
+        let events: Vec<&Record> = sink
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                SessionEvent::CandidateEvaluated(r) => Some(r),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(records.len(), 12);
+        assert_eq!(events.len(), records.len());
+        for (i, r) in records.iter().enumerate() {
+            let values = r.config.values().as_ptr();
+            assert_eq!(values, observations[i].config.values().as_ptr(), "{i}");
+            assert_eq!(values, events[i].config.values().as_ptr(), "{i}");
+        }
+    }
+
+    #[test]
+    fn the_running_best_tracks_the_history_after_every_wave() {
+        let mut s = drift_session(60, 7, 3);
+        let direction = s.direction();
+        while !s.done() {
+            let _ = s.step_wave();
+            assert_eq!(
+                s.best_objective.map(f64::to_bits),
+                s.history()
+                    .best(direction)
+                    .and_then(|r| r.objective)
+                    .map(f64::to_bits),
+                "after {} records",
+                s.history().len()
+            );
+        }
+        assert!(s.epoch() >= 1, "the run spans an epoch boundary");
+        assert!(s.history().records().iter().any(Record::crashed));
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::metrics::WaveStats;
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use wf_configspace::{Configuration, Tristate, Value};
 use wf_jobfile::Job;
@@ -1026,10 +1026,7 @@ fn read_config(cursor: &mut JsonCursor) -> Result<Option<Configuration>, JsonErr
             _ => values = None,
         }
     }
-    Ok(values.map(|mut values| {
-        values.shrink_to_fit();
-        Configuration::from_values(values)
-    }))
+    Ok(values.map(Configuration::from_values))
 }
 
 fn record_from_view(v: &mut LineView) -> Option<Record> {
@@ -1646,6 +1643,12 @@ impl SessionStore {
 
     /// [`SessionStore::load`] with each line read by `read`.
     fn load_with(&self, read: LineReader) -> Result<StoredSession, StoreError> {
+        self.load_walking(walk_log, read)
+    }
+
+    /// [`SessionStore::load`] with the log walked by `walk` and each line
+    /// read by `read`.
+    fn load_walking(&self, walk: LogWalk, read: LineReader) -> Result<StoredSession, StoreError> {
         let job = self.manifest()?;
         let path = self.events_path();
         let mut out = StoredSession {
@@ -1660,14 +1663,9 @@ impl SessionStore {
             finished: false,
             dropped_records: 0,
         };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(source) => return Err(StoreError::Io { path, source }),
-        };
         // Candidates of the wave currently being read.
         let mut pending: Vec<Record> = Vec::new();
-        walk_log(&path, &text, read, |view| {
+        walk(&path, read, &mut |view| {
             let kind = view
                 .get(Key::Event)
                 .and_then(JsonValue::as_str)
@@ -1784,12 +1782,7 @@ impl SessionStore {
 
     /// [`SessionStore::verify_chain`] with each line read by `read`.
     fn verify_with(&self, read: LineReader) -> Result<usize, StoreError> {
-        let path = self.events_path();
-        match std::fs::read_to_string(&path) {
-            Ok(text) => walk_log(&path, &text, read, |_| Ok(())),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-            Err(source) => Err(StoreError::Io { path, source }),
-        }
+        walk_log(&self.events_path(), read, &mut |_| Ok(()))
     }
 }
 
@@ -1798,34 +1791,89 @@ impl SessionStore {
 /// the tree-building reader the streaming one replaced, as the oracle.
 type LineReader = for<'t> fn(&'t str) -> Result<LineView<'t>, JsonError>;
 
+/// What the walk does with each verified line's fields; an error is
+/// corruption at that line.
+type LineVisit<'v> = dyn FnMut(&mut LineView) -> Result<(), String> + 'v;
+
+/// How a log is walked: [`walk_log`], or in the tests the whole-text walk
+/// it replaced, as the oracle. Returns the number of lines verified.
+type LogWalk = fn(&Path, LineReader, &mut LineVisit) -> Result<usize, StoreError>;
+
 /// The one walk over an event log, shared by [`SessionStore::load`] and
-/// [`SessionStore::verify_chain`]. Blank lines are skipped, an
-/// unparseable *final* line (the torn tail of a killed writer) ends the
-/// walk, and every other line must parse, carry [`FORMAT_VERSION`], and
-/// carry as `prev` the [`line_hash`] of the line before it. `visit` then
-/// sees the line's fields; an error from it is corruption at that line.
-/// Returns the number of lines verified.
-fn walk_log(
+/// [`SessionStore::verify_chain`]. A missing log is an empty one; an
+/// existing one is walked by [`walk_lines`].
+fn walk_log(path: &Path, read: LineReader, visit: &mut LineVisit) -> Result<usize, StoreError> {
+    match File::open(path) {
+        Ok(file) => walk_lines(path, BufReader::with_capacity(1 << 16, file), read, visit),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
+        Err(source) => Err(StoreError::Io {
+            path: path.to_path_buf(),
+            source,
+        }),
+    }
+}
+
+/// Walks the lines of the log at `path`, read from `log`. It holds one
+/// line at a time, so its memory does not grow with the log.
+///
+/// Lines split as [`str::lines`] splits them: at `\n`, with one `\r`
+/// before it dropped, and a final line without a newline still counts;
+/// line numbers count blank lines. Blank lines are skipped. A *final*
+/// line that is not UTF-8 or does not parse is the torn tail of a killed
+/// writer and ends the walk. A line the read ended without a newline
+/// is final; a line with one is final when no byte follows it. A line
+/// cut short is judged by its missing newline alone: a second read
+/// after the end of the file may find bytes a live writer has appended
+/// since, which do not make the cut line whole. Every other line must be
+/// UTF-8, parse, carry [`FORMAT_VERSION`], and carry as `prev` the
+/// [`line_hash`] of the line before it. `visit` then sees the line's
+/// fields.
+fn walk_lines(
     path: &Path,
-    text: &str,
+    mut log: impl BufRead,
     read: LineReader,
-    mut visit: impl FnMut(&mut LineView) -> Result<(), String>,
+    visit: &mut LineVisit,
 ) -> Result<usize, StoreError> {
+    let io_error = |source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    let mut buf = Vec::new();
     let mut chain = CHAIN_GENESIS;
     let mut verified = 0;
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((i, raw)) = lines.next() {
+    let mut number = 0;
+    loop {
+        buf.clear();
+        if log.read_until(b'\n', &mut buf).map_err(io_error)? == 0 {
+            break;
+        }
+        number += 1;
+        let ended = buf.last() == Some(&b'\n');
+        if ended {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let mut is_final = || -> Result<bool, StoreError> {
+            Ok(!ended || log.fill_buf().map_err(io_error)?.is_empty())
+        };
+        let corrupt = |message| StoreError::Corrupt {
+            path: path.to_path_buf(),
+            line: number,
+            message,
+        };
+        let raw = match std::str::from_utf8(&buf) {
+            Ok(raw) => raw,
+            Err(_) if is_final()? => break,
+            Err(e) => return Err(corrupt(format!("not UTF-8: {e}"))),
+        };
         if raw.trim().is_empty() {
             continue;
         }
-        let corrupt = |message| StoreError::Corrupt {
-            path: path.to_path_buf(),
-            line: i + 1,
-            message,
-        };
         let mut view = match read(raw) {
             Ok(view) => view,
-            Err(_) if lines.peek().is_none() => break,
+            Err(_) if is_final()? => break,
             Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
         };
         check_chain(&view, chain)
@@ -2344,6 +2392,142 @@ mod tests {
     }
 
     #[test]
+    fn a_final_line_cut_inside_a_character_is_a_torn_tail() {
+        let dir = temp_dir("torn-utf8");
+        let store = SessionStore::create(&dir, &Job::default()).unwrap();
+        let mut s = session(4, 2);
+        {
+            let mut sink = store.sink().unwrap();
+            let _ = s.run_with(&mut sink);
+        }
+        let before = store.verify_chain().unwrap();
+        let phase = "nuit – été";
+        {
+            let mut sink = store.sink().unwrap();
+            sink.on_event(&SessionEvent::EpochStarted {
+                epoch: 1,
+                first_iteration: 4,
+                at_s: 1.0,
+                transfer: false,
+                phase: phase.to_string(),
+                oracle_metric: 2.0,
+            });
+            sink.flush().unwrap();
+        }
+        let whole = store.load().unwrap();
+        assert_eq!(whole.epochs.last().map(|e| e.phase.as_str()), Some(phase));
+        assert_eq!(store.verify_chain().unwrap(), before + 1);
+
+        // Cut one byte into the three-byte dash: the final line is no
+        // longer UTF-8, and is dropped like any other torn tail.
+        let bytes = std::fs::read(store.events_path()).unwrap();
+        let dash = bytes.len() - bytes.iter().rev().position(|&b| b == 0xe2).unwrap() - 1;
+        std::fs::write(store.events_path(), &bytes[..dash + 1]).unwrap();
+        let torn = store.load().unwrap();
+        assert_eq!(torn.records.len(), 4);
+        assert!(torn.epochs.iter().all(|e| e.phase != phase));
+        assert_eq!(store.verify_chain().unwrap(), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log a writer is still appending to: each read returns the next
+    /// chunk, and an empty chunk is an end of file that a later read
+    /// reads past.
+    struct Appending(std::collections::VecDeque<Vec<u8>>);
+
+    impl io::Read for Appending {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.0.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(out.len());
+            out[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.0.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_line_cut_by_a_live_writer_is_a_torn_tail() {
+        let dir = temp_dir("live-writer");
+        let store = SessionStore::create(&dir, &Job::default()).unwrap();
+        let mut s = session(4, 2);
+        {
+            let mut sink = store.sink().unwrap();
+            let _ = s.run_with(&mut sink);
+            sink.on_event(&SessionEvent::EpochStarted {
+                epoch: 1,
+                first_iteration: 4,
+                at_s: 1.0,
+                transfer: false,
+                phase: "nuit – été".to_string(),
+                oracle_metric: 2.0,
+            });
+            sink.flush().unwrap();
+        }
+        let whole = store.verify_chain().unwrap();
+        let bytes = std::fs::read(store.events_path()).unwrap();
+        let last = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let dash = bytes.iter().rposition(|&b| b == 0xe2).unwrap();
+        // The reader meets the end of the file inside the last line, at
+        // an ASCII byte (bad JSON) or inside the dash (not UTF-8); by its
+        // next read the writer has appended the rest of the line.
+        for cut in [last + 10, dash + 1] {
+            for read in [read_line as LineReader, read_chain] {
+                let chunks = [&bytes[..cut], &[], &bytes[cut..]];
+                let log = BufReader::new(Appending(chunks.map(<[u8]>::to_vec).into()));
+                let walked = walk_lines(&store.events_path(), log, read, &mut |_| Ok(()));
+                assert_eq!(walked.unwrap(), whole - 1, "cut at byte {cut}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_mid_file_line_that_is_not_utf8_is_corrupt_at_that_line() {
+        let dir = temp_dir("mid-utf8");
+        let store = SessionStore::create(&dir, &Job::default()).unwrap();
+        let mut s = session(4, 2);
+        {
+            let mut sink = store.sink().unwrap();
+            let _ = s.run_with(&mut sink);
+        }
+        let mut bytes = std::fs::read(store.events_path()).unwrap();
+        let third = bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .nth(1)
+            .map(|(at, _)| at + 1)
+            .unwrap();
+        let tag = b"\"event\":\"";
+        let at = third
+            + bytes[third..]
+                .windows(tag.len())
+                .position(|w| w == tag)
+                .unwrap();
+        bytes[at + tag.len()] = 0xff;
+        std::fs::write(store.events_path(), &bytes).unwrap();
+        for result in [store.load().map(|_| 0), store.verify_chain()] {
+            match result {
+                Err(StoreError::Corrupt { line, message, .. }) => {
+                    assert_eq!(line, 3);
+                    assert!(message.contains("UTF-8"), "{message}");
+                }
+                other => panic!("expected Corrupt at line 3, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn mid_file_corruption_is_a_hard_error() {
         let dir = temp_dir("corrupt");
         let store = SessionStore::create(&dir, &Job::default()).unwrap();
@@ -2518,13 +2702,57 @@ mod tests {
         }
     }
 
-    /// The tree-based walk the streaming reader replaced, and proof that
-    /// the two accept, reject and load the same ledgers.
+    /// The tree-based line reader and the whole-text walk the streaming
+    /// reader replaced, and proof that old and new accept, reject and
+    /// load the same ledgers.
     mod oracle {
         use super::*;
         use proptest::prelude::*;
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::OnceLock;
+
+        /// The oracle walk: the whole log read into one string and split
+        /// with [`str::lines`], a line final when no line follows it.
+        fn walk_text(
+            path: &Path,
+            read: LineReader,
+            visit: &mut LineVisit,
+        ) -> Result<usize, StoreError> {
+            let text = match std::fs::read_to_string(path) {
+                Ok(text) => text,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+                Err(source) => {
+                    return Err(StoreError::Io {
+                        path: path.to_path_buf(),
+                        source,
+                    })
+                }
+            };
+            let mut chain = CHAIN_GENESIS;
+            let mut verified = 0;
+            let mut lines = text.lines().enumerate().peekable();
+            while let Some((i, raw)) = lines.next() {
+                if raw.trim().is_empty() {
+                    continue;
+                }
+                let corrupt = |message| StoreError::Corrupt {
+                    path: path.to_path_buf(),
+                    line: i + 1,
+                    message,
+                };
+                let mut view = match read(raw) {
+                    Ok(view) => view,
+                    Err(_) if lines.peek().is_none() => break,
+                    Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
+                };
+                check_chain(&view, chain)
+                    .and_then(|()| visit(&mut view))
+                    .map_err(corrupt)?;
+                chain = line_hash(raw);
+                verified += 1;
+            }
+            Ok(verified)
+        }
 
         /// Every key name [`Key::of`] knows.
         const NAMES: [&str; KEYS] = [
@@ -2831,6 +3059,64 @@ mod tests {
             bytes
         }
 
+        /// One edit of a ledger's line framing; line indices wrap.
+        #[derive(Clone, Debug)]
+        enum Framing {
+            /// Ends a line with `\r\n`.
+            Crlf { line: usize },
+            /// Puts a blank or whitespace-only line before a line.
+            Blank { line: usize, which: usize },
+            /// Puts a lone `\r` into a line, at a wrapped byte offset.
+            LoneCr { line: usize, at: usize },
+        }
+
+        fn framing() -> impl Strategy<Value = Framing> {
+            let n = 0usize..1000;
+            prop_oneof![
+                n.clone().prop_map(|line| Framing::Crlf { line }),
+                (n.clone(), 0usize..BLANKS.len())
+                    .prop_map(|(line, which)| Framing::Blank { line, which }),
+                (n, any::<usize>()).prop_map(|(line, at)| Framing::LoneCr { line, at }),
+            ]
+        }
+
+        /// Blank and whitespace-only lines for [`Framing::Blank`].
+        const BLANKS: [&str; 4] = ["", " ", "\t \t", "\r"];
+
+        /// `base` with `edits` applied to its framing, every line kept
+        /// as it was written, and the final newline dropped unless
+        /// `final_newline`.
+        fn reframe(base: &str, edits: &[Framing], final_newline: bool) -> String {
+            let mut lines: Vec<(String, &str)> =
+                base.lines().map(|l| (l.to_string(), "\n")).collect();
+            let n = lines.len();
+            let mut before: Vec<Vec<&str>> = vec![Vec::new(); n];
+            for edit in edits {
+                match *edit {
+                    Framing::Crlf { line } => lines[line % n].1 = "\r\n",
+                    Framing::Blank { line, which } => before[line % n].push(BLANKS[which]),
+                    Framing::LoneCr { line, at } => {
+                        let text = &mut lines[line % n].0;
+                        text.insert(at % (text.len() + 1), '\r');
+                    }
+                }
+            }
+            let mut out = String::new();
+            for ((text, end), blanks) in lines.iter().zip(&before) {
+                for blank in blanks {
+                    out.push_str(blank);
+                    out.push('\n');
+                }
+                out.push_str(text);
+                out.push_str(end);
+            }
+            if !final_newline {
+                let end = lines.last().map_or(0, |(_, end)| end.len());
+                out.truncate(out.len() - end);
+            }
+            out
+        }
+
         static CASE: AtomicUsize = AtomicUsize::new(0);
 
         /// A result, spelled so that equal spellings are equal results:
@@ -2864,6 +3150,34 @@ mod tests {
                 prop_assert_eq!(
                     spell(store.verify_with(read_chain)),
                     spell(store.verify_with(read_tree))
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+
+            /// The line-at-a-time walk frames lines as the whole-text walk
+            /// did: CRLF endings, blank and whitespace-only lines, lone
+            /// `\r`s, a missing final newline and a cut at any byte give
+            /// the same sessions, counts and errors.
+            #[test]
+            fn streaming_walk_frames_lines_like_the_whole_text_walk(
+                edits in proptest::collection::vec(framing(), 0..6),
+                final_newline in any::<bool>(),
+                cut in prop_oneof![Just(usize::MAX), any::<usize>()],
+            ) {
+                let base = base_ledger();
+                prop_assert!(base.is_ascii(), "a cut never splits a character");
+                let dir = temp_dir(&format!("frame-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+                let store = SessionStore::create(&dir, &Job::default()).unwrap();
+                let mut bytes = reframe(base, &edits, final_newline).into_bytes();
+                bytes.truncate(cut % (bytes.len() + 1));
+                std::fs::write(store.events_path(), &bytes).unwrap();
+                prop_assert_eq!(
+                    spell(store.load()),
+                    spell(store.load_walking(walk_text, read_line))
+                );
+                prop_assert_eq!(
+                    spell(store.verify_chain()),
+                    spell(walk_text(&store.events_path(), read_chain, &mut |_| Ok(())))
                 );
                 std::fs::remove_dir_all(&dir).unwrap();
             }
