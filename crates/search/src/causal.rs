@@ -962,6 +962,41 @@ mod tests {
     }
 
     #[test]
+    fn sweep_test_counts_are_pinned_on_a_fixed_stream() {
+        // Both skeleton modes share one conditioning-set enumeration, so
+        // the equivalence tests above cannot see a change in its order.
+        // The number of statistics each mode computes on a fixed stream
+        // can: any reordering moves the first separating set and the count.
+        let space = space(12);
+        let encoder = Encoder::new(&space);
+        let policy = SamplePolicy::Uniform;
+        let mut incremental = CausalSearch::new();
+        let mut scratch = CausalSearch::new().with_scratch_skeleton(true);
+        let mut rng = StdRng::seed_from_u64(41);
+        let history: Vec<Observation> = Vec::new();
+        for i in 0..48 {
+            let ctx = SearchContext {
+                space: &space,
+                encoder: &encoder,
+                direction: Direction::Maximize,
+                policy: &policy,
+                history: &history,
+                iteration: i,
+            };
+            let c = ctx.policy.sample(ctx.space, &mut rng);
+            let y = c.by_name(&space, "p0").unwrap().as_f64()
+                - 0.3 * c.by_name(&space, "p3").unwrap().as_f64();
+            let obs = Observation::ok(c, y, 1.0);
+            incremental.observe(&ctx, &obs);
+            scratch.observe(&ctx, &obs);
+        }
+        assert_eq!(incremental.tests_performed(), 3638);
+        assert_eq!(scratch.tests_performed(), 3647);
+        assert_eq!(incremental.adjacency[12], vec![0]);
+        assert_eq!(scratch.adjacency, incremental.adjacency);
+    }
+
+    #[test]
     fn ci_budget_caps_conditional_tests_per_rebuild() {
         let space = space(16);
         let encoder = Encoder::new(&space);
