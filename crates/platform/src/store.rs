@@ -72,7 +72,7 @@ use crate::metrics::WaveStats;
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use wf_configspace::{Configuration, Tristate, Value};
 use wf_jobfile::Job;
@@ -1384,26 +1384,58 @@ impl JsonlSink {
 /// killed mid-write) so the log ends at a record boundary again, and
 /// returns the chain state a sink appending to `path` starts from: the
 /// hash of the last non-blank line that remains, or [`CHAIN_GENESIS`]
-/// for a missing or empty log. The log is read once for both.
+/// for a missing or empty log. Lines split as [`str::lines`] splits
+/// them. The log is read backward from its end in [`TAIL_CHUNK`] pieces,
+/// only as far as that line, so reopening a long log costs a few reads
+/// however long it is; only the lines walked back over must be UTF-8.
 fn heal_torn_tail(path: &Path) -> io::Result<u64> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
+    let mut log = match OpenOptions::new().read(true).write(true).open(path) {
+        Ok(log) => log,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CHAIN_GENESIS),
         Err(e) => return Err(e),
     };
-    let keep = bytes.iter().rposition(|b| *b == b'\n').map_or(0, |p| p + 1);
-    if keep < bytes.len() {
-        OpenOptions::new()
-            .write(true)
-            .open(path)?
-            .set_len(keep as u64)?;
+    let len = log.metadata()?.len();
+    let keep = line_start(&mut log, len)?;
+    if keep < len {
+        log.set_len(keep)?;
     }
-    let text = std::str::from_utf8(&bytes[..keep])
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok(text
-        .lines()
-        .rfind(|l| !l.trim().is_empty())
-        .map_or(CHAIN_GENESIS, line_hash))
+    let mut line = Vec::new();
+    let mut end = keep;
+    while end > 0 {
+        // Each remaining line ends in a newline at `end - 1`.
+        let start = line_start(&mut log, end - 1)?;
+        line.resize((end - 1 - start) as usize, 0);
+        log.seek(SeekFrom::Start(start))?;
+        log.read_exact(&mut line)?;
+        let text = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(&line))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        if !text.trim().is_empty() {
+            return Ok(line_hash(text));
+        }
+        end = start;
+    }
+    Ok(CHAIN_GENESIS)
+}
+
+/// Bytes [`heal_torn_tail`] reads per step back from the end of a log:
+/// more than one candidate line of a large configuration space.
+const TAIL_CHUNK: usize = 1 << 14;
+
+/// The offset just past the last newline among the first `end` bytes of
+/// `log`, or 0 if there is none, read backward in [`TAIL_CHUNK`] pieces.
+fn line_start(log: &mut File, end: u64) -> io::Result<u64> {
+    let mut chunk = [0; TAIL_CHUNK];
+    let mut pos = end;
+    while pos > 0 {
+        let n = pos.min(TAIL_CHUNK as u64) as usize;
+        pos -= n as u64;
+        log.seek(SeekFrom::Start(pos))?;
+        log.read_exact(&mut chunk[..n])?;
+        if let Some(i) = chunk[..n].iter().rposition(|&b| b == b'\n') {
+            return Ok(pos + i as u64 + 1);
+        }
+    }
+    Ok(0)
 }
 
 impl EventSink for JsonlSink {
@@ -2352,6 +2384,71 @@ mod tests {
         let full = store.load().unwrap();
         assert_eq!(full.records.len(), 6);
         assert!(full.finished);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_chain_seed_reads_back_over_a_line_longer_than_a_chunk() {
+        // The whole-file answer the backward read must reproduce: the hash
+        // of the last non-blank line before the final newline.
+        fn whole_file_seed(path: &Path) -> u64 {
+            let bytes = std::fs::read(path).unwrap();
+            let keep = bytes.iter().rposition(|b| *b == b'\n').map_or(0, |p| p + 1);
+            std::str::from_utf8(&bytes[..keep])
+                .unwrap()
+                .lines()
+                .rfind(|l| !l.trim().is_empty())
+                .map_or(CHAIN_GENESIS, line_hash)
+        }
+        let dir = temp_dir("heal-long");
+        let store = SessionStore::create(&dir, &Job::default()).unwrap();
+        let mut s = session(4, 2);
+        {
+            let mut sink = store.sink().unwrap();
+            let _ = s.run_with(&mut sink);
+        }
+        let before = store.verify_chain().unwrap();
+        // A final line several chunks long, of two-byte characters so the
+        // chunk boundaries fall inside some of them.
+        {
+            let mut sink = store.sink().unwrap();
+            sink.on_event(&SessionEvent::EpochStarted {
+                epoch: 1,
+                first_iteration: 4,
+                at_s: 1.0,
+                transfer: false,
+                phase: "é".repeat(TAIL_CHUNK + 7),
+                oracle_metric: 2.0,
+            });
+            sink.flush().unwrap();
+        }
+        // End it with CRLF, then blank and CRLF lines, then a torn line.
+        let path = store.events_path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.pop();
+        bytes.extend_from_slice(b"\r\n\n \t\r\n\r\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let expected = whole_file_seed(&path);
+        assert_ne!(expected, CHAIN_GENESIS);
+        let mut torn = bytes.clone();
+        torn.extend_from_slice(b"{\"v\":3,\"ev");
+        std::fs::write(&path, &torn).unwrap();
+
+        assert_eq!(heal_torn_tail(&path).unwrap(), expected);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "only the torn line goes"
+        );
+        {
+            let mut sink = store.sink().unwrap();
+            sink.on_event(&SessionEvent::NewBest {
+                iteration: 4,
+                objective: 1.0,
+            });
+            sink.flush().unwrap();
+        }
+        assert_eq!(store.verify_chain().unwrap(), before + 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

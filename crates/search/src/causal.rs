@@ -34,16 +34,13 @@
 //!   `refit_equivalence` proptests at the workspace root and the doctest
 //!   below).
 //!
-//! [`CausalSearch::with_ci_budget`] additionally caps the order ≥ 1
-//! conditional tests a single rebuild may spend. Sepset reuse makes the
-//! cap go far — stable edges cost one test each — but an exhausted budget
-//! trusts the previous wave's verdicts for the rest of the sweep, so a
-//! budgeted skeleton is an explicit approximation and is *not* covered by
-//! the equivalence guarantee.
+//! Both skeleton modes walk one in-place conditioning-set enumeration;
+//! they differ only in the stored-sepset hint the default tries first and
+//! in the scratch profile's test cache.
 //!
 //! What still grows: as data accumulates, more edges become statistically
 //! significant, so node degrees grow and the number of conditional tests
-//! grows superlinearly (sepset reuse blunts, budget caps). In the scratch
+//! grows superlinearly (sepset reuse blunts this). In the scratch
 //! profile, test results are additionally cached across iterations keyed
 //! by sample count (recomputation is the algorithm, caching is the
 //! memory), so memory grows with every iteration — the Fig. 7 blow-up.
@@ -116,8 +113,6 @@ use wf_configspace::Configuration;
 pub struct CausalSearch {
     /// Significance threshold for Fisher-z tests.
     z_threshold: f64,
-    /// Highest conditioning-set order tested (Unicorn uses small orders).
-    max_order: usize,
     /// Random proposals before the first graph is built.
     n_init: usize,
     /// Candidate pool size per proposal.
@@ -129,10 +124,6 @@ pub struct CausalSearch {
     /// every rebuild, with the sample-count-keyed test cache (the
     /// published profile; implied by `scratch_stats`).
     scratch_skeleton: bool,
-    /// Cap on order ≥ 1 conditional-independence tests per rebuild
-    /// (`None` = unlimited; the only mode covered by the equivalence
-    /// guarantee).
-    ci_budget: Option<usize>,
 
     xs: Vec<Vec<f64>>,
     ys: Vec<f64>,
@@ -173,12 +164,10 @@ impl CausalSearch {
     pub fn new() -> Self {
         CausalSearch {
             z_threshold: 1.96,
-            max_order: 2,
             n_init: 10,
             pool: 100,
             scratch_stats: false,
             scratch_skeleton: false,
-            ci_budget: None,
             xs: Vec::new(),
             ys: Vec::new(),
             sums: Vec::new(),
@@ -223,19 +212,6 @@ impl CausalSearch {
         self
     }
 
-    /// Caps the order ≥ 1 conditional-independence tests a single rebuild
-    /// may spend (level-0 marginal tests are always run — they are the
-    /// skeleton's base). Sepset reuse stretches the budget: a previously
-    /// separated edge usually re-confirms with one test. When the budget
-    /// is exhausted mid-sweep, the remaining edges inherit the previous
-    /// wave's verdicts (separated edges stay separated, the rest keep
-    /// their level-0 state) — an explicit approximation, excluded from
-    /// the scratch-equivalence guarantee.
-    pub fn with_ci_budget(mut self, budget: usize) -> Self {
-        self.ci_budget = Some(budget);
-        self
-    }
-
     /// Bookkeeping for the persisted sepset map (hash maps are never
     /// iterated for accounting, so bytes are tracked at mutation).
     fn sepset_insert(&mut self, key: (u32, u32), s: Vec<usize>) {
@@ -246,10 +222,63 @@ impl CausalSearch {
         self.sepset_bytes += added;
     }
 
-    fn sepset_remove(&mut self, key: &(u32, u32)) {
-        if let Some(old) = self.sepsets.remove(key) {
-            self.sepset_bytes -= SEPSET_ENTRY_BYTES + old.len() * 8;
+    fn sepset_remove(&mut self, key: &(u32, u32)) -> Option<Vec<usize>> {
+        let old = self.sepsets.remove(key)?;
+        self.sepset_bytes -= SEPSET_ENTRY_BYTES + old.len() * 8;
+        Some(old)
+    }
+
+    /// Takes the edge's stored sepset out of the map if it is one of this
+    /// order's candidate sets, to be re-tested first. Any other stored set
+    /// stays put: re-testing it could make the edge decision diverge from
+    /// the scratch sweep. The scratch sweep stores no sepsets, so it never
+    /// has a hint.
+    fn take_hint(
+        &mut self,
+        key: (u32, u32),
+        order: usize,
+        neighbors: &[usize],
+    ) -> Option<Vec<usize>> {
+        let h = self.sepsets.get(&key)?;
+        if h.len() == order && h.iter().all(|k| neighbors.binary_search(k).is_ok()) {
+            self.sepset_remove(&key)
+        } else {
+            None
         }
+    }
+
+    /// The first set of `order` elements of `neighbors` (sorted and
+    /// deduped) that separates `i` and `j`, walking `[k]`, or `[k, l]`
+    /// with `k < l`, in lexicographic order. Only the separating set is
+    /// allocated.
+    #[allow(clippy::too_many_arguments)]
+    fn first_separating_set(
+        &mut self,
+        corr: &[f64],
+        vars: usize,
+        i: usize,
+        j: usize,
+        neighbors: &[usize],
+        order: usize,
+        n: usize,
+    ) -> Option<Vec<usize>> {
+        debug_assert!((1..=MAX_ORDER).contains(&order));
+        if order == 1 {
+            for &k in neighbors {
+                if !self.fisher_dependent(corr, vars, i, j, &[k], n) {
+                    return Some(vec![k]);
+                }
+            }
+        } else {
+            for (a, &k) in neighbors.iter().enumerate() {
+                for &l in &neighbors[a + 1..] {
+                    if !self.fisher_dependent(corr, vars, i, j, &[k, l], n) {
+                        return Some(vec![k, l]);
+                    }
+                }
+            }
+        }
+        None
     }
 
     /// Folds one (features, outcome) row into the running raw-moment
@@ -326,108 +355,54 @@ impl CausalSearch {
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); vars];
         for i in 0..vars {
             for j in 0..i {
-                let r = corr[i * vars + j];
-                if self.fisher_dependent(i, j, &[], r, n) {
+                if self.fisher_dependent(&corr, vars, i, j, &[], n) {
                     adj[i].push(j);
                     adj[j].push(i);
                 }
             }
         }
 
-        // Level 1..max_order: try to separate each edge by conditioning on
-        // common neighbors (PC algorithm). Degrees grow with data, so this
-        // is the superlinear part. The incremental sweep re-tests each
-        // previously separated edge's stored sepset first (one test while
-        // the statistics keep supporting the separation) before falling
-        // back to the full enumeration; the edge decision is the same
-        // "does some candidate set separate the pair?" either way, so the
-        // skeleton matches the scratch sweep bit for bit.
-        let mut remaining: usize = self.ci_budget.unwrap_or(usize::MAX);
-        for order in 1..=self.max_order {
+        // Levels 1..=MAX_ORDER: try to separate each edge by conditioning
+        // on common neighbors (PC algorithm). Degrees grow with data, so
+        // this is the superlinear part. Both skeleton modes run the same
+        // enumeration; the incremental sweep only re-tests a previously
+        // separated edge's stored sepset first (one test while the
+        // statistics keep supporting the separation). The edge decision is
+        // the same "does some candidate set separate the pair?" either way,
+        // so the skeleton matches the scratch sweep bit for bit.
+        let mut neighbors: Vec<usize> = Vec::new();
+        for order in 1..=MAX_ORDER {
             let edges: Vec<(usize, usize)> = (0..vars)
                 .flat_map(|i| adj[i].iter().filter(move |&&j| j < i).map(move |&j| (i, j)))
                 .collect();
             for (i, j) in edges {
                 let key = (i as u32, j as u32);
-                let mut neighbors: Vec<usize> = adj[i]
-                    .iter()
-                    .chain(adj[j].iter())
-                    .copied()
-                    .filter(|&k| k != i && k != j)
-                    .collect();
+                neighbors.clear();
+                neighbors.extend(
+                    adj[i]
+                        .iter()
+                        .chain(adj[j].iter())
+                        .filter(|&&k| k != i && k != j),
+                );
                 neighbors.sort_unstable();
                 neighbors.dedup();
-                let mut separated: Option<Vec<usize>> = None;
-                if self.scratch_skeleton {
-                    for s in conditioning_sets(&neighbors, order) {
-                        let pr = partial_corr(&corr, vars, i, j, &s);
-                        if !self.fisher_dependent(i, j, &s, pr, n) {
-                            separated = Some(s);
-                            break;
-                        }
-                    }
-                } else {
-                    if remaining == 0 {
-                        // Budget exhausted: inherit the previous wave's
-                        // verdict instead of testing.
-                        if self.sepsets.contains_key(&key) {
-                            adj[i].retain(|&k| k != j);
-                            adj[j].retain(|&k| k != i);
-                        }
-                        continue;
-                    }
-                    // The stored sepset is only a reordering hint: it must
-                    // be one of this sweep's candidate sets, otherwise the
-                    // edge decision could diverge from the scratch sweep.
-                    let hint: Option<Vec<usize>> = self
-                        .sepsets
-                        .get(&key)
-                        .filter(|h| {
-                            h.len() == order && h.iter().all(|k| neighbors.binary_search(k).is_ok())
-                        })
-                        .cloned();
-                    let mut hint_failed = false;
-                    if let Some(h) = hint {
-                        remaining -= 1;
-                        let pr = partial_corr(&corr, vars, i, j, &h);
-                        if !self.fisher_dependent(i, j, &h, pr, n) {
-                            separated = Some(h);
-                        } else {
-                            hint_failed = true;
-                        }
-                    }
-                    if separated.is_none() {
-                        let mut truncated = false;
-                        for s in conditioning_sets(&neighbors, order) {
-                            if remaining == 0 {
-                                truncated = true;
-                                break;
-                            }
-                            remaining -= 1;
-                            let pr = partial_corr(&corr, vars, i, j, &s);
-                            if !self.fisher_dependent(i, j, &s, pr, n) {
-                                separated = Some(s);
-                                break;
-                            }
-                        }
-                        // Drop a stored separation once it is disproven:
-                        // either its re-test failed, or the edge survived
-                        // a complete final-order enumeration. (A sweep at
-                        // a lower order must not evict a higher-order
-                        // sepset it never re-tested.)
-                        if separated.is_none()
-                            && (hint_failed || (order == self.max_order && !truncated))
-                        {
-                            self.sepset_remove(&key);
-                        }
-                    }
-                }
+                // A stored sepset that fails its re-test stays out of the
+                // map: the evidence no longer supports that separation.
+                let separated = self
+                    .take_hint(key, order, &neighbors)
+                    .filter(|h| !self.fisher_dependent(&corr, vars, i, j, h, n))
+                    .or_else(|| self.first_separating_set(&corr, vars, i, j, &neighbors, order, n));
                 if let Some(s) = separated {
                     adj[i].retain(|&k| k != j);
                     adj[j].retain(|&k| k != i);
                     if !self.scratch_skeleton {
                         self.sepset_insert(key, s);
                     }
+                } else if order == MAX_ORDER {
+                    // A complete enumeration at the final order disproves
+                    // a stored separation. (A sweep at a lower order must
+                    // not evict a higher-order sepset it never re-tested.)
+                    self.sepset_remove(&key);
                 }
             }
         }
@@ -534,12 +509,22 @@ impl CausalSearch {
         df.sqrt() * 0.5 * ((1.0 + r) / (1.0 - r)).ln()
     }
 
-    /// Fisher-z conditional dependence test. The scratch profile caches
-    /// every statistic forever, keyed by the sample count — so every
-    /// iteration adds fresh entries (the Fig. 7 memory story). The
-    /// incremental profile recomputes: the statistic is a handful of
-    /// flops, cheaper than hashing its key.
-    fn fisher_dependent(&mut self, i: usize, j: usize, s: &[usize], r: f64, n: usize) -> bool {
+    /// Fisher-z test of whether `i` and `j` stay dependent given `s`, over
+    /// the `vars × vars` correlation matrix `corr` of `n` samples. The
+    /// scratch profile caches every statistic forever, keyed by the sample
+    /// count — so every iteration adds fresh entries (the Fig. 7 memory
+    /// story). The incremental profile recomputes: the statistic is a
+    /// handful of flops, cheaper than hashing its key.
+    fn fisher_dependent(
+        &mut self,
+        corr: &[f64],
+        vars: usize,
+        i: usize,
+        j: usize,
+        s: &[usize],
+        n: usize,
+    ) -> bool {
+        let r = partial_corr(corr, vars, i, j, s);
         let z = if self.scratch_skeleton {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for &v in s {
@@ -568,52 +553,25 @@ impl CausalSearch {
 /// key, the `Vec` header, and hash-table slot overhead.
 const SEPSET_ENTRY_BYTES: usize = 40;
 
-/// All conditioning sets of exactly `order` elements (bounded enumeration).
-fn conditioning_sets(neighbors: &[usize], order: usize) -> Vec<Vec<usize>> {
-    let mut uniq: Vec<usize> = neighbors.to_vec();
-    uniq.sort_unstable();
-    uniq.dedup();
-    match order {
-        1 => uniq.iter().map(|&k| vec![k]).collect(),
-        2 => {
-            let mut out = Vec::new();
-            for a in 0..uniq.len() {
-                for b in a + 1..uniq.len() {
-                    out.push(vec![uniq[a], uniq[b]]);
-                }
-            }
-            out
-        }
-        _ => Vec::new(),
-    }
-}
+/// Highest conditioning-set order the PC sweep tests (Unicorn uses small
+/// orders).
+const MAX_ORDER: usize = 2;
 
-/// Partial correlation of (i, j) given S (|S| ≤ 2), by recursion.
+/// Partial correlation of (i, j) given S, by recursion on S's last
+/// element `l`: r(i,j|S) = (r(i,j|S′) − r(i,l|S′)·r(j,l|S′)) /
+/// √((1 − r(i,l|S′)²)(1 − r(j,l|S′)²)) with S = S′ ∪ {l}.
 fn partial_corr(corr: &[f64], vars: usize, i: usize, j: usize, s: &[usize]) -> f64 {
-    let r = |a: usize, b: usize| corr[a * vars + b];
-    match s {
-        [] => r(i, j),
-        [k] => {
-            let num = r(i, j) - r(i, *k) * r(j, *k);
-            let den = ((1.0 - r(i, *k).powi(2)) * (1.0 - r(j, *k).powi(2))).sqrt();
-            if den < 1e-12 {
-                0.0
-            } else {
-                num / den
-            }
-        }
-        [k, l] => {
-            let rij_k = partial_corr(corr, vars, i, j, &[*k]);
-            let ril_k = partial_corr(corr, vars, i, *l, &[*k]);
-            let rjl_k = partial_corr(corr, vars, j, *l, &[*k]);
-            let den = ((1.0 - ril_k * ril_k) * (1.0 - rjl_k * rjl_k)).sqrt();
-            if den < 1e-12 {
-                0.0
-            } else {
-                (rij_k - ril_k * rjl_k) / den
-            }
-        }
-        _ => r(i, j),
+    let Some((&l, rest)) = s.split_last() else {
+        return corr[i * vars + j];
+    };
+    let rij = partial_corr(corr, vars, i, j, rest);
+    let ril = partial_corr(corr, vars, i, l, rest);
+    let rjl = partial_corr(corr, vars, j, l, rest);
+    let den = ((1.0 - ril * ril) * (1.0 - rjl * rjl)).sqrt();
+    if den < 1e-12 {
+        0.0
+    } else {
+        (rij - ril * rjl) / den
     }
 }
 
@@ -693,8 +651,9 @@ impl SearchAlgorithm for CausalSearch {
         // The causal graph is estimated from per-epoch observations; a
         // workload shift invalidates the correlations it encodes, so both
         // modes restart from scratch. The conditional-independence test
-        // cache is keyed by sample count and data hashes, so stale entries
-        // can never be re-hit; dropping it (and the persisted sepsets,
+        // cache is keyed by (i, j, conditioning-set hash, n), so stale
+        // entries would be re-hit once the new epoch reaches the same
+        // sample counts; dropping it (and the persisted sepsets,
         // which encode the invalidated graph) keeps memory honest.
         self.xs.clear();
         self.ys.clear();
@@ -751,13 +710,6 @@ mod tests {
         ];
         let pc = partial_corr(&corr, vars, 0, 2, &[1]);
         assert!(pc.abs() < 1e-9, "pc={pc}");
-    }
-
-    #[test]
-    fn conditioning_sets_enumerate() {
-        assert_eq!(conditioning_sets(&[3, 5], 1), vec![vec![3], vec![5]]);
-        assert_eq!(conditioning_sets(&[3, 5, 7], 2).len(), 3);
-        assert_eq!(conditioning_sets(&[3, 3, 5], 1).len(), 2, "dedup");
     }
 
     /// Drives the search on a linear ground truth and returns per-iteration
@@ -961,20 +913,22 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sweep_test_counts_are_pinned_on_a_fixed_stream() {
-        // Both skeleton modes share one conditioning-set enumeration, so
-        // the equivalence tests above cannot see a change in its order.
-        // The number of statistics each mode computes on a fixed stream
-        // can: any reordering moves the first separating set and the count.
+    /// Feeds `iters` single observations of outcome `y(p0..p11)` over 12
+    /// uniform parameters to an incremental and a scratch-skeleton search; returns
+    /// both test counts and the (shared) skeleton.
+    fn sweep_counts(
+        seed: u64,
+        iters: usize,
+        y: fn(&[f64]) -> f64,
+    ) -> (usize, usize, Vec<Vec<usize>>) {
         let space = space(12);
         let encoder = Encoder::new(&space);
         let policy = SamplePolicy::Uniform;
         let mut incremental = CausalSearch::new();
         let mut scratch = CausalSearch::new().with_scratch_skeleton(true);
-        let mut rng = StdRng::seed_from_u64(41);
+        let mut rng = StdRng::seed_from_u64(seed);
         let history: Vec<Observation> = Vec::new();
-        for i in 0..48 {
+        for i in 0..iters {
             let ctx = SearchContext {
                 space: &space,
                 encoder: &encoder,
@@ -984,95 +938,40 @@ mod tests {
                 iteration: i,
             };
             let c = ctx.policy.sample(ctx.space, &mut rng);
-            let y = c.by_name(&space, "p0").unwrap().as_f64()
-                - 0.3 * c.by_name(&space, "p3").unwrap().as_f64();
-            let obs = Observation::ok(c, y, 1.0);
+            let p: Vec<f64> = c.values().iter().map(|v| v.as_f64()).collect();
+            let obs = Observation::ok(c, y(&p), 1.0);
             incremental.observe(&ctx, &obs);
             scratch.observe(&ctx, &obs);
         }
-        assert_eq!(incremental.tests_performed(), 3638);
-        assert_eq!(scratch.tests_performed(), 3647);
-        assert_eq!(incremental.adjacency[12], vec![0]);
         assert_eq!(scratch.adjacency, incremental.adjacency);
+        (
+            incremental.tests_performed(),
+            scratch.tests_performed(),
+            incremental.adjacency,
+        )
     }
 
     #[test]
-    fn ci_budget_caps_conditional_tests_per_rebuild() {
-        let space = space(16);
-        let encoder = Encoder::new(&space);
-        let policy = SamplePolicy::Uniform;
-        let budget = 10;
-        let mut alg = CausalSearch::new().with_ci_budget(budget);
-        let mut rng = StdRng::seed_from_u64(21);
-        let history: Vec<Observation> = Vec::new();
-        let vars = 17; // 16 features + outcome
-        let level0 = vars * (vars - 1) / 2;
-        let mut prev = 0;
-        for i in 0..50 {
-            let ctx = SearchContext {
-                space: &space,
-                encoder: &encoder,
-                direction: Direction::Maximize,
-                policy: &policy,
-                history: &history,
-                iteration: i,
-            };
-            let c = ctx.policy.sample(ctx.space, &mut rng);
-            let y = c.by_name(&space, "p0").unwrap().as_f64();
-            alg.observe(&ctx, &Observation::ok(c, y, 1.0));
-            let spent = alg.tests_performed() - prev;
-            prev = alg.tests_performed();
-            assert!(
-                spent <= level0 + budget,
-                "rebuild at i={i} spent {spent} tests (level-0 cap {level0} + budget {budget})"
-            );
-        }
-    }
-
-    #[test]
-    fn budgeted_search_still_finds_the_influential_parameter() {
-        let space = space(10);
-        let encoder = Encoder::new(&space);
-        let policy = SamplePolicy::Uniform;
-        let mut alg = CausalSearch::new().with_ci_budget(25);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut history: Vec<Observation> = Vec::new();
-        for i in 0..60 {
-            let ctx = SearchContext {
-                space: &space,
-                encoder: &encoder,
-                direction: Direction::Maximize,
-                policy: &policy,
-                history: &history,
-                iteration: i,
-            };
-            let c = alg.propose(&ctx, &mut rng);
-            let y = c.by_name(&space, "p0").unwrap().as_f64();
-            let obs = Observation::ok(c, y, 1.0);
-            let ctx = SearchContext {
-                space: &space,
-                encoder: &encoder,
-                direction: Direction::Maximize,
-                policy: &policy,
-                history: &history,
-                iteration: i,
-            };
-            alg.observe(&ctx, &obs);
-            history.push(obs);
-        }
-        let late: Vec<f64> = history[40..]
-            .iter()
-            .map(|o| o.config.by_name(&space, "p0").unwrap().as_f64())
-            .collect();
-        let mean = late.iter().sum::<f64>() / late.len() as f64;
-        assert!(mean > 65.0, "late p0 mean {mean} (random would be ~50)");
+    fn sweep_test_counts_are_pinned_on_fixed_streams() {
+        // Both skeleton modes share one conditioning-set enumeration, so
+        // the equivalence tests above cannot see a change in its order.
+        // The number of statistics each mode computes on a fixed stream
+        // can: a reordering moves the first separating set and the count.
+        // The second stream separates edges at order 2, so it also sees a
+        // change in the order of the `[k, l]` pairs.
+        let (incremental, scratch, adjacency) = sweep_counts(41, 48, |p| p[0] - 0.3 * p[3]);
+        assert_eq!((incremental, scratch), (3638, 3647));
+        assert_eq!(adjacency[12], vec![0]);
+        let (incremental, scratch, _) = sweep_counts(41, 60, |p| p[0] + p[1] + p[2] + p[3]);
+        assert_eq!((incremental, scratch), (5574, 5580));
     }
 
     #[test]
     fn memory_grows_across_iterations() {
         let stats = drive(20, 40);
         assert!(stats[39].memory_bytes > stats[10].memory_bytes);
-        // Growth continues (cache never shrinks).
+        // Growth continues: the default mode keeps every observation and
+        // the sepset of each separated edge.
         assert!(stats[39].memory_bytes > stats[25].memory_bytes);
     }
 
