@@ -2,7 +2,7 @@
 //!
 //! The paper's scoring function (Eq. 3) merges dissimilarity, predicted
 //! uncertainty, and (per the prose) the model prediction, after a crash
-//! filter. This bench removes each ingredient in turn and reruns the
+//! filter. This binary removes each ingredient in turn and reruns the
 //! Nginx/Linux search, reporting the best configuration found and the
 //! crash rate — the ablated variants motivate the published design.
 

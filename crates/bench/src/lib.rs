@@ -1,10 +1,10 @@
 //! `wf-bench`: the regeneration harness.
 //!
 //! One `run_*` function per table/figure of the paper's evaluation; each
-//! prints the same rows/series the paper reports. The functions are
-//! invoked both by the `src/bin/` binaries (`cargo run -p wf-bench --bin
-//! fig06_search_evolution`) and by the `harness = false` bench targets
-//! (`cargo bench --workspace` regenerates everything).
+//! prints the same rows/series the paper reports. Each function has one
+//! `src/bin/` binary (`cargo run --release -p wf-bench --bin
+//! fig06_search_evolution`); `wfctl experiments` lists them all. The
+//! [`perf`] module is the `wfctl bench` suite of controller hot paths.
 //!
 //! Budgets default to the reduced scale; set `WF_FULL=1` for the paper's
 //! budgets (see `wayfinder_core::Scale`).

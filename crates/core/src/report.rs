@@ -1,6 +1,6 @@
 //! Plain-text table and series rendering for the experiment binaries.
 //!
-//! Every `cargo bench` regeneration target prints the same rows/series the
+//! Every `wf-bench` regeneration binary prints the same rows/series the
 //! paper's tables and figures report; these helpers keep that output
 //! uniform and diff-friendly.
 
@@ -31,11 +31,6 @@ impl Table {
     pub fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience: appends a row of displayable cells.
-    pub fn rowd(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
     }
 
     /// Number of data rows.

@@ -137,11 +137,6 @@ impl DeepTune {
         })
     }
 
-    /// Observations ingested so far.
-    pub fn observations_seen(&self) -> usize {
-        self.xs.len()
-    }
-
     /// Predicts (crash probability, normalized goodness, σ̂) for raw
     /// encoded feature vectors. Used by the importance analysis (§4.1).
     pub fn predict_raw(&mut self, raw: &[Vec<f64>]) -> Option<Vec<Prediction>> {

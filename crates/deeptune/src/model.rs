@@ -24,8 +24,7 @@
 
 use wf_nn::loss::{chamfer, heteroscedastic_regression, weighted_categorical_cross_entropy};
 use wf_nn::{
-    sigmoid, softplus, softplus_grad, Adam, Dense, Dropout, Layer, Matrix, Optimizer, Rbf, Relu,
-    Tensor,
+    sigmoid, softplus, softplus_grad, Adam, Dense, Dropout, Layer, Matrix, Rbf, Relu, Tensor,
 };
 
 use rand::rngs::StdRng;

@@ -278,11 +278,6 @@ impl Rbf {
         self.gamma
     }
 
-    /// Number of centroids.
-    pub fn num_centroids(&self) -> usize {
-        self.centroids.value.rows()
-    }
-
     /// Immutable access to the centroid tensor.
     pub fn centroids(&self) -> &Tensor {
         &self.centroids

@@ -11,7 +11,7 @@
 //! * [`loss`]es: categorical cross-entropy (`L_CCE`), the Kendall-&-Gal
 //!   heteroscedastic regression loss (`L_Reg`), and the Chamfer centroid
 //!   regularizer (`L_Cham`);
-//! * [`optim`]izers: SGD with momentum and Adam;
+//! * the [`optim::Adam`] optimizer;
 //! * [`norm`]: z-score feature/target normalization;
 //! * [`rng`]: Box–Muller Gaussian sampling on top of `rand`.
 //!
@@ -22,16 +22,14 @@
 pub mod layer;
 pub mod loss;
 pub mod matrix;
-pub mod net;
 pub mod norm;
 pub mod optim;
 pub mod rng;
 
 pub use layer::{Dense, Dropout, Layer, Rbf, Relu, Tensor};
 pub use matrix::Matrix;
-pub use net::{mlp, Sequential};
 pub use norm::{ScalarNorm, ZScore};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 
 /// Numerically stable sigmoid.
 pub fn sigmoid(x: f64) -> f64 {

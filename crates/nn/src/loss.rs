@@ -168,21 +168,6 @@ pub fn chamfer(centroids: &Matrix, batch: &Matrix) -> (f64, Matrix) {
     (loss, grad_c)
 }
 
-/// Mean squared error with gradient with respect to the predictions.
-pub fn mse(pred: &Matrix, targets: &[f64]) -> (f64, Matrix) {
-    assert_eq!(pred.cols(), 1);
-    assert_eq!(pred.rows(), targets.len());
-    let b = pred.rows() as f64;
-    let mut loss = 0.0;
-    let mut grad = Matrix::zeros(pred.rows(), 1);
-    for (r, &y) in targets.iter().enumerate() {
-        let d = pred.get(r, 0) - y;
-        loss += d * d;
-        grad.set(r, 0, 2.0 * d / b);
-    }
-    (loss / b, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,14 +286,5 @@ mod tests {
         // Gradient must be positive: moving the centroid down (toward the
         // points) reduces the loss.
         assert!(grad.get(0, 0) > 0.0);
-    }
-
-    #[test]
-    fn mse_known_value() {
-        let pred = Matrix::col_vector(&[1.0, 2.0]);
-        let (loss, grad) = mse(&pred, &[0.0, 2.0]);
-        assert!((loss - 0.5).abs() < 1e-12);
-        assert!((grad.get(0, 0) - 1.0).abs() < 1e-12);
-        assert_eq!(grad.get(1, 0), 0.0);
     }
 }

@@ -337,11 +337,6 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
-        self.data.iter_mut().for_each(|v| *v = f(*v));
-    }
-
     /// Returns a new matrix with `f` applied to every element.
     pub fn map(&self, mut f: impl FnMut(f64) -> f64) -> Matrix {
         let data = self.data.iter().map(|v| f(*v)).collect();

@@ -1,71 +1,12 @@
-//! Gradient-based optimizers: SGD with momentum and Adam.
+//! The Adam optimizer.
 //!
-//! Optimizers hold per-parameter state keyed by the *position* of each tensor
-//! in the list passed to [`Optimizer::step`]; callers must therefore pass the
-//! tensors of a given model in a stable order (which is what
-//! [`crate::net::Sequential::tensors`] and the DeepTune model do).
+//! Adam holds per-parameter state keyed by the *position* of each tensor in
+//! the list passed to [`Adam::step`]; callers must therefore pass the tensors
+//! of a given model in a stable order (which is what the DeepTune model
+//! does).
 
 use crate::layer::Tensor;
 use crate::matrix::Matrix;
-
-/// A gradient-descent optimizer.
-pub trait Optimizer {
-    /// Applies one update step to every tensor using its accumulated
-    /// gradient, then leaves the gradients untouched (callers typically zero
-    /// them before the next backward pass).
-    fn step(&mut self, tensors: &mut [&mut Tensor]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Overrides the learning rate.
-    fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Stochastic gradient descent with classical momentum.
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f64, momentum: f64) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, tensors: &mut [&mut Tensor]) {
-        if self.velocity.len() != tensors.len() {
-            self.velocity = tensors
-                .iter()
-                .map(|t| Matrix::zeros(t.value.rows(), t.value.cols()))
-                .collect();
-        }
-        for (t, v) in tensors.iter_mut().zip(self.velocity.iter_mut()) {
-            for i in 0..t.value.len() {
-                let g = t.grad.data()[i];
-                let vel = self.momentum * v.data()[i] - self.lr * g;
-                v.data_mut()[i] = vel;
-                t.value.data_mut()[i] += vel;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
 
 /// Adam optimizer (Kingma & Ba).
 pub struct Adam {
@@ -103,10 +44,12 @@ impl Adam {
         self.m.clear();
         self.v.clear();
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, tensors: &mut [&mut Tensor]) {
+    /// Applies one update step to every tensor using its accumulated
+    /// gradient, then leaves the gradients untouched (callers zero them
+    /// before the next backward pass). Non-finite gradient entries are
+    /// skipped.
+    pub fn step(&mut self, tensors: &mut [&mut Tensor]) {
         if self.m.len() != tensors.len() {
             self.m = tensors
                 .iter()
@@ -138,14 +81,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +88,7 @@ mod tests {
     use super::*;
 
     /// Minimizing f(x) = (x - 3)^2 must converge to x = 3.
-    fn optimize_quadratic(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    fn optimize_quadratic(opt: &mut Adam, steps: usize) -> f64 {
         let mut t = Tensor::new(Matrix::from_vec(1, 1, vec![0.0]));
         for _ in 0..steps {
             let x = t.value.get(0, 0);
@@ -161,13 +96,6 @@ mod tests {
             opt.step(&mut [&mut t]);
         }
         t.value.get(0, 0)
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.5);
-        let x = optimize_quadratic(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "x = {x}");
     }
 
     #[test]
@@ -184,12 +112,5 @@ mod tests {
         t.grad.set(0, 0, f64::NAN);
         opt.step(&mut [&mut t]);
         assert!((t.value.get(0, 0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn learning_rate_roundtrip() {
-        let mut opt = Adam::new(0.1);
-        opt.set_learning_rate(0.01);
-        assert!((opt.learning_rate() - 0.01).abs() < 1e-15);
     }
 }

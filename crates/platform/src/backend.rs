@@ -10,8 +10,8 @@
 //! Every backend upholds the same determinism contract (see
 //! `docs/DETERMINISM.md`): a candidate's outcome derives only from
 //! `(session_seed, index)`, results are tagged with their wave slot so
-//! the session can restore candidate order, and the shared image cache
-//! is only ever touched by the session between waves — [`WorkItem`]s
+//! the session can restore candidate order, and the session-owned image
+//! cache is only ever touched by the session between waves — [`WorkItem`]s
 //! carry the cache probe's answer in, [`WorkResult`]s carry built images
 //! out. The `tests/props.rs` proptest pins the contract across backends.
 //!
@@ -123,7 +123,7 @@ pub struct LaneError {
 /// * item outcomes derive only from `(session_seed, item.index)` plus
 ///   the explicit `reuse`/`working_tree` inputs, never from the lane,
 ///   the backend, or scheduling;
-/// * the shared image cache is never touched — probe answers arrive in
+/// * the session's image cache is never touched — probe answers arrive in
 ///   items, built images leave in results.
 pub trait EvalBackend: Send {
     /// Short label for logs and benches (`"in-process"`, `"remote"`).

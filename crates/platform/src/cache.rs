@@ -7,7 +7,6 @@
 //! platform) with least-recently-used eviction.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 use wf_ossim::KernelImage;
 
 /// A bounded LRU cache of built kernel images keyed by stage fingerprint.
@@ -86,64 +85,6 @@ impl ImageCache {
     }
 }
 
-/// An [`ImageCache`] shared across evaluation workers behind a lock.
-///
-/// Every operation takes the lock for its full duration, so the LRU
-/// order, the bound `len() <= capacity`, and the invariant
-/// `hits + misses == total lookups` hold under arbitrary interleavings —
-/// a lookup and the insert that follows it are two separate critical
-/// sections, exactly like the real platform where two workers may race to
-/// build the same image (both miss, both build, last insert wins).
-#[derive(Debug)]
-pub struct SharedImageCache {
-    inner: Mutex<ImageCache>,
-}
-
-impl SharedImageCache {
-    /// Creates a shared cache holding at most `capacity` images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        SharedImageCache {
-            inner: Mutex::new(ImageCache::new(capacity)),
-        }
-    }
-
-    /// Looks an image up, refreshing its recency on hit.
-    pub fn get(&self, fingerprint: u64) -> Option<KernelImage> {
-        self.lock().get(fingerprint)
-    }
-
-    /// Inserts a freshly built image, evicting the LRU entry when full.
-    pub fn insert(&self, image: KernelImage) {
-        self.lock().insert(image)
-    }
-
-    /// Number of cached images.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Returns `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// (hits, misses) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        self.lock().stats()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ImageCache> {
-        // A worker panicking mid-operation cannot leave the map in a
-        // broken state (every ImageCache method is atomic over its own
-        // fields), so a poisoned lock is recoverable.
-        crate::sync::lock_recover(&self.inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,39 +127,5 @@ mod tests {
         c.insert(image(2));
         assert_eq!(c.len(), 2);
         assert!(c.get(1).is_some());
-    }
-
-    #[test]
-    fn shared_cache_survives_a_concurrent_hammer() {
-        // 8 threads × 400 lookups over 24 overlapping fingerprints against
-        // a 16-entry cache: every lookup must be counted exactly once
-        // (hits + misses == total lookups) and eviction must never lose an
-        // update that would let the map outgrow its capacity.
-        const THREADS: u64 = 8;
-        const LOOKUPS: u64 = 400;
-        const CAPACITY: usize = 16;
-        let cache = SharedImageCache::new(CAPACITY);
-        crossbeam::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let cache = &cache;
-                scope.spawn(move |_| {
-                    for i in 0..LOOKUPS {
-                        // Interleave thread-local and shared fingerprints
-                        // so hits, misses, inserts, and evictions all race.
-                        let fp = (t * 3 + i) % 24;
-                        if cache.get(fp).is_none() {
-                            cache.insert(image(fp));
-                        }
-                    }
-                });
-            }
-        })
-        .expect("crossbeam scope");
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits + misses, THREADS * LOOKUPS, "lost or doubled lookups");
-        assert!(misses > 0, "cold lookups must miss");
-        assert!(hits > 0, "warm lookups must hit");
-        assert!(cache.len() <= CAPACITY, "len {} > capacity", cache.len());
-        assert!(!cache.is_empty());
     }
 }

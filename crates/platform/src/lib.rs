@@ -62,7 +62,7 @@ pub mod target;
 pub mod workers;
 
 pub use backend::{EvalBackend, InProcessBackend, LaneError, WorkItem, WorkResult};
-pub use cache::{ImageCache, SharedImageCache};
+pub use cache::ImageCache;
 pub use clock::VirtualClock;
 pub use daemon::{
     Daemon, SessionControl, SessionEntry, SessionLauncher, SessionStatus, SocketSink,

@@ -4,7 +4,7 @@
 
 /// Scheduling metrics for one evaluation wave of the multi-worker
 /// pipeline: how full the pool ran, what the wave cost in virtual wall
-/// time vs summed compute, and how the shared image cache behaved.
+/// time vs summed compute, and how the session's image cache behaved.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WaveStats {
     /// Zero-based wave index.

@@ -64,7 +64,7 @@
 //! resumed session starts from are built by the live code.
 
 use crate::backend::{EvalBackend, InProcessBackend, LaneError, WorkItem, WorkResult};
-use crate::cache::SharedImageCache;
+use crate::cache::ImageCache;
 use crate::clock::VirtualClock;
 use crate::epoch::{DriftConfig, DriftState};
 use crate::events::{EventSink, NullSink, SessionEvent};
@@ -296,7 +296,7 @@ pub struct Session {
     clock: VirtualClock,
     /// Compute time: every candidate's duration.
     compute: VirtualClock,
-    cache: SharedImageCache,
+    cache: ImageCache,
     history: History,
     /// The best objective in `history` under [`Session::direction`],
     /// kept up to date by `finish_wave` so no wave rescans the history.
@@ -393,7 +393,7 @@ impl Session {
             encoder,
             clock: VirtualClock::new(),
             compute: VirtualClock::new(),
-            cache: SharedImageCache::new(32),
+            cache: ImageCache::new(32),
             history: History::new(),
             best_objective: None,
             rng,
@@ -443,11 +443,6 @@ impl Session {
     /// sessions).
     pub fn epoch_start(&self) -> usize {
         self.drift.as_ref().map_or(0, |d| d.epoch_start)
-    }
-
-    /// The drifting workload, when continuous mode is on.
-    pub fn drift_schedule(&self) -> Option<&wf_ossim::DriftSchedule> {
-        self.drift.as_ref().map(|d| &d.config.schedule)
     }
 
     /// The session's wave width (lane count).
@@ -570,7 +565,7 @@ impl Session {
             self.spec.seed,
             self.waves.len() as u64,
             self.spec.repetitions,
-            &self.cache,
+            &mut self.cache,
             &mut self.lanes,
         );
         let after = self.cache.stats();

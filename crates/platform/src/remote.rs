@@ -10,7 +10,7 @@
 //!
 //! Workers are stateless between requests: every request ships the cache
 //! probe's answer and the lane's working tree, every response carries the
-//! built image back, so the shared image cache stays session-owned and
+//! built image back, so the image cache stays session-owned and
 //! the two-phase cache protocol is untouched (see `docs/DETERMINISM.md`).
 //! A worker that dies mid-wave surfaces as a transport-level
 //! [`LaneError`]; the router health-gates the lane and retries the slot
@@ -295,7 +295,7 @@ fn result_from(v: &JsonValue) -> io::Result<WorkResult> {
 /// `fp`, the image fingerprint of the slot's config. The dispatcher
 /// indexes the wave by the echoed slot and lane, the router's EWMAs and
 /// the virtual clock consume the duration, and a returned image enters
-/// the shared cache under its fingerprint. So a mismatched echo, a
+/// the session's cache under its fingerprint. So a mismatched echo, a
 /// non-finite or negative `dur`, a non-finite `metric` or `mem`, or an
 /// image whose fingerprint is not `fp` is a protocol violation, not a
 /// result.

@@ -37,7 +37,7 @@
 //! ```
 
 use crate::backend::{EvalBackend, WorkItem, WorkResult};
-use crate::cache::SharedImageCache;
+use crate::cache::ImageCache;
 use crate::target::EvalTarget;
 use crate::workers::{derive_seed, CandidateEval};
 use rand::rngs::StdRng;
@@ -251,7 +251,7 @@ fn backoff(attempt: u32) -> std::time::Duration {
 /// the session uses per wave.
 ///
 /// 1. the router assigns each slot a lane;
-/// 2. the shared cache is probed sequentially in candidate order
+/// 2. the session's cache is probed sequentially in candidate order
 ///    (phase 1 of the two-phase cache protocol);
 /// 3. items are submitted to the backend; slots that come back as
 ///    transport-level [`crate::backend::LaneError`]s health-gate their
@@ -264,13 +264,13 @@ fn backoff(attempt: u32) -> std::time::Duration {
 /// Returns evaluations in candidate order. `trees` holds one working
 /// tree per lane (`trees.len() == router.width()`).
 ///
-/// Backends never touch the cache: probe answers travel in the
+/// Backends never touch the cache, and the `&mut` borrow held here for
+/// the whole wave enforces it: probe answers travel in the
 /// [`WorkItem`]s and built images come back in the [`WorkResult`]s, and
 /// both cache phases run here, sequentially in candidate order. So
 /// `build_skipped` flags, cache statistics, and incremental-build reuse
 /// are pure functions of (seed, candidate order) — the property the
-/// session-store resume guarantee relies on — and lanes take zero
-/// cache-lock acquisitions while they run. Two same-fingerprint
+/// session-store resume guarantee relies on. Two same-fingerprint
 /// candidates in one wave both miss and both build, exactly like two
 /// real VM workers racing a build farm; the next wave reuses the
 /// published image.
@@ -288,7 +288,7 @@ pub fn dispatch_wave(
     session_seed: u64,
     wave_index: u64,
     repetitions: usize,
-    cache: &SharedImageCache,
+    cache: &mut ImageCache,
     trees: &mut [Option<Configuration>],
 ) -> Vec<CandidateEval> {
     assert_eq!(
@@ -494,7 +494,7 @@ mod tests {
         candidates: &[Configuration],
         width: usize,
     ) -> (Vec<CandidateEval>, Vec<Option<Configuration>>) {
-        let cache = SharedImageCache::new(8);
+        let mut cache = ImageCache::new(8);
         let mut trees = vec![None; width];
         let mut evals = Vec::with_capacity(candidates.len());
         for (w, wave) in candidates.chunks(width).enumerate() {
@@ -530,7 +530,7 @@ mod tests {
     ) -> (Vec<CandidateEval>, Vec<Option<Configuration>>) {
         let mut backend = InProcessBackend::new(width);
         let mut router = Router::new(RoutingStrategy::RoundRobin, width);
-        let cache = SharedImageCache::new(8);
+        let mut cache = ImageCache::new(8);
         let mut trees = vec![None; width];
         let mut evals = Vec::with_capacity(candidates.len());
         for (w, wave) in candidates.chunks(width).enumerate() {
@@ -543,7 +543,7 @@ mod tests {
                 42,
                 w as u64,
                 2,
-                &cache,
+                &mut cache,
                 &mut trees,
             ));
         }
@@ -642,7 +642,7 @@ mod tests {
             inner: InProcessBackend::new(4),
         };
         let mut router = Router::new(RoutingStrategy::RoundRobin, 4);
-        let cache = SharedImageCache::new(8);
+        let mut cache = ImageCache::new(8);
         let mut trees = vec![None; 4];
         let evals = dispatch_wave(
             &mut backend,
@@ -653,7 +653,7 @@ mod tests {
             42,
             0,
             2,
-            &cache,
+            &mut cache,
             &mut trees,
         );
         assert_eq!(evals.len(), 4, "every slot resolved despite the dead lane");
@@ -663,7 +663,7 @@ mod tests {
         // identical to a fully healthy run.
         let mut healthy_backend = InProcessBackend::new(4);
         let mut healthy_router = Router::new(RoutingStrategy::RoundRobin, 4);
-        let healthy_cache = SharedImageCache::new(8);
+        let mut healthy_cache = ImageCache::new(8);
         let mut healthy_trees = vec![None; 4];
         let healthy = dispatch_wave(
             &mut healthy_backend,
@@ -674,7 +674,7 @@ mod tests {
             42,
             0,
             2,
-            &healthy_cache,
+            &mut healthy_cache,
             &mut healthy_trees,
         );
         for (a, b) in evals.iter().zip(healthy.iter()) {

@@ -4,9 +4,9 @@
 //! state protected by these locks is kept consistent by its writers
 //! (each critical section is atomic over its own fields), so a panic on
 //! one thread must degrade *that* session — never cascade a
-//! poisoned-mutex panic through the daemon, the shared image cache, or
-//! a watcher. `wf-lint`'s `lock-unwrap` rule enforces the pattern: a
-//! bare `.lock().unwrap()` is a finding, this helper is the fix.
+//! poisoned-mutex panic through the daemon or a watcher. `wf-lint`'s
+//! `lock-unwrap` rule enforces the pattern: a bare `.lock().unwrap()` is
+//! a finding, this helper is the fix.
 
 use std::sync::{Mutex, MutexGuard};
 

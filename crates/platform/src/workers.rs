@@ -6,7 +6,7 @@
 //! benchmarks a single configuration. Where a wave's candidates run is
 //! the backend's concern ([`crate::backend`]) and how a wave is probed,
 //! dispatched and published is [`crate::router::dispatch_wave`]'s; this
-//! module never touches the shared image cache, so every backend
+//! module never touches the session's image cache, so every backend
 //! produces the same results.
 //!
 //! Each candidate's virtual draws derive from a per-candidate RNG
@@ -74,7 +74,7 @@ const STREAM_BENCH: u64 = 1;
 /// RNG stream tag for a candidate's boot draws. Kept separate from the
 /// build stream so a cache hit (which skips the build's draws entirely)
 /// cannot shift the boot and benchmark outcomes — on compile targets two
-/// same-image candidates in one wave race the shared cache, and only the
+/// same-image candidates in one wave both miss the cache, and only the
 /// *build duration* may legitimately depend on who wins.
 const STREAM_BOOT: u64 = 2;
 /// RNG stream tag for a continuous session's re-draw of a successful
@@ -159,7 +159,7 @@ pub fn aggregate(
 pub struct CandidateEval {
     /// Measurement or crash.
     pub outcome: Result<BenchResult, CrashReport>,
-    /// Whether the build was skipped via the shared image cache.
+    /// Whether the build was skipped via the session's image cache.
     pub build_skipped: bool,
     /// Virtual seconds the candidate cost (build + boot + repetitions).
     pub duration_s: f64,
@@ -184,7 +184,7 @@ pub(crate) fn build_candidate(
 
 /// Evaluates one candidate end to end: build (or reuse), boot, benchmark
 /// repetitions. Returns the evaluation plus the built (or reused) image,
-/// which the caller publishes to the shared cache — the cache itself is
+/// which the caller publishes to the session's cache — the cache itself is
 /// never touched here, so a wave's cache protocol stays deterministic
 /// (see [`crate::router::dispatch_wave`]).
 ///

@@ -524,7 +524,6 @@ impl CausalSearch {
         s: &[usize],
         n: usize,
     ) -> bool {
-        let r = partial_corr(corr, vars, i, j, s);
         let z = if self.scratch_skeleton {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for &v in s {
@@ -535,6 +534,7 @@ impl CausalSearch {
             match self.test_cache.get(&key) {
                 Some(&z) => z,
                 None => {
+                    let r = partial_corr(corr, vars, i, j, s);
                     let z = Self::z_stat(r, s.len(), n);
                     self.tests_run += 1;
                     self.test_cache.insert(key, z);
@@ -543,7 +543,7 @@ impl CausalSearch {
             }
         } else {
             self.tests_run += 1;
-            Self::z_stat(r, s.len(), n)
+            Self::z_stat(partial_corr(corr, vars, i, j, s), s.len(), n)
         };
         z.abs() > self.z_threshold
     }

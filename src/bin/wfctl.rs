@@ -1188,7 +1188,7 @@ fn probe() -> ExitCode {
 }
 
 fn experiments() -> ExitCode {
-    println!("regeneration targets (cargo bench -p wf-bench --bench <name>):");
+    println!("regeneration targets (cargo run --release -p wf-bench --bin <name>):");
     for (name, what) in [
         ("fig01_kconfig_growth", "Fig. 1  Linux option growth"),
         ("table1_config_census", "Table 1 configuration census"),
@@ -1204,7 +1204,6 @@ fn experiments() -> ExitCode {
         ("fig11_cozart_cooptim", "Fig. 11 Cozart co-optimization"),
         ("table4_cozart_top5", "Table 4 co-optimization top-5"),
         ("ablation", "scoring-function ablation"),
-        ("micro", "Criterion microbenches"),
     ] {
         println!("  {name:<28} {what}");
     }

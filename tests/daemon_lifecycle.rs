@@ -6,6 +6,7 @@
 
 #![cfg(unix)]
 
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -221,6 +222,129 @@ fn stop_parks_a_session_that_resume_can_finish() {
     assert!(ok, "a parked daemon store resumes offline:\n{out}");
     let (ok, _) = wfctl(&["verify", &store]);
     assert!(ok, "resumed ledger verifies");
+    drop(wfd);
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Sends `{"op":"ping"}` on a fresh connection and returns the reply
+/// frame's body. The read times out well inside the daemon's 10 s
+/// request timeout, so a reply proves no held-open client stalled the
+/// accept loop.
+fn ping(socket: &Path) -> String {
+    use std::io::{Read, Write};
+    let mut stream = UnixStream::connect(socket).expect("ping connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(&frame(br#"{"op":"ping"}"#)).unwrap();
+    let mut len = [0u8; 4];
+    stream
+        .read_exact(&mut len)
+        .expect("ping gets a reply frame");
+    let mut reply = vec![0u8; u32::from_be_bytes(len) as usize];
+    stream.read_exact(&mut reply).expect("ping reply body");
+    String::from_utf8(reply).expect("ping reply is UTF-8")
+}
+
+/// Writes `bytes` on a fresh connection and closes it without reading.
+/// A daemon that has already dropped the connection may reset the
+/// write; only the daemon's survival matters here.
+fn send_raw(socket: &Path, bytes: &[u8]) {
+    use std::io::Write;
+    let mut stream = UnixStream::connect(socket).expect("hostile client connects");
+    let _ = stream.write_all(bytes);
+}
+
+/// One length-prefixed frame around `body`.
+fn frame(body: &[u8]) -> Vec<u8> {
+    let mut out = (body.len() as u32).to_be_bytes().to_vec();
+    out.extend_from_slice(body);
+    out
+}
+
+#[test]
+fn hostile_clients_neither_stop_the_daemon_nor_touch_a_tenant_ledger() {
+    let base = std::env::temp_dir().join(format!("wf-daemon-hostile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let root = base.join("root");
+    let root_s = root.to_str().unwrap().to_string();
+
+    let mut wfd = Wfd::start(&root);
+    wait_for(
+        Instant::now() + Duration::from_secs(30),
+        "the daemon socket",
+        || wfd.socket.exists(),
+    );
+
+    let job = base.join("job.yaml");
+    std::fs::write(&job, job_yaml("tenant", 21)).unwrap();
+    let job = job.to_str().unwrap().to_string();
+    let (ok, out) = wfctl(&["submit", &job, "--daemon", &root_s]);
+    assert!(ok, "submit succeeds:\n{out}");
+    let store = out
+        .lines()
+        .find_map(|l| l.strip_prefix("store: "))
+        .unwrap_or_else(|| panic!("submit prints the store dir:\n{out}"))
+        .to_string();
+
+    let mut deep = br#"{"op":"#.to_vec();
+    deep.extend(std::iter::repeat_n(b'[', 200));
+    deep.extend(std::iter::repeat_n(b']', 200));
+    deep.push(b'}');
+    let mut truncated = 100u32.to_be_bytes().to_vec();
+    truncated.extend_from_slice(br#"{"op":"pi"#);
+    let hostile: [Vec<u8>; 4] = [
+        (16 * 1024 * 1024 + 1u32).to_be_bytes().to_vec(),
+        truncated,
+        frame(&[0xff, 0xfe, 0x80, 0x81]),
+        frame(&deep),
+    ];
+
+    // Repeat the hostile round until the tenant is seen finished, so at
+    // least one round lands while it runs.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        for bytes in &hostile {
+            send_raw(&wfd.socket, bytes);
+        }
+        let (ok, out) = wfctl(&["sessions", "--daemon", &root_s]);
+        assert!(ok, "sessions succeeds:\n{out}");
+        assert!(!out.contains("failed"), "the tenant may not fail:\n{out}");
+        if out.contains("finished") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for the tenant"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // A silent client, connected and sending nothing: `ping` must still
+    // answer within its 5 s read timeout, well inside the daemon's 10 s
+    // request timeout, so no client can stall the accept loop.
+    let silent = UnixStream::connect(&wfd.socket).expect("silent client connects");
+    let reply = ping(&wfd.socket);
+    assert!(reply.contains(r#""ok":true"#), "ping answers ok: {reply}");
+    assert!(
+        wfd.child.try_wait().unwrap().is_none(),
+        "the daemon is still running"
+    );
+    drop(silent);
+
+    let (ok, out) = wfctl(&["verify", &store]);
+    assert!(ok, "the tenant ledger verifies:\n{out}");
+    let reference = base.join("ref");
+    let reference = reference.to_str().unwrap();
+    let (ok, _) = wfctl(&["run", &job, "--out", reference]);
+    assert!(ok, "reference run");
+    let tenant_events = std::fs::read(Path::new(&store).join("events.jsonl")).unwrap();
+    let solo_events = std::fs::read(Path::new(reference).join("events.jsonl")).unwrap();
+    assert!(
+        tenant_events == solo_events,
+        "the tenant must write the byte-identical events.jsonl of its solo run"
+    );
     drop(wfd);
     std::fs::remove_dir_all(&base).ok();
 }
