@@ -7,7 +7,7 @@
 //! paths — batch proposals and observations for all four search
 //! algorithms at growing history sizes, DeepTune forward/score batches,
 //! session-store appends and replays, and wave-dispatch overhead at
-//! several pool widths — using the vendored criterion stand-in, and
+//! several wave widths — using the vendored criterion stand-in, and
 //! emits a stable machine-readable JSON document (`BENCH_search.json` at
 //! the repo root is the committed baseline) so the repo carries a perf
 //! trajectory CI can diff against.

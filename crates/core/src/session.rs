@@ -442,8 +442,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects where candidate evaluations execute: the persistent
-    /// in-process pool (the default) or `wf-evald` worker processes
+    /// Selects where candidate evaluations execute: inline on the
+    /// session's thread (the default) or `wf-evald` worker processes
     /// behind a socket.
     pub fn backend(mut self, backend: BackendChoice) -> Self {
         self.job.backend = backend;

@@ -103,7 +103,7 @@ impl Focus {
 /// Where candidate evaluations execute (the platform's `EvalBackend`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// Persistent in-process worker threads with channel-fed queues.
+    /// Inline on the session's thread; lanes are virtual workers.
     #[default]
     InProcess,
     /// Worker processes behind a Unix-socket protocol (`wf-evald`).
@@ -382,7 +382,7 @@ pub struct Job {
     /// VM workers evaluating candidates in parallel (`None` = the
     /// platform default: `WF_WORKERS` from the environment, else 1).
     pub workers: Option<usize>,
-    /// Evaluation backend: persistent in-process threads (default) or
+    /// Evaluation backend: inline on the session's thread (default) or
     /// remote `wf-evald` workers.
     pub backend: BackendChoice,
     /// Lane-routing strategy for the platform's router.

@@ -1,9 +1,9 @@
-//! Persistent evaluation backends: where a wave's candidates execute.
+//! Evaluation backends: where a wave's candidates execute.
 //!
 //! The dispatch layer is a trait with two implementations:
 //!
-//! * [`InProcessBackend`] — long-lived worker threads fed through
-//!   channels, spawned once and reused across every wave (the default);
+//! * [`InProcessBackend`] — evaluates every item on the thread that
+//!   dispatches the wave, in submission order (the default);
 //! * [`crate::remote::RemoteBackend`] — workers behind a process/socket
 //!   boundary speaking the length-prefixed `wf-evald` protocol.
 //!
@@ -41,8 +41,7 @@
 
 use crate::target::EvalTarget;
 use crate::workers::{evaluate_candidate, CandidateEval};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use wf_configspace::Configuration;
 use wf_ossim::KernelImage;
 
@@ -56,9 +55,9 @@ pub struct WorkItem {
     /// Global history index of the candidate — the seed derivation input,
     /// which is why outcomes cannot depend on lane or backend.
     pub index: usize,
-    /// The evaluator lane assigned by the router. For
-    /// [`InProcessBackend`] this is also the worker thread that runs the
-    /// item; for the remote backend it selects the worker connection.
+    /// The evaluator lane assigned by the router: the virtual worker
+    /// whose working tree and clock the item charges. For the remote
+    /// backend it also selects the worker connection.
     pub lane: usize,
     /// The candidate configuration.
     pub config: Configuration,
@@ -100,8 +99,8 @@ pub struct WorkResult {
     pub image: Option<KernelImage>,
 }
 
-/// A transport-level failure: the lane (thread or worker process) died
-/// before producing a result. Candidate outcomes are never `LaneError`s —
+/// A transport-level failure: the lane's worker process died before
+/// producing a result. Candidate outcomes are never `LaneError`s —
 /// crashes of the *evaluated configuration* come back as a successful
 /// [`WorkResult`] whose eval records the crash.
 #[derive(Clone, Debug)]
@@ -139,8 +138,9 @@ pub trait EvalBackend: Send {
     ) -> Vec<Result<WorkResult, LaneError>>;
 }
 
-/// Runs one item inline on the current thread.
-fn run_one(
+/// Evaluates one item on the calling thread: each item of an in-process
+/// wave, and each request a `wf-evald` worker serves.
+pub(crate) fn run_item(
     target: &dyn EvalTarget,
     session_seed: u64,
     repetitions: usize,
@@ -164,108 +164,28 @@ fn run_one(
     }
 }
 
-/// A message to a persistent worker thread.
-struct Run {
-    target: Arc<dyn EvalTarget>,
-    session_seed: u64,
-    repetitions: usize,
-    item: WorkItem,
-}
-
-struct Worker {
-    sender: Option<mpsc::Sender<Run>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Long-lived worker threads with channel-fed work queues.
+/// Evaluates every item inline, in submission order, on the thread that
+/// dispatches the wave.
 ///
-/// Worker thread `i` executes every item routed to lane `i`, so the lane
-/// is a real execution context (one OS thread, like one VM worker), not
-/// just a bookkeeping index. Threads spawn lazily on the first wave with
-/// more than one item — construction is free, and single-item waves run
-/// inline so `workers = 1` sessions stay strictly sequential.
+/// A simulated evaluation costs microseconds of host time, and the
+/// paper's platform benchmarks configurations one after the other, so
+/// the `workers` lanes are virtual: the router assigns them and the wave
+/// charges the busiest one to the wall clock, but no host thread stands
+/// behind a lane. A panic inside the target propagates to the caller,
+/// like a panic in ask or tell.
 pub struct InProcessBackend {
     workers: usize,
-    lanes: Vec<Worker>,
-    results_tx: mpsc::Sender<Result<WorkResult, LaneError>>,
-    results_rx: mpsc::Receiver<Result<WorkResult, LaneError>>,
 }
 
 impl InProcessBackend {
-    /// Creates a pool of `workers` lanes. Threads are not spawned until
-    /// the first multi-item wave.
+    /// Creates a backend with `workers` lanes.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     pub fn new(workers: usize) -> InProcessBackend {
         assert!(workers >= 1, "a backend needs at least one lane");
-        let (results_tx, results_rx) = mpsc::channel();
-        InProcessBackend {
-            workers,
-            lanes: Vec::new(),
-            results_tx,
-            results_rx,
-        }
-    }
-
-    /// Number of worker lanes.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn ensure_spawned(&mut self) {
-        if !self.lanes.is_empty() {
-            return;
-        }
-        for lane in 0..self.workers {
-            let (tx, rx) = mpsc::channel::<Run>();
-            let results = self.results_tx.clone();
-            let thread = std::thread::Builder::new()
-                .name(format!("wf-worker-{lane}"))
-                .spawn(move || {
-                    while let Ok(run) = rx.recv() {
-                        let slot = run.item.slot;
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            run_one(
-                                run.target.as_ref(),
-                                run.session_seed,
-                                run.repetitions,
-                                run.item,
-                            )
-                        }));
-                        let message = match outcome {
-                            Ok(result) => {
-                                if results.send(Ok(result)).is_err() {
-                                    return; // backend dropped mid-flight
-                                }
-                                continue;
-                            }
-                            Err(_) => "worker thread panicked".to_string(),
-                        };
-                        let _ = results.send(Err(LaneError {
-                            slot,
-                            lane,
-                            message,
-                        }));
-                        return; // a panicked worker does not take new work
-                    }
-                });
-            // A lane whose thread cannot spawn degrades to a dead lane:
-            // run_items fails its items with "worker thread is gone" and
-            // the router reroutes them, instead of the whole session
-            // panicking over one exhausted thread quota.
-            match thread {
-                Ok(thread) => self.lanes.push(Worker {
-                    sender: Some(tx),
-                    thread: Some(thread),
-                }),
-                Err(_) => self.lanes.push(Worker {
-                    sender: None,
-                    thread: None,
-                }),
-            }
-        }
+        InProcessBackend { workers }
     }
 }
 
@@ -281,61 +201,13 @@ impl EvalBackend for InProcessBackend {
         repetitions: usize,
         items: Vec<WorkItem>,
     ) -> Vec<Result<WorkResult, LaneError>> {
-        if items.len() <= 1 {
-            return items
-                .into_iter()
-                .map(|item| Ok(run_one(target.as_ref(), session_seed, repetitions, item)))
-                .collect();
-        }
-        self.ensure_spawned();
-        let mut out = Vec::with_capacity(items.len());
-        let mut outstanding = 0usize;
-        for item in items {
-            assert!(item.lane < self.workers, "lane out of range");
-            let slot = item.slot;
-            let lane = item.lane;
-            let run = Run {
-                target: Arc::clone(target),
-                session_seed,
-                repetitions,
-                item,
-            };
-            let sent = match &self.lanes[lane].sender {
-                Some(sender) => sender.send(run).is_ok(),
-                None => false,
-            };
-            if sent {
-                outstanding += 1;
-            } else {
-                // The lane's thread is gone (earlier panic); fail fast so
-                // the router can reroute the item.
-                out.push(Err(LaneError {
-                    slot,
-                    lane,
-                    message: "worker thread is gone".into(),
-                }));
-            }
-        }
-        for _ in 0..outstanding {
-            match self.results_rx.recv() {
-                Ok(result) => out.push(result),
-                Err(_) => break, // unreachable: we hold a sender clone
-            }
-        }
-        out
-    }
-}
-
-impl Drop for InProcessBackend {
-    fn drop(&mut self) {
-        for worker in &mut self.lanes {
-            worker.sender.take(); // closing the queue stops the thread
-        }
-        for worker in &mut self.lanes {
-            if let Some(thread) = worker.thread.take() {
-                let _ = thread.join();
-            }
-        }
+        items
+            .into_iter()
+            .map(|item| {
+                assert!(item.lane < self.workers, "lane out of range");
+                Ok(run_item(target.as_ref(), session_seed, repetitions, item))
+            })
+            .collect()
     }
 }
 
@@ -348,61 +220,23 @@ mod tests {
     use wf_kconfig::LinuxVersion;
     use wf_ossim::{App, AppId, SimOs};
 
-    fn arc_target() -> Arc<dyn EvalTarget> {
-        Arc::new(SimTarget::new(
-            SimOs::linux_runtime(LinuxVersion::V4_19, 56),
-            App::by_id(AppId::Redis),
-        ))
-    }
-
-    fn wave(target: &Arc<dyn EvalTarget>, n: usize, seed: u64) -> Vec<WorkItem> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|j| WorkItem::new(j, j, j, target.space().sample(&mut rng)))
-            .collect()
-    }
-
-    fn sort_by_slot(mut results: Vec<Result<WorkResult, LaneError>>) -> Vec<WorkResult> {
-        let mut ok: Vec<WorkResult> = results.drain(..).map(|r| r.expect("ok")).collect();
-        ok.sort_by_key(|w| w.slot);
-        ok
-    }
-
-    #[test]
-    fn pool_threads_persist_across_waves() {
-        let target = arc_target();
-        let mut pool = InProcessBackend::new(4);
-        for round in 0..3 {
-            let items = wave(&target, 4, round);
-            let results = pool.run_items(&target, 5, 1, items);
-            assert_eq!(results.len(), 4);
-            assert!(results.iter().all(|r| r.is_ok()));
-        }
-        assert_eq!(pool.lanes.len(), 4, "threads spawned once and reused");
-    }
-
-    #[test]
-    fn single_item_waves_run_inline() {
-        let target = arc_target();
-        let mut pool = InProcessBackend::new(4);
-        let items = wave(&target, 1, 3);
-        let results = pool.run_items(&target, 5, 1, items);
-        assert_eq!(results.len(), 1);
-        assert!(pool.lanes.is_empty(), "no threads for single-item waves");
-    }
-
     #[test]
     fn items_routed_to_one_lane_run_sequentially() {
-        // Two items on the same lane is legal (retries land there); the
-        // worker just executes them back to back.
-        let target = arc_target();
-        let mut pool = InProcessBackend::new(2);
-        let mut items = wave(&target, 3, 11);
-        for item in &mut items {
-            item.lane = 1;
-        }
-        let results = sort_by_slot(pool.run_items(&target, 5, 1, items));
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(|w| w.lane == 1));
+        // Two items on the same lane is legal (retries land there); they
+        // run back to back, in submission order.
+        let target: Arc<dyn EvalTarget> = Arc::new(SimTarget::new(
+            SimOs::linux_runtime(LinuxVersion::V4_19, 56),
+            App::by_id(AppId::Redis),
+        ));
+        let mut rng = StdRng::seed_from_u64(11);
+        let items = (0..3)
+            .map(|j| WorkItem::new(j, j, 1, target.space().sample(&mut rng)))
+            .collect();
+        let results = InProcessBackend::new(2).run_items(&target, 5, 1, items);
+        let slots: Vec<(usize, usize)> = results
+            .iter()
+            .map(|r| r.as_ref().map(|w| (w.slot, w.lane)).expect("ok"))
+            .collect();
+        assert_eq!(slots, [(0, 1), (1, 1), (2, 1)]);
     }
 }

@@ -13,8 +13,9 @@
 //! assigns each slot a lane, failed lanes are health-gated and their
 //! slots retried), and tells the algorithm every outcome at once
 //! ([`wf_search::SearchAlgorithm::observe_batch`]). The backend is a
-//! deployment knob ([`wf_jobfile::BackendChoice`]): persistent in-process
-//! worker threads by default, or `wf-evald` worker processes for
+//! deployment knob ([`wf_jobfile::BackendChoice`]): inline on the
+//! session's thread by default ([`crate::backend::InProcessBackend`],
+//! whose lanes are virtual workers), or `wf-evald` worker processes for
 //! [`crate::remote::RemoteBackend`].
 //!
 //! # The two virtual clocks
@@ -127,8 +128,8 @@ pub struct SessionSpec {
     /// width). Defaults to [`default_workers`].
     pub workers: usize,
     /// Where candidate evaluations execute (see
-    /// [`crate::backend::EvalBackend`]). Defaults to the persistent
-    /// in-process pool.
+    /// [`crate::backend::EvalBackend`]). Defaults to the in-process
+    /// backend, which evaluates on the session's thread.
     pub backend: BackendChoice,
     /// How wave slots map onto evaluator lanes (see
     /// [`crate::router::Router`]). Defaults to round-robin, which is the

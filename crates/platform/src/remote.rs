@@ -36,11 +36,12 @@
 //!
 //! The connection closing (EOF) is the shutdown signal.
 
-use crate::backend::{EvalBackend, LaneError, WorkItem, WorkResult};
-use crate::store::{config_from_json, config_json, phase_from_str, phase_str, JsonValue};
+use crate::backend::{run_item, EvalBackend, LaneError, WorkItem, WorkResult};
+use crate::store::{config_from_json, phase_from_str, phase_str, Fields, JsonValue};
 use crate::target::EvalTarget;
-use crate::workers::{evaluate_candidate, CandidateEval};
+use crate::workers::CandidateEval;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -140,20 +141,8 @@ pub fn read_frame(stream: &mut UnixStream) -> io::Result<Option<JsonValue<'stati
 // Payload (de)serialization.
 // ---------------------------------------------------------------------------
 
-fn u64_json(v: u64) -> JsonValue<'static> {
-    JsonValue::Str(v.to_string().into())
-}
-
 fn u64_from(v: &JsonValue) -> Option<u64> {
     v.as_str().and_then(|s| s.parse().ok())
-}
-
-fn image_json(img: &KernelImage) -> JsonValue<'static> {
-    JsonValue::Obj(vec![
-        ("fp".into(), u64_json(img.fingerprint)),
-        ("mb".into(), JsonValue::Num(img.image_mb)),
-        ("opts".into(), JsonValue::Int(img.enabled_options as i64)),
-    ])
 }
 
 fn image_from(v: &JsonValue) -> Option<KernelImage> {
@@ -164,13 +153,6 @@ fn image_from(v: &JsonValue) -> Option<KernelImage> {
     })
 }
 
-fn opt_json<'a, T>(v: Option<&T>, f: impl Fn(&T) -> JsonValue<'a>) -> JsonValue<'a> {
-    match v {
-        Some(v) => f(v),
-        None => JsonValue::Null,
-    }
-}
-
 fn hello_json(lane: usize) -> JsonValue<'static> {
     JsonValue::Obj(vec![
         ("op".into(), JsonValue::Str("hello".into())),
@@ -178,51 +160,63 @@ fn hello_json(lane: usize) -> JsonValue<'static> {
     ])
 }
 
-fn request_json(session_seed: u64, repetitions: usize, item: &WorkItem) -> JsonValue<'static> {
-    JsonValue::Obj(vec![
-        ("op".into(), JsonValue::Str("eval".into())),
-        ("seed".into(), u64_json(session_seed)),
-        ("reps".into(), JsonValue::Int(repetitions as i64)),
-        ("slot".into(), JsonValue::Int(item.slot as i64)),
-        ("index".into(), JsonValue::Int(item.index as i64)),
-        ("lane".into(), JsonValue::Int(item.lane as i64)),
-        ("config".into(), config_json(&item.config)),
-        ("reuse".into(), opt_json(item.reuse.as_ref(), image_json)),
-        (
-            "tree".into(),
-            opt_json(item.working_tree.as_ref(), config_json),
-        ),
-    ])
+/// Writes `image` as `{"fp":"…","mb":…,"opts":…}`, or `null` for `None`.
+fn image_field(f: &mut Fields, key: &str, image: Option<&KernelImage>) {
+    let Some(img) = image else {
+        return f.null(key);
+    };
+    f.key(key);
+    // Writing into a `String` cannot fail.
+    let _ = write!(f.out, "{{\"fp\":\"{}\"", img.fingerprint);
+    f.num("mb", img.image_mb);
+    f.int("opts", img.enabled_options as i64);
+    f.out.push('}');
 }
 
-fn result_json(w: &WorkResult) -> JsonValue<'static> {
-    let (ok, metric, mem, phase, rule) = match &w.eval.outcome {
-        Ok(r) => (true, Some(r.metric), Some(r.memory_mb), None, None),
-        Err(c) => (false, None, None, Some(phase_str(c.phase)), Some(&c.rule)),
-    };
-    let num = |v: Option<f64>| match v {
-        Some(v) => JsonValue::Num(v),
-        None => JsonValue::Null,
-    };
-    JsonValue::Obj(vec![
-        ("op".into(), JsonValue::Str("result".into())),
-        ("slot".into(), JsonValue::Int(w.slot as i64)),
-        ("lane".into(), JsonValue::Int(w.lane as i64)),
-        ("skip".into(), JsonValue::Bool(w.eval.build_skipped)),
-        ("dur".into(), JsonValue::Num(w.eval.duration_s)),
-        ("ok".into(), JsonValue::Bool(ok)),
-        ("metric".into(), num(metric)),
-        ("mem".into(), num(mem)),
-        (
-            "phase".into(),
-            opt_json(phase.as_ref(), |p| JsonValue::Str((*p).into())),
-        ),
-        (
-            "rule".into(),
-            opt_json(rule, |r| JsonValue::Str((*r).clone().into())),
-        ),
-        ("image".into(), opt_json(w.image.as_ref(), image_json)),
-    ])
+/// Appends an eval request's JSON body to `frame` (after [`start_frame`]).
+fn write_request(session_seed: u64, repetitions: usize, item: &WorkItem, frame: &mut String) {
+    frame.push_str("{\"op\":\"eval\"");
+    let mut f = Fields { out: frame };
+    f.u64("seed", session_seed);
+    f.int("reps", repetitions as i64);
+    f.int("slot", item.slot as i64);
+    f.int("index", item.index as i64);
+    f.int("lane", item.lane as i64);
+    f.config("config", &item.config);
+    image_field(&mut f, "reuse", item.reuse.as_ref());
+    match &item.working_tree {
+        Some(tree) => f.config("tree", tree),
+        None => f.null("tree"),
+    }
+    f.out.push('}');
+}
+
+/// Appends a result's JSON body to `frame` (after [`start_frame`]).
+fn write_result(w: &WorkResult, frame: &mut String) {
+    frame.push_str("{\"op\":\"result\"");
+    let mut f = Fields { out: frame };
+    f.int("slot", w.slot as i64);
+    f.int("lane", w.lane as i64);
+    f.bool("skip", w.eval.build_skipped);
+    f.num("dur", w.eval.duration_s);
+    match &w.eval.outcome {
+        Ok(r) => {
+            f.bool("ok", true);
+            f.num("metric", r.metric);
+            f.num("mem", r.memory_mb);
+            f.null("phase");
+            f.null("rule");
+        }
+        Err(c) => {
+            f.bool("ok", false);
+            f.null("metric");
+            f.null("mem");
+            f.str("phase", phase_str(c.phase));
+            f.str("rule", &c.rule);
+        }
+    }
+    image_field(&mut f, "image", w.image.as_ref());
+    f.out.push('}');
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -338,6 +332,7 @@ fn check_result(w: WorkResult, slot: usize, lane: usize, fp: u64) -> io::Result<
 /// `(session_seed, index)` it is in-process.
 pub fn serve(mut stream: UnixStream, lane: usize, target: &dyn EvalTarget) -> io::Result<()> {
     write_frame(&mut stream, &hello_json(lane))?;
+    let mut out = String::new();
     while let Some(frame) = read_frame(&mut stream)? {
         let op = frame.get("op").and_then(JsonValue::as_str);
         if op != Some("eval") {
@@ -379,23 +374,10 @@ pub fn serve(mut stream: UnixStream, lane: usize, target: &dyn EvalTarget) -> io
                 }
             },
         };
-        let mut tree = item.working_tree.clone();
-        let (eval, image) = evaluate_candidate(
-            target,
-            &item.config,
-            item.index,
-            session_seed,
-            repetitions,
-            item.reuse.as_ref(),
-            &mut tree,
-        );
-        let result = WorkResult {
-            slot: item.slot,
-            lane: item.lane,
-            eval,
-            image,
-        };
-        write_frame(&mut stream, &result_json(&result))?;
+        let result = run_item(target, session_seed, repetitions, item);
+        start_frame(&mut out);
+        write_result(&result, &mut out);
+        send_frame(&mut stream, &mut out)?;
     }
     Ok(())
 }
@@ -473,6 +455,8 @@ fn accept_workers(
 pub struct RemoteBackend {
     lanes: Vec<RemoteLane>,
     socket_path: Option<PathBuf>,
+    /// The request frame being written, reused across requests.
+    frame: String,
 }
 
 static SOCKET_SERIAL: AtomicUsize = AtomicUsize::new(0);
@@ -532,6 +516,7 @@ impl RemoteBackend {
                     })
                     .collect(),
                 socket_path: Some(socket_path),
+                frame: String::new(),
             }),
             Err(e) => {
                 for mut child in children {
@@ -571,12 +556,8 @@ impl RemoteBackend {
                 .map(|l| l.expect("all lanes announced"))
                 .collect(),
             socket_path: None,
+            frame: String::new(),
         })
-    }
-
-    /// Number of worker lanes.
-    pub fn workers(&self) -> usize {
-        self.lanes.len()
     }
 
     /// OS pids of the worker processes this backend launched (empty for
@@ -616,7 +597,9 @@ impl EvalBackend for RemoteBackend {
             let failed = match self.lanes[lane].stream.as_mut() {
                 None => Some("worker connection is gone".to_string()),
                 Some(stream) => {
-                    match write_frame(stream, &request_json(session_seed, repetitions, item)) {
+                    start_frame(&mut self.frame);
+                    write_request(session_seed, repetitions, item, &mut self.frame);
+                    match send_frame(stream, &mut self.frame) {
                         Ok(()) => None,
                         Err(e) => Some(format!("cannot send to worker: {e}")),
                     }
@@ -713,8 +696,13 @@ mod tests {
     use crate::target::SimTarget;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wf_configspace::{Configuration, Tristate, Value};
     use wf_kconfig::LinuxVersion;
-    use wf_ossim::{App, AppId, SimOs};
+    use wf_ossim::{App, AppId, Phase, SimOs};
+
+    fn u64_json(v: u64) -> JsonValue<'static> {
+        JsonValue::Str(v.to_string().into())
+    }
 
     fn sim_target() -> SimTarget {
         SimTarget::new(
@@ -880,5 +868,76 @@ mod tests {
         );
         drop(a);
         assert!(read_frame(&mut b).unwrap().is_none(), "EOF reads as None");
+    }
+
+    #[test]
+    fn eval_frames_have_these_exact_bytes() {
+        // Workers and clients of other builds read exactly these bytes.
+        // Every token kind, u64s past i64, an image, an escaped crash rule
+        // and a float that prints without a fraction.
+        let image = KernelImage {
+            fingerprint: u64::MAX,
+            image_mb: 0.1 + 0.2,
+            enabled_options: 19,
+        };
+        let values = vec![
+            Value::Bool(true),
+            Value::Tristate(Tristate::Module),
+            Value::Int(-42),
+            Value::Choice(3),
+        ];
+        let mut item = WorkItem::new(2, 7, 1, Configuration::from_values(values));
+        item.reuse = Some(image.clone());
+        item.working_tree = Some(Configuration::from_values(vec![Value::Bool(false)]));
+        let result = |outcome, image| WorkResult {
+            slot: 2,
+            lane: 1,
+            eval: CandidateEval {
+                outcome,
+                build_skipped: true,
+                duration_s: 12.5,
+            },
+            image,
+        };
+        let ok = result(
+            Ok(BenchResult {
+                metric: 8.1,
+                memory_mb: 100.0,
+            }),
+            Some(image),
+        );
+        let rule = "a \"quoted\"\\rule\n".to_string();
+        let crash = result(
+            Err(CrashReport {
+                phase: Phase::Boot,
+                rule,
+            }),
+            None,
+        );
+        let mut frame = String::new();
+        write_request(u64::MAX - 1, 3, &item, &mut frame);
+        assert_eq!(
+            frame,
+            concat!(
+                r#"{"op":"eval","seed":"18446744073709551614","reps":3,"slot":2,"index":7,"#,
+                r#""lane":1,"config":["b1","tm","i-42","c3"],"#,
+                r#""reuse":{"fp":"18446744073709551615","mb":0.30000000000000004,"opts":19},"#,
+                r#""tree":["b0"]}"#
+            )
+        );
+        frame.clear();
+        write_result(&ok, &mut frame);
+        write_result(&crash, &mut frame);
+        assert_eq!(
+            frame,
+            concat!(
+                r#"{"op":"result","slot":2,"lane":1,"skip":true,"dur":12.5,"ok":true,"#,
+                r#""metric":8.1,"mem":100.0,"phase":null,"rule":null,"#,
+                r#""image":{"fp":"18446744073709551615","mb":0.30000000000000004,"opts":19}}"#,
+                r#"{"op":"result","slot":2,"lane":1,"skip":true,"dur":12.5,"ok":false,"#,
+                r#""metric":null,"mem":null,"phase":"boot","rule":"a \"quoted\"\\rule\n","#,
+                r#""image":null}"#
+            )
+        );
     }
 }

@@ -813,20 +813,6 @@ pub(crate) fn token_value(s: &str) -> Option<Value> {
     }
 }
 
-pub(crate) fn config_json(config: &Configuration) -> JsonValue<'static> {
-    JsonValue::Arr(
-        config
-            .values()
-            .iter()
-            .map(|v| {
-                let mut token = String::new();
-                push_value_token(v, &mut token);
-                JsonValue::Str(token.into())
-            })
-            .collect(),
-    )
-}
-
 pub(crate) fn config_from_json(v: &JsonValue) -> Option<Configuration> {
     let items = v.as_arr()?;
     let mut values = Vec::with_capacity(items.len());
@@ -1123,10 +1109,7 @@ pub fn write_event(event: &SessionEvent, chain: Option<u64>, out: &mut String) {
             f.str("target", &descriptor.name);
             f.str("app", &descriptor.app);
             f.str("metric", &descriptor.metric);
-            // u64 seeds are stored as strings so the full range survives
-            // the i64-based integer literal.
-            f.key("seed");
-            let _ = write!(f.out, "\"{seed}\"");
+            f.u64("seed", *seed);
             f.int("workers", *workers as i64);
             f.int("first_iteration", *first_iteration as i64);
         }
@@ -1143,19 +1126,7 @@ pub fn write_event(event: &SessionEvent, chain: Option<u64>, out: &mut String) {
         SessionEvent::CandidateEvaluated(r) => {
             f.str("event", "candidate");
             f.int("iteration", r.iteration as i64);
-            f.key("config");
-            f.out.push('[');
-            for (i, v) in r.config.values().iter().enumerate() {
-                if i > 0 {
-                    f.out.push(',');
-                }
-                // Tokens are ASCII letters, digits and `-`: nothing to
-                // escape.
-                f.out.push('"');
-                push_value_token(v, f.out);
-                f.out.push('"');
-            }
-            f.out.push(']');
+            f.config("config", &r.config);
             f.opt_num("objective", r.objective);
             f.opt_num("metric", r.metric);
             f.opt_num("memory_mb", r.memory_mb);
@@ -1237,34 +1208,42 @@ pub fn write_event(event: &SessionEvent, chain: Option<u64>, out: &mut String) {
 /// The fields after the first of one JSON object being streamed into a
 /// buffer, each written with its leading comma. Keys are the encoder's
 /// own ASCII names, which need no escaping; values follow
-/// [`JsonValue::encode`]'s rules.
-struct Fields<'a> {
-    out: &'a mut String,
+/// [`JsonValue::encode`]'s rules. Ledger lines and `wf-evald` frames are
+/// both written through it.
+pub(crate) struct Fields<'a> {
+    pub(crate) out: &'a mut String,
 }
 
 impl Fields<'_> {
-    fn key(&mut self, key: &str) {
+    pub(crate) fn key(&mut self, key: &str) {
         self.out.push_str(",\"");
         self.out.push_str(key);
         self.out.push_str("\":");
     }
 
-    fn null(&mut self, key: &str) {
+    pub(crate) fn null(&mut self, key: &str) {
         self.key(key);
         self.out.push_str("null");
     }
 
-    fn bool(&mut self, key: &str, v: bool) {
+    pub(crate) fn bool(&mut self, key: &str, v: bool) {
         self.key(key);
         self.out.push_str(if v { "true" } else { "false" });
     }
 
-    fn int(&mut self, key: &str, v: i64) {
+    pub(crate) fn int(&mut self, key: &str, v: i64) {
         self.key(key);
         let _ = write!(self.out, "{v}");
     }
 
-    fn num(&mut self, key: &str, v: f64) {
+    /// A `u64` as a decimal string, so the full range survives where the
+    /// i64-based integer literal would not.
+    pub(crate) fn u64(&mut self, key: &str, v: u64) {
+        self.key(key);
+        let _ = write!(self.out, "\"{v}\"");
+    }
+
+    pub(crate) fn num(&mut self, key: &str, v: f64) {
         self.key(key);
         push_f64(v, self.out);
     }
@@ -1277,9 +1256,25 @@ impl Fields<'_> {
         }
     }
 
-    fn str(&mut self, key: &str, v: &str) {
+    pub(crate) fn str(&mut self, key: &str, v: &str) {
         self.key(key);
         encode_string(v, self.out);
+    }
+
+    /// A configuration as its array of value tokens.
+    pub(crate) fn config(&mut self, key: &str, config: &Configuration) {
+        self.key(key);
+        self.out.push('[');
+        for (i, v) in config.values().iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            // Tokens are ASCII letters, digits and `-`: nothing to escape.
+            self.out.push('"');
+            push_value_token(v, self.out);
+            self.out.push('"');
+        }
+        self.out.push(']');
     }
 }
 

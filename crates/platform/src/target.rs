@@ -45,8 +45,9 @@ pub struct TargetDescriptor {
 /// Implementations must be deterministic *per RNG stream*: every virtual
 /// draw comes from the `rng` handed in, never from ambient state, so the
 /// platform's worker-count-invariance guarantee (see `pipeline`) holds
-/// for any target. `Send + Sync` is required because waves evaluate
-/// candidates on scoped threads sharing one target reference.
+/// for any target. `Send + Sync` is required because a session, and the
+/// shared target it holds, moves to the thread that hosts it (`wfd` runs
+/// each session on its own thread).
 ///
 /// # Examples
 ///

@@ -12,9 +12,9 @@
 //! Each candidate's virtual draws derive from a per-candidate RNG
 //! ([`derive_seed`] over `(session_seed, index)`), never a shared stream,
 //! so a candidate's measured outcome does not depend on which worker ran
-//! it or what ran concurrently (see `pipeline` for the exact
-//! worker-count-invariance statement). Benchmark repetitions run
-//! concurrently ([`run_repetitions`]), but their durations are charged
+//! it or what ran before it (see `pipeline` for the exact
+//! worker-count-invariance statement). Benchmark repetitions run one
+//! after the other ([`run_repetitions`]) and their durations are charged
 //! *sequentially* to the candidate ("all test configurations are
 //! benchmarked one after the other" — experiments are never co-located).
 //!
@@ -46,7 +46,6 @@
 //! ```
 
 use crate::target::EvalTarget;
-use crossbeam::thread;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wf_configspace::Configuration;
@@ -87,11 +86,12 @@ pub(crate) const STREAM_DRIFT: u64 = 3;
 /// candidate itself crashed or hit the image cache.
 pub(crate) const STREAM_SIGNAL: u64 = 4;
 
-/// Runs `reps` benchmark repetitions, one model draw each.
+/// Runs `reps` benchmark repetitions, one model draw each, one after the
+/// other.
 ///
 /// Returns per-repetition outcomes in repetition order. Repetition `i`
 /// draws from `derive_seed(seed, i)` regardless of how many repetitions
-/// run or whether they run on threads.
+/// run.
 pub fn run_repetitions(
     target: &dyn EvalTarget,
     image: &KernelImage,
@@ -100,25 +100,12 @@ pub fn run_repetitions(
     seed: u64,
 ) -> Vec<(Result<BenchResult, CrashReport>, f64)> {
     assert!(reps >= 1, "need at least one repetition");
-    if reps == 1 {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0));
-        return vec![target.bench(image, config, &mut rng)];
-    }
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..reps)
-            .map(|i| {
-                scope.spawn(move |_| {
-                    let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-                    target.bench(image, config, &mut rng)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("benchmark repetition panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope")
+    (0..reps)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
+            target.bench(image, config, &mut rng)
+        })
+        .collect()
 }
 
 /// Aggregates repetition outcomes: mean metric and memory over successful
@@ -191,7 +178,7 @@ pub(crate) fn build_candidate(
 /// `index` is the candidate's global position in the session history; all
 /// virtual-cost draws derive from `(session_seed, index)`, never from a
 /// shared RNG, so the outcome does not depend on which worker ran it or
-/// what ran concurrently. `reuse` is the cache probe's answer for this
+/// what ran before it. `reuse` is the cache probe's answer for this
 /// candidate's fingerprint; `working_tree` is the worker's last-built
 /// configuration (incremental-rebuild timing on compile targets).
 pub fn evaluate_candidate(
@@ -321,23 +308,6 @@ mod tests {
         let (result, total) = aggregate(outcomes);
         assert!(result.is_err());
         assert_eq!(total, 30.0);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let target = sim_target(AppId::Nginx);
-        let cfg = target.space().default_config();
-        let mut rng = StdRng::seed_from_u64(2);
-        let (img, _) = target.build(&cfg, None, None, &mut rng);
-        let img = img.unwrap();
-        // reps=1 path (sequential) vs reps>1 path (threads) with the same
-        // derived seed must produce the same first-repetition result.
-        let solo = run_repetitions(&target, &img, &cfg, 1, 7);
-        let multi = run_repetitions(&target, &img, &cfg, 3, 7);
-        assert_eq!(
-            solo[0].0.as_ref().unwrap().metric,
-            multi[0].0.as_ref().unwrap().metric
-        );
     }
 
     #[test]

@@ -155,7 +155,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The backend choice is not allowed to exist, observably: the
-    /// persistent in-process pool and remote workers behind the
+    /// inline in-process backend and remote workers behind the
     /// `wf-evald` socket protocol both produce the identical
     /// history, best configuration, and compute clock as a 1-worker
     /// reference, at every pool width.
