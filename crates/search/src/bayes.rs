@@ -44,12 +44,15 @@
 //! partial block is padded to full width with its last candidate, so the
 //! kernel packing, μ, the solve, and the variance sums all run one
 //! const-width `[f64; EI_BLOCK]` code path whose inner loops vectorize
-//! across the candidate lanes. That body is compiled twice, portable and
-//! with AVX2 enabled, and the AVX2 build runs when the CPU has it. Per
-//! candidate the scalar operation sequence — operand order included — is
-//! exactly the per-candidate loop's in both builds (Rust never contracts
-//! a multiply and an add into an FMA), so the scores and every downstream
-//! proposal are **bit-for-bit identical** to the sequential path
+//! across the candidate lanes. The solve sweeps the factor two rows at a
+//! time, so each solved block is loaded once for both rows. That body is
+//! compiled twice, portable and with AVX2 enabled, and the AVX2 build
+//! runs when the CPU has it; the forward substitution alone has a third,
+//! AVX-512F build, which runs when the CPU has that. Per candidate the
+//! scalar operation sequence — operand order included — is exactly the
+//! per-candidate loop's in every build (Rust never contracts a multiply
+//! and an add into an FMA), so the scores and every downstream proposal
+//! are **bit-for-bit identical** to the sequential path
 //! ([`BayesOpt::with_scalar_ei`]) on every host, proven by the
 //! `refit_equivalence` proptests, the bitwise unit tests, and the doctest
 //! below.
@@ -340,10 +343,11 @@ impl BayesOpt {
     ///
     /// Dispatches the scorer body ([`BayesOpt::ei_batch_body`]) to its
     /// AVX2 build when the running CPU has AVX2, and to the portable build
-    /// otherwise. Both builds are the same program: Rust never contracts
-    /// a multiply and an add into an FMA, so each performs the same IEEE
-    /// operations in the same order and the scores are bit-identical on
-    /// every host.
+    /// otherwise; either hands its forward substitution to the AVX-512F
+    /// build when the CPU has that ([`Cholesky::solve_lower_multi`]). The
+    /// builds are the same program: Rust never contracts a multiply and
+    /// an add into an FMA, so each performs the same IEEE operations in
+    /// the same order and the scores are bit-identical on every host.
     fn ei_batch(&self, xs: &[Vec<f64>], best: f64) -> Vec<f64> {
         let Some(chol) = &self.chol else {
             return xs
@@ -754,18 +758,76 @@ impl Cholesky {
     /// Forward substitution `L Y = B` over [`EI_BLOCK`] right-hand sides
     /// in one sweep of the packed factor.
     ///
+    /// Runs the AVX-512F build of [`Cholesky::solve_lower_multi_body`]
+    /// when the running CPU has AVX-512F, and otherwise inlines the body
+    /// into the caller's build (AVX2 or portable). Every build performs
+    /// the same IEEE operations in the same order, so the solutions are
+    /// bit-identical on every host.
+    #[inline(always)]
+    fn solve_lower_multi(&self, b: &mut [[f64; EI_BLOCK]]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `solve_lower_multi_avx512` only requires AVX-512F,
+            // and the check above has just confirmed that the running CPU
+            // supports it.
+            return unsafe { self.solve_lower_multi_avx512(b) };
+        }
+        self.solve_lower_multi_body(b);
+    }
+
+    /// The forward substitution compiled with AVX-512F enabled: 512-bit
+    /// lanes for the same operations the other builds of
+    /// [`Cholesky::solve_lower_multi_body`] run.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn solve_lower_multi_avx512(&self, b: &mut [[f64; EI_BLOCK]]) {
+        self.solve_lower_multi_body(b);
+    }
+
+    /// The forward substitution, inlined into each build.
+    ///
     /// `b` is candidate-interleaved — `b[i][c]` holds row `i` of column
     /// `c` — so each packed factor row `l[tri(i)..]` is loaded once and
-    /// applied to every column, and the current row accumulates in a
-    /// `[f64; EI_BLOCK]` held in registers for the whole factor-row sweep.
-    /// Per column the scalar operation sequence is identical to
+    /// applied to every column. Rows are swept in pairs: rows `i` and
+    /// `i + 1` accumulate in two `[f64; EI_BLOCK]` register blocks over
+    /// `p < i` side by side, so each solved block `y[p]` is loaded once
+    /// for both rows and there are twice as many independent subtraction
+    /// chains. Row `i` then divides by its pivot; row `i + 1` subtracts
+    /// `l[i+1][i]·y[i]` and divides by its own pivot. An odd last row runs
+    /// alone. Per column the scalar operation sequence is identical to
     /// [`Cholesky::solve_lower`]: start from the right-hand side, subtract
     /// `l[i][p]·y[p]` for `p` ascending, then divide by the pivot — so
     /// every column's solution is bit-for-bit the per-candidate result.
     #[inline(always)]
-    fn solve_lower_multi(&self, b: &mut [[f64; EI_BLOCK]]) {
-        debug_assert_eq!(b.len(), self.n);
-        for i in 0..self.n {
+    fn solve_lower_multi_body(&self, b: &mut [[f64; EI_BLOCK]]) {
+        let n = self.n;
+        debug_assert_eq!(b.len(), n);
+        for i in (0..n & !1).step_by(2) {
+            // Rows `i` and `i + 1` are adjacent in the packed factor.
+            let (r0, r1) = self.l[tri(i)..tri(i + 2)].split_at(i + 1);
+            let (solved, rest) = b.split_at_mut(i);
+            let (mut a0, mut a1) = (rest[0], rest[1]);
+            for ((&l0, &l1), y) in r0.iter().zip(r1).zip(solved.iter()) {
+                for c in 0..EI_BLOCK {
+                    a0[c] -= l0 * y[c];
+                    a1[c] -= l1 * y[c];
+                }
+            }
+            let (d0, l10, d1) = (r0[i], r1[i], r1[i + 1]);
+            for a in &mut a0 {
+                *a /= d0;
+            }
+            for c in 0..EI_BLOCK {
+                a1[c] -= l10 * a0[c];
+            }
+            for a in &mut a1 {
+                *a /= d1;
+            }
+            rest[0] = a0;
+            rest[1] = a1;
+        }
+        // An odd last row runs alone.
+        for i in n & !1..n {
             let row = &self.l[tri(i)..tri(i) + i + 1];
             let (solved, rest) = b.split_at_mut(i);
             let mut acc = rest[0];
@@ -1093,35 +1155,70 @@ mod tests {
         }
     }
 
+    /// The AVX2 build of the forward substitution, as `ei_batch_avx2`
+    /// inlines it on a CPU without AVX-512F. Callers must check that the
+    /// CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn solve_lower_multi_avx2(c: &Cholesky, b: &mut [[f64; EI_BLOCK]]) {
+        c.solve_lower_multi_body(b);
+    }
+
     #[test]
     fn solve_lower_multi_matches_per_column_bitwise() {
-        let k = vec![
-            4.0, 1.0, 0.5, 0.2, //
-            1.0, 5.0, 0.3, 0.1, //
-            0.5, 0.3, 3.0, 0.4, //
-            0.2, 0.1, 0.4, 2.0,
-        ];
-        let c = factor_dense(&k, 4).unwrap();
-        let cols: Vec<Vec<f64>> = (0..EI_BLOCK)
-            .map(|j| {
-                (0..4)
-                    .map(|i| ((i * 7 + j * 3) % 11) as f64 - 5.0)
-                    .collect()
-            })
-            .collect();
-        // Interleave the columns, one multi-solve, then compare each
-        // column against its scalar forward substitution bit for bit.
-        let mut b = vec![[0.0; EI_BLOCK]; 4];
-        for (j, col) in cols.iter().enumerate() {
-            for i in 0..4 {
-                b[i][j] = col[i];
+        // Orders around the row pairing: one and two rows, an odd row
+        // after one and after many pairs, and whole blocks either side.
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [1, 2, 3, 4, 5, 16, 17, 64, 65] {
+            // A seeded RBF kernel matrix plus noise on the diagonal: SPD,
+            // dense and strongly correlated, like the GP's own.
+            let pts: Vec<[f64; 3]> = (0..n)
+                .map(|_| std::array::from_fn(|_| rng.random_range(0.0..2.0)))
+                .collect();
+            let mut k = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..n {
+                    let d2: f64 = (0..3).map(|d| (pts[i][d] - pts[j][d]).powi(2)).sum();
+                    k[i * n + j] = (-d2 / 2.0).exp() + if i == j { 1e-2 } else { 0.0 };
+                }
             }
-        }
-        c.solve_lower_multi(&mut b);
-        for (j, col) in cols.iter().enumerate() {
-            let y = c.solve_lower(col);
-            for i in 0..4 {
-                assert_eq!(b[i][j].to_bits(), y[i].to_bits());
+            let c = factor_dense(&k, n).expect("SPD");
+            let cols: Vec<Vec<f64>> = (0..EI_BLOCK)
+                .map(|_| (0..n).map(|_| rng.random_range(-1.0..1.0)).collect())
+                .collect();
+            let expected: Vec<Vec<f64>> = cols.iter().map(|col| c.solve_lower(col)).collect();
+            // Interleave the columns, one multi-solve per build, then
+            // compare each column against its scalar forward substitution
+            // bit for bit.
+            let check = |build: &str, solve: &dyn Fn(&mut [[f64; EI_BLOCK]])| {
+                let mut b = vec![[0.0; EI_BLOCK]; n];
+                for (j, col) in cols.iter().enumerate() {
+                    for i in 0..n {
+                        b[i][j] = col[i];
+                    }
+                }
+                solve(&mut b);
+                for (j, y) in expected.iter().enumerate() {
+                    for i in 0..n {
+                        assert_eq!(
+                            b[i][j].to_bits(),
+                            y[i].to_bits(),
+                            "{build} build, order {n}: row {i} of column {j} diverged"
+                        );
+                    }
+                }
+            };
+            check("portable", &|b| c.solve_lower_multi_body(b));
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: the CPU has just been checked for AVX2.
+                    check("AVX2", &|b| unsafe { solve_lower_multi_avx2(&c, b) });
+                }
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    // SAFETY: the CPU has just been checked for AVX-512F.
+                    check("AVX-512F", &|b| unsafe { c.solve_lower_multi_avx512(b) });
+                }
             }
         }
     }
@@ -1164,31 +1261,37 @@ mod tests {
 
     #[test]
     fn batched_ei_matches_scalar_ei_bitwise() {
-        // Whichever build `ei_batch` dispatches to on this host (AVX2 or
-        // portable) must score every pool size — a lone padded block, one
-        // lane short of a block, exact blocks, a padded remainder, and a
-        // production-sized pool — bit for bit like the per-candidate
-        // scalar path, which is itself portable code.
-        let (space, alg) = wide_gp(48, 11);
-        assert_eq!(Encoder::new(&space).dim(), 47);
-        let best = alg.standardized_best();
-        for count in [
-            1,
-            EI_BLOCK - 1,
-            EI_BLOCK,
-            EI_BLOCK + 1,
-            2 * EI_BLOCK + 3,
-            200,
-        ] {
-            let xs = scoring_pool(&alg, &space, count, 17 + count as u64);
-            let batched = alg.ei_batch(&xs, best);
-            assert_eq!(batched.len(), count);
-            for (x, ei) in xs.iter().zip(&batched) {
-                assert_eq!(
-                    ei.to_bits(),
-                    alg.expected_improvement(x, best).to_bits(),
-                    "pool of {count}: batched EI diverged from the per-candidate path"
-                );
+        // Whichever builds `ei_batch` dispatches to on this host (AVX2 or
+        // portable, with the AVX-512F solve where the CPU has it) must
+        // score every pool size — a lone padded block, one lane short of a
+        // block, exact blocks, a padded remainder, and a production-sized
+        // pool — bit for bit like the per-candidate scalar path, which is
+        // itself portable code. Histories of odd length leave the paired
+        // solve a trailing row to run alone.
+        for history in [47, 48, 49] {
+            let (space, alg) = wide_gp(history, 11);
+            assert_eq!(Encoder::new(&space).dim(), 47);
+            assert_eq!(alg.chol.as_ref().map(Cholesky::n), Some(history));
+            let best = alg.standardized_best();
+            for count in [
+                1,
+                EI_BLOCK - 1,
+                EI_BLOCK,
+                EI_BLOCK + 1,
+                2 * EI_BLOCK + 3,
+                200,
+            ] {
+                let xs = scoring_pool(&alg, &space, count, 17 + count as u64);
+                let batched = alg.ei_batch(&xs, best);
+                assert_eq!(batched.len(), count);
+                for (x, ei) in xs.iter().zip(&batched) {
+                    assert_eq!(
+                        ei.to_bits(),
+                        alg.expected_improvement(x, best).to_bits(),
+                        "history {history}, pool of {count}: batched EI diverged \
+                         from the per-candidate path"
+                    );
+                }
             }
         }
     }

@@ -53,9 +53,34 @@ use wf_kconfig::LinuxVersion;
 use wf_platform::remote::read_frame;
 use wf_platform::EventSink;
 
+/// Every subcommand that answers a first argument of `--help` or `-h`
+/// with [`USAGE`]; `lint` has a help of its own.
+const SUBCOMMANDS: [&str; 14] = [
+    "run",
+    "resume",
+    "report",
+    "validate",
+    "targets",
+    "bench",
+    "probe",
+    "experiments",
+    "verify",
+    "daemon",
+    "submit",
+    "sessions",
+    "watch",
+    "stop",
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
+        Some(sub)
+            if SUBCOMMANDS.contains(&sub)
+                && matches!(args.get(1).map(String::as_str), Some("--help" | "-h")) =>
+        {
+            help()
+        }
         Some("run") => match RunArgs::parse(&args[1..]) {
             Ok(run) => run_job(&run),
             Err(e) => usage(&e),
@@ -104,13 +129,15 @@ fn main() -> ExitCode {
             Ok(client) => stop_session(&client),
             Err(e) => usage(&e),
         },
-        Some("--help" | "-h" | "help") => {
-            println!("wfctl: drive Wayfinder sessions against the simulated testbed");
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
+        Some("--help" | "-h" | "help") => help(),
         _ => usage("missing or unknown subcommand"),
     }
+}
+
+fn help() -> ExitCode {
+    println!("wfctl: drive Wayfinder sessions against the simulated testbed");
+    println!("{USAGE}");
+    ExitCode::SUCCESS
 }
 
 const USAGE: &str = "usage:\n  wfctl run [<job.yaml>] [--os K] [--app A] [--workers N]\n            [--iterations I] [--time-budget-s S] [--repetitions R]\n            [--seed S] [--out DIR] [--backend B] [--routing R]\n                              run a job file to completion; flags override\n                              the job's keys (and WF_WORKERS). With --os\n                              and no job file, runs an ad-hoc random-search\n                              session on the registered target K. --out\n                              (or the job's `out:` key) writes a session\n                              store: manifest.yaml + events.jsonl.\n                              --backend picks where evaluations execute\n                              (in-process | remote; remote launches\n                              one wf-evald process per worker); --routing\n                              picks the slot->lane strategy (random |\n                              fastest | round-robin | preferred)\n  wfctl resume <DIR> [--iterations I] [--time-budget-s S]\n                              resume an interrupted session store where it\n                              stopped (optionally extending the budget);\n                              no completed evaluation is re-run\n  wfctl report <DIR>          render the full report of a session store,\n                              offline — zero re-evaluations\n  wfctl verify <DIR>          verify the store's hash-chained event\n                              ledger line by line (tamper/corruption check)\n  wfctl validate <job.yaml>   parse + resolve a job without running it\n  wfctl daemon [--root DIR]   serve the wfd multi-tenant daemon in the\n                              foreground over the state root DIR (or\n                              WF_DAEMON); Ctrl-C parks every session at\n                              its wave boundary, resumable\n  wfctl submit <job.yaml> [--daemon DIR]\n                              hand a job to a running daemon; prints the\n                              session id and store directory. The root\n                              resolves --daemon > WF_DAEMON > the job's\n                              `daemon:` key\n  wfctl sessions [--daemon DIR]\n                              list the daemon's sessions and statuses\n  wfctl watch <ID> [--daemon DIR]\n                              stream a daemon session's events until it\n                              ends (or Ctrl-C; the session keeps running)\n  wfctl stop <ID> [--daemon DIR]\n                              park a daemon session at its next wave\n                              boundary; its store resumes with\n                              `wfctl resume`\n  wfctl targets               list every registered target\n  wfctl bench [--quick] [--out PATH] [--target K]\n                              time the controller-side hot paths (search\n                              propose/observe batches, DeepTune batches,\n                              store append/replay, wave dispatch) and\n                              optionally write the machine-readable JSON\n                              (BENCH_search.json is the committed baseline\n                              the CI perf gate diffs against). --target K\n                              times the search hot paths on the registered\n                              target K's own space and sampling policy\n                              instead (BENCH_<K>.json are the committed\n                              per-target baselines)\n  wfctl probe                 run the §3.4 runtime-space inference\n  wfctl lint [ROOT] [--format human|json] [--out PATH] [--list-rules]\n                              run the wf-lint determinism & robustness\n                              static analysis over the workspace (ROOT\n                              defaults to `.`; config from wf-lint.toml);\n                              exits nonzero on any unsuppressed finding —\n                              the same check CI's lint-pass leg enforces\n  wfctl experiments           list the regeneration targets\n  wfctl --help                show this help";
