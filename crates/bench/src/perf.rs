@@ -472,7 +472,7 @@ pub fn run_suite(quick: bool) -> Vec<OpResult> {
         .collect();
     let flat: Vec<f64> = feats.iter().flatten().copied().collect();
     let x256 = Matrix::from_vec(256, dim, flat);
-    let mut model = Dtm::new(DtmConfig::for_input(dim));
+    let model = Dtm::new(DtmConfig::for_input(dim));
     bench_op(
         &mut results,
         samples(quick, false),

@@ -22,10 +22,9 @@
 //! plays the role of the paper's 0.1 at their feature scale. γ stays
 //! configurable and the ablation bench sweeps it.
 
+use wf_nn::layer::{apply_mask, relu, relu_inference};
 use wf_nn::loss::{chamfer, heteroscedastic_regression, weighted_categorical_cross_entropy};
-use wf_nn::{
-    sigmoid, softplus, softplus_grad, Adam, Dense, Dropout, Layer, Matrix, Rbf, Relu, Tensor,
-};
+use wf_nn::{sigmoid, softplus, softplus_grad, Adam, Dense, Dropout, Matrix, Rbf, Tensor};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,12 +99,10 @@ impl LossBreakdown {
 /// The DeepTune Model.
 pub struct Dtm {
     cfg: DtmConfig,
-    // Prediction branch.
+    // Prediction branch (each dense layer feeds ReLU, then dropout).
     l1: Dense,
-    r1: Relu,
     dr1: Dropout,
     l2: Dense,
-    r2: Relu,
     dr2: Dropout,
     crash_head: Dense,
     mu_head: Dense,
@@ -117,14 +114,60 @@ pub struct Dtm {
     opt: Adam,
 }
 
-/// Cached forward activations needed by the backward pass (the layers
-/// cache their own inputs; this carries only what the losses read).
-struct ForwardPass {
+/// One training forward: it borrows the batch and owns every activation,
+/// mask and RBF distance matrix that the losses and backward read. The
+/// layers themselves hold only parameters.
+struct TrainPass<'x> {
+    /// The batch: the input of `l1`, and `z1`, the input of `rbf1`.
+    x: &'x Matrix,
+    stage1: StageMasks,
+    /// Output of the first ReLU → dropout stage: the input of `l2`.
+    h1: Matrix,
+    stage2: StageMasks,
+    /// Output of the second stage: the input of the three heads.
+    h2: Matrix,
     crash_logits: Matrix,
     mu: Matrix,
     logvar: Matrix,
+    /// `rbf1`'s squared distances from `x`, read by its activations and
+    /// by Chamfer.
+    dist1: Matrix,
+    phi1: Matrix,
+    /// `phi1 ‖ h1`: the input of `rbf2`.
     z2: Matrix,
+    /// `rbf2`'s squared distances from `z2`.
+    dist2: Matrix,
+    /// The input of the σ̂ head.
+    phi2: Matrix,
     sigma_raw: Matrix,
+}
+
+/// The masks of one ReLU → dropout stage of the prediction branch.
+struct StageMasks {
+    relu: Matrix,
+    /// `None` at dropout rate 0.
+    dropout: Option<Matrix>,
+}
+
+impl StageMasks {
+    /// ReLU then dropout on `a`, in place, drawing the dropout mask.
+    fn forward(a: &mut Matrix, dropout: &mut Dropout) -> Self {
+        let relu = relu(a);
+        let dropout = dropout.mask(a.rows(), a.cols());
+        if let Some(mask) = &dropout {
+            apply_mask(a, mask);
+        }
+        StageMasks { relu, dropout }
+    }
+
+    /// The stage's backward on the gradient `g`, in place: the dropout
+    /// mask, then the ReLU mask.
+    fn backward(&self, g: &mut Matrix) {
+        if let Some(mask) = &self.dropout {
+            apply_mask(g, mask);
+        }
+        apply_mask(g, &self.relu);
+    }
 }
 
 impl Dtm {
@@ -137,10 +180,8 @@ impl Dtm {
         let k = cfg.centroids;
         Dtm {
             l1: Dense::new(d, h, &mut rng),
-            r1: Relu::new(),
             dr1: Dropout::new(cfg.dropout, cfg.seed ^ 0x1),
             l2: Dense::new(h, h, &mut rng),
-            r2: Relu::new(),
             dr2: Dropout::new(cfg.dropout, cfg.seed ^ 0x2),
             crash_head: Dense::new(h, 2, &mut rng),
             mu_head: Dense::new(h, 1, &mut rng),
@@ -175,49 +216,61 @@ impl Dtm {
         self.parameter_count() * 3 * std::mem::size_of::<f64>()
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> ForwardPass {
-        // Prediction branch.
-        let a1 = self.l1.forward(x, train);
-        let a1 = self.r1.forward(&a1, train);
-        let h1 = self.dr1.forward(&a1, train);
-        let a2 = self.l2.forward(&h1, train);
-        let a2 = self.r2.forward(&a2, train);
-        let h2 = self.dr2.forward(&a2, train);
-        let crash_logits = self.crash_head.forward(&h2, train);
-        let mu = self.mu_head.forward(&h2, train);
-        let logvar = self.logvar_head.forward(&h2, train);
-        // Uncertainty branch (Fig. 4): z1 is the input itself (borrowed,
-        // never copied), z2 concatenates the first RBF activations with
-        // the prediction latents.
-        let phi1 = self.rbf1.forward(x, train);
+    /// The training forward (dropout on). Fig. 4's uncertainty branch:
+    /// `z1` is the batch itself, borrowed by the pass, and `z2`
+    /// concatenates the first RBF activations with the prediction
+    /// latents.
+    fn train_forward<'x>(&mut self, x: &'x Matrix) -> TrainPass<'x> {
+        let mut h1 = self.l1.forward(x);
+        let stage1 = StageMasks::forward(&mut h1, &mut self.dr1);
+        let mut h2 = self.l2.forward(&h1);
+        let stage2 = StageMasks::forward(&mut h2, &mut self.dr2);
+        let dist1 = self.rbf1.sq_dists(x);
+        let phi1 = self.rbf1.activate(dist1.clone());
         let z2 = phi1.concat_cols(&h1);
-        let phi2 = self.rbf2.forward(&z2, train);
-        let sigma_raw = self.sigma_head.forward(&phi2, train);
-        ForwardPass {
-            crash_logits,
-            mu,
-            logvar,
+        let dist2 = self.rbf2.sq_dists(&z2);
+        let phi2 = self.rbf2.activate(dist2.clone());
+        TrainPass {
+            x,
+            stage1,
+            crash_logits: self.crash_head.forward(&h2),
+            mu: self.mu_head.forward(&h2),
+            logvar: self.logvar_head.forward(&h2),
+            h1,
+            stage2,
+            h2,
+            dist1,
+            phi1,
             z2,
-            sigma_raw,
+            dist2,
+            sigma_raw: self.sigma_head.forward(&phi2),
+            phi2,
         }
     }
 
     /// Predicts crash probability, normalized performance, and σ̂ for each
-    /// row of `x` (inference mode: dropout off).
-    pub fn predict(&mut self, x: &Matrix) -> Vec<Prediction> {
-        let pass = self.forward(x, false);
+    /// row of `x` (inference mode: dropout off, nothing kept for backward).
+    pub fn predict(&self, x: &Matrix) -> Vec<Prediction> {
+        let mut h1 = self.l1.forward(x);
+        relu_inference(&mut h1);
+        let mut h2 = self.l2.forward(&h1);
+        relu_inference(&mut h2);
+        let crash_logits = self.crash_head.forward(&h2);
+        let mu = self.mu_head.forward(&h2);
+        let z2 = self.rbf1.forward(x).concat_cols(&h1);
+        let sigma_raw = self.sigma_head.forward(&self.rbf2.forward(&z2));
         (0..x.rows())
             .map(|r| {
                 let crash_prob = {
-                    let a = pass.crash_logits.get(r, 0);
-                    let b = pass.crash_logits.get(r, 1);
+                    let a = crash_logits.get(r, 0);
+                    let b = crash_logits.get(r, 1);
                     // Class 1 = crash; softmax of two logits is a sigmoid.
                     sigmoid(b - a)
                 };
                 Prediction {
                     crash_prob,
-                    mu: pass.mu.get(r, 0),
-                    sigma: softplus(pass.sigma_raw.get(r, 0)),
+                    mu: mu.get(r, 0),
+                    sigma: softplus(sigma_raw.get(r, 0)),
                 }
             })
             .collect()
@@ -250,7 +303,7 @@ impl Dtm {
         assert_eq!(x.rows(), targets.len());
         assert_eq!(x.rows(), crashed.len());
         assert_eq!(x.cols(), self.cfg.input_dim);
-        let pass = self.forward(x, true);
+        let pass = self.train_forward(x);
         self.zero_grads();
         let b = x.rows();
 
@@ -310,38 +363,41 @@ impl Dtm {
         }
 
         // --- Backward: prediction branch. --------------------------------
-        let g_h2_crash = self.crash_head.backward(&grad_logits);
-        let g_h2_mu = self.mu_head.backward(&grad_mu);
-        let g_h2_lv = self.logvar_head.backward(&grad_logvar);
-        let mut g_h2 = g_h2_crash;
-        g_h2.add_assign(&g_h2_mu);
-        g_h2.add_assign(&g_h2_lv);
-        let g = self.dr2.backward(&g_h2);
-        let g = self.r2.backward(&g);
-        let g_h1_pred = self.l2.backward(&g);
+        self.crash_head.accumulate_grads(&pass.h2, &grad_logits);
+        self.mu_head.accumulate_grads(&pass.h2, &grad_mu);
+        self.logvar_head.accumulate_grads(&pass.h2, &grad_logvar);
+        let mut g = self.crash_head.input_grad(&grad_logits);
+        g.add_assign(&self.mu_head.input_grad(&grad_mu));
+        g.add_assign(&self.logvar_head.input_grad(&grad_logvar));
+        pass.stage2.backward(&mut g);
+        self.l2.accumulate_grads(&pass.h1, &g);
         // The uncertainty branch reads h1 but does not reshape it
         // (stop-gradient, see module docs); only the prediction gradient
-        // flows back to layer 1.
-        let g = self.dr1.backward(&g_h1_pred);
-        let g = self.r1.backward(&g);
-        let _ = self.l1.backward(&g);
+        // flows back to layer 1, whose input gradient nothing reads.
+        let mut g = self.l2.input_grad(&g);
+        pass.stage1.backward(&mut g);
+        self.l1.accumulate_grads(pass.x, &g);
 
         // --- Backward: uncertainty branch. --------------------------------
-        let g_phi2 = self.sigma_head.backward(&grad_sigma_raw);
-        let g_z2 = self.rbf2.backward(&g_phi2);
+        self.sigma_head
+            .accumulate_grads(&pass.phi2, &grad_sigma_raw);
+        let g_phi2 = self.sigma_head.input_grad(&grad_sigma_raw);
+        self.rbf2.accumulate_grads(&pass.z2, &pass.phi2, &g_phi2);
         // Split z2 grads back to phi1 (ignore the h1 part: stop-gradient).
+        let g_z2 = self.rbf2.input_grad(&pass.z2, &pass.phi2, &g_phi2);
         let (g_phi1, _g_h1_unc) = g_z2.split_cols(self.cfg.centroids);
-        let _ = self.rbf1.backward(&g_phi1);
+        self.rbf1.accumulate_grads(pass.x, &pass.phi1, &g_phi1);
 
         // --- L_Cham: pull centroids onto the latent distribution. --------
         // Weighted by 1/dim so the regularizer stays commensurate with the
         // prediction losses at any feature count. z1 is the raw input `x`.
+        // Both read the distances their layer's forward computed.
         let lam1 = 1.0 / self.cfg.input_dim as f64;
         let lam2 = 1.0 / (self.cfg.centroids + self.cfg.hidden) as f64;
-        let (cham1, mut grad_c1) = chamfer(&self.rbf1.centroids().value, x);
+        let (cham1, mut grad_c1) = chamfer(&self.rbf1.centroids().value, x, &pass.dist1);
         grad_c1.scale(lam1);
         self.rbf1.centroids_mut().grad.add_assign(&grad_c1);
-        let (cham2, mut grad_c2) = chamfer(&self.rbf2.centroids().value, &pass.z2);
+        let (cham2, mut grad_c2) = chamfer(&self.rbf2.centroids().value, &pass.z2, &pass.dist2);
         grad_c2.scale(lam2);
         self.rbf2.centroids_mut().grad.add_assign(&grad_c2);
 
@@ -360,7 +416,19 @@ impl Dtm {
     }
 
     fn step(&mut self) {
-        // Split borrows: the optimizer and the layers are disjoint fields.
+        let (mut tensors, opt) = self.tensors_and_opt();
+        opt.step(&mut tensors);
+    }
+
+    /// All trainable tensors in a stable order (the optimizer keys state by
+    /// position).
+    fn tensors(&mut self) -> Vec<&mut Tensor> {
+        self.tensors_and_opt().0
+    }
+
+    /// [`Dtm::tensors`] and the optimizer: disjoint fields, borrowed at
+    /// once.
+    fn tensors_and_opt(&mut self) -> (Vec<&mut Tensor>, &mut Adam) {
         let Dtm {
             l1,
             l2,
@@ -373,31 +441,14 @@ impl Dtm {
             opt,
             ..
         } = self;
-        let mut tensors: Vec<&mut Tensor> = Vec::new();
-        tensors.extend(l1.tensors());
-        tensors.extend(l2.tensors());
-        tensors.extend(crash_head.tensors());
-        tensors.extend(mu_head.tensors());
-        tensors.extend(logvar_head.tensors());
-        tensors.extend(rbf1.tensors());
-        tensors.extend(rbf2.tensors());
+        let mut tensors = Vec::with_capacity(14);
+        for dense in [l1, l2, crash_head, mu_head, logvar_head] {
+            tensors.extend(dense.tensors());
+        }
+        tensors.push(rbf1.centroids_mut());
+        tensors.push(rbf2.centroids_mut());
         tensors.extend(sigma_head.tensors());
-        opt.step(&mut tensors);
-    }
-
-    /// All trainable tensors in a stable order (the optimizer keys state by
-    /// position).
-    fn tensors(&mut self) -> Vec<&mut Tensor> {
-        let mut out = Vec::new();
-        out.extend(self.l1.tensors());
-        out.extend(self.l2.tensors());
-        out.extend(self.crash_head.tensors());
-        out.extend(self.mu_head.tensors());
-        out.extend(self.logvar_head.tensors());
-        out.extend(self.rbf1.tensors());
-        out.extend(self.rbf2.tensors());
-        out.extend(self.sigma_head.tensors());
-        out
+        (tensors, opt)
     }
 
     /// Snapshot of all weights (for transfer-learning checkpoints).

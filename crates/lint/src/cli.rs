@@ -5,17 +5,21 @@
 //! <program> [ROOT] [--format human|json] [--out PATH] [--list-rules]
 //! ```
 //!
-//! Exits 0 when the tree is clean, 1 on any unsuppressed finding, and
-//! 2 on usage/config errors — so CI can gate on the exit code while
-//! archiving the `--out` JSON artifact.
+//! Exits 0 when the tree is clean (or after `--help`, which prints the
+//! usage to stdout), 1 on any unsuppressed finding, and 2 on usage/config
+//! errors — so CI can gate on the exit code while archiving the `--out`
+//! JSON artifact.
 
 use std::path::PathBuf;
+
+const USAGE: &str = "[ROOT] [--format human|json] [--out PATH] [--list-rules]";
 
 struct Args {
     root: PathBuf,
     format: Format,
     out: Option<PathBuf>,
     list_rules: bool,
+    help: bool,
 }
 
 #[derive(PartialEq)]
@@ -30,6 +34,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         format: Format::Human,
         out: None,
         list_rules: false,
+        help: false,
     };
     let mut i = 0;
     let mut root_set = false;
@@ -49,11 +54,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.out = Some(PathBuf::from(path));
             }
             "--list-rules" => args.list_rules = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: [ROOT] [--format human|json] [--out PATH] [--list-rules]".to_string(),
-                )
-            }
+            "--help" | "-h" => args.help = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
             operand if !root_set => {
                 args.root = PathBuf::from(operand);
@@ -67,16 +68,20 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 /// Runs the analyzer CLI; `program` prefixes diagnostics (`wf-lint` or
-/// `wfctl lint`). Returns the process exit code: 0 clean, 1 findings,
-/// 2 usage/config error.
+/// `wfctl lint`). Returns the process exit code: 0 clean or help, 1
+/// findings, 2 usage/config error.
 pub fn run(argv: &[String], program: &str) -> u8 {
     let args = match parse_args(argv) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("{program}: {e}");
+            eprintln!("{program}: {e}\nusage: {program} {USAGE}");
             return 2;
         }
     };
+    if args.help {
+        println!("usage: {program} {USAGE}");
+        return 0;
+    }
     if args.list_rules {
         for r in crate::RULES {
             println!("{:<28} [{}] {}", r.name, r.family, r.summary);

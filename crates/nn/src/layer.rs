@@ -1,12 +1,15 @@
 //! Trainable layers: dense, ReLU, dropout, and Gaussian RBF.
 //!
-//! Layers cache whatever they need during a *training* `forward`
-//! (`train == true`) and consume that cache in `backward`; calling
-//! `backward` without a preceding training forward panics. Inference
-//! forwards (`train == false`) allocate no caches at all — the DTM's
-//! scoring path calls `predict` over large candidate pools every
-//! iteration, and those forwards are pure. The RBF layer implements Eq. 1
-//! of the Wayfinder paper: `phi(z) = exp(-||z - c||^2 / (2 gamma^2))`.
+//! Layers hold only their parameters. A forward is a pure function of
+//! the layer and its input; backward is split in two, so a caller
+//! computes only what it uses: `accumulate_grads` adds the parameter
+//! gradients given the forward's input (and, for [`Rbf`], its output),
+//! and `input_grad` returns the gradient with respect to that input.
+//! Whatever backward reads (inputs, activations, ReLU and dropout masks)
+//! is owned by the caller's pass, so a first layer never copies its
+//! input and an inference forward keeps nothing. The RBF layer
+//! implements Eq. 1 of the Wayfinder paper:
+//! `phi(z) = exp(-||z - c||^2 / (2 gamma^2))`.
 
 use crate::matrix::Matrix;
 use crate::rng::fill_normal;
@@ -37,42 +40,10 @@ impl Tensor {
     }
 }
 
-/// A differentiable layer.
-pub trait Layer {
-    /// Computes the layer output for a `batch x in_dim` input.
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix;
-
-    /// Backpropagates `grad` (gradient w.r.t. the forward output) and returns
-    /// the gradient w.r.t. the forward input. Parameter gradients are
-    /// *accumulated* into the layer's tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before a [`Layer::forward`] with `train == true`
-    /// (inference forwards skip the caches backward consumes).
-    fn backward(&mut self, grad: &Matrix) -> Matrix;
-
-    /// Mutable access to the layer's trainable tensors (empty by default).
-    fn tensors(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    /// Zeroes the gradients of all trainable tensors.
-    fn zero_grad(&mut self) {
-        for t in self.tensors() {
-            t.zero_grad();
-        }
-    }
-
-    /// Human-readable layer name for diagnostics.
-    fn name(&self) -> &'static str;
-}
-
 /// Fully connected layer: `y = x W + b`.
 pub struct Dense {
     weight: Tensor,
     bias: Tensor,
-    cached_input: Option<Matrix>,
 }
 
 impl Dense {
@@ -84,31 +55,15 @@ impl Dense {
         Self {
             weight: Tensor::new(w),
             bias: Tensor::new(Matrix::zeros(1, out_dim)),
-            cached_input: None,
         }
     }
 
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.weight.value.rows()
+    /// The weight and bias tensors, in that order.
+    pub fn tensors(&mut self) -> [&mut Tensor; 2] {
+        [&mut self.weight, &mut self.bias]
     }
 
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.weight.value.cols()
-    }
-
-    /// Immutable access to the weight tensor.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// Immutable access to the bias tensor.
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-
-    /// Overwrites the parameters (used by transfer learning).
+    /// Overwrites the parameters.
     pub fn load(&mut self, weight: Matrix, bias: Matrix) {
         assert_eq!(
             (weight.rows(), weight.cols()),
@@ -123,79 +78,56 @@ impl Dense {
         self.weight.value = weight;
         self.bias.value = bias;
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+    /// The layer output for a `batch x in_dim` input.
+    pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut out = x.matmul(&self.weight.value);
         out.add_row_broadcast(&self.bias.value);
-        self.cached_input = train.then(|| x.clone());
         out
     }
 
-    fn backward(&mut self, grad: &Matrix) -> Matrix {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Dense::backward called before forward");
+    /// Adds the parameter gradients for `grad` (the gradient w.r.t. the
+    /// output of a forward over `x`) to the weight and bias tensors.
+    pub fn accumulate_grads(&mut self, x: &Matrix, grad: &Matrix) {
         self.weight.grad.add_assign(&x.t_matmul(grad));
         self.bias.grad.add_assign(&grad.sum_rows());
+    }
+
+    /// The gradient w.r.t. the forward's input, given `grad` w.r.t. its
+    /// output.
+    pub fn input_grad(&self, grad: &Matrix) -> Matrix {
         grad.matmul_t(&self.weight.value)
     }
+}
 
-    fn tensors(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
+/// Rectified linear unit for training, in place: zeroes every entry of
+/// `x` that is not positive and returns the 0/1 mask that backward
+/// multiplies by (see [`apply_mask`]).
+pub fn relu(x: &mut Matrix) -> Matrix {
+    let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+    apply_mask(x, &mask);
+    mask
+}
 
-    fn name(&self) -> &'static str {
-        "Dense"
+/// Rectified linear unit for inference, in place: no mask is kept.
+pub fn relu_inference(x: &mut Matrix) {
+    x.data_mut().iter_mut().for_each(|v| *v = v.max(0.0));
+}
+
+/// Multiplies `x` by `mask` element-wise, in place: a ReLU or dropout
+/// forward, or its backward applied to a gradient.
+pub fn apply_mask(x: &mut Matrix, mask: &Matrix) {
+    assert_eq!((x.rows(), x.cols()), (mask.rows(), mask.cols()));
+    for (v, m) in x.data_mut().iter_mut().zip(mask.data()) {
+        *v *= m;
     }
 }
 
-/// Rectified linear unit.
-#[derive(Default)]
-pub struct Relu {
-    mask: Option<Matrix>,
-}
-
-impl Relu {
-    /// Creates a ReLU activation layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Relu {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if !train {
-            // Inference: one allocation, no mask to keep.
-            self.mask = None;
-            return x.map(|v| v.max(0.0));
-        }
-        let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let out = x.hadamard(&mask);
-        self.mask = Some(mask);
-        out
-    }
-
-    fn backward(&mut self, grad: &Matrix) -> Matrix {
-        let mask = self
-            .mask
-            .as_ref()
-            .expect("Relu::backward called before forward");
-        grad.hadamard(mask)
-    }
-
-    fn name(&self) -> &'static str {
-        "ReLU"
-    }
-}
-
-/// Inverted dropout: active only when `train == true`.
+/// Inverted dropout: a seeded stream of training masks. Inference applies
+/// no dropout, so it never touches this layer.
 pub struct Dropout {
     rate: f64,
     rng: StdRng,
-    mask: Option<Matrix>,
 }
 
 impl Dropout {
@@ -209,39 +141,24 @@ impl Dropout {
         Self {
             rate,
             rng: StdRng::seed_from_u64(seed),
-            mask: None,
         }
     }
-}
 
-impl Layer for Dropout {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if !train || self.rate == 0.0 {
-            self.mask = None;
-            return x.clone();
+    /// Draws the next `rows x cols` training mask: each entry is `0` with
+    /// probability `rate`, else `1 / (1 - rate)`. `None` at rate 0, where
+    /// dropout is the identity and draws nothing.
+    pub fn mask(&mut self, rows: usize, cols: usize) -> Option<Matrix> {
+        if self.rate == 0.0 {
+            return None;
         }
         let keep = 1.0 - self.rate;
-        let mask = Matrix::from_fn(x.rows(), x.cols(), |_, _| {
+        Some(Matrix::from_fn(rows, cols, |_, _| {
             if self.rng.random::<f64>() < keep {
                 1.0 / keep
             } else {
                 0.0
             }
-        });
-        let out = x.hadamard(&mask);
-        self.mask = Some(mask);
-        out
-    }
-
-    fn backward(&mut self, grad: &Matrix) -> Matrix {
-        match &self.mask {
-            Some(mask) => grad.hadamard(mask),
-            None => grad.clone(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "Dropout"
+        }))
     }
 }
 
@@ -250,12 +167,11 @@ impl Layer for Dropout {
 /// Each of the `k` neurons holds a learned centroid `c_j`; the activation for
 /// an input `z` is `exp(-||z - c_j||^2 / (2 gamma^2))`. Centroids are trained
 /// both by gradients flowing from downstream layers and by the Chamfer
-/// regularizer in [`crate::loss::chamfer`].
+/// regularizer in [`crate::loss::chamfer`], which reads the same
+/// [`Rbf::sq_dists`] matrix the activations come from.
 pub struct Rbf {
     centroids: Tensor,
     gamma: f64,
-    cached_input: Option<Matrix>,
-    cached_output: Option<Matrix>,
 }
 
 impl Rbf {
@@ -268,14 +184,7 @@ impl Rbf {
         Self {
             centroids: Tensor::new(c),
             gamma,
-            cached_input: None,
-            cached_output: None,
         }
-    }
-
-    /// The smoothing parameter `gamma`.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
     }
 
     /// Immutable access to the centroid tensor.
@@ -288,7 +197,7 @@ impl Rbf {
         &mut self.centroids
     }
 
-    /// Overwrites the centroids (used by transfer learning).
+    /// Overwrites the centroids.
     pub fn load(&mut self, centroids: Matrix) {
         assert_eq!(
             (centroids.rows(), centroids.cols()),
@@ -297,63 +206,70 @@ impl Rbf {
         );
         self.centroids.value = centroids;
     }
-}
 
-impl Layer for Rbf {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let k = self.centroids.value.rows();
-        let denom = 2.0 * self.gamma * self.gamma;
-        let out = Matrix::from_fn(x.rows(), k, |r, j| {
-            let d2 = x.row_sq_dist(r, &self.centroids.value, j);
-            (-d2 / denom).exp()
-        });
-        if train {
-            self.cached_input = Some(x.clone());
-            self.cached_output = Some(out.clone());
-        } else {
-            self.cached_input = None;
-            self.cached_output = None;
-        }
-        out
+    /// The `batch x k` squared distances from each input row to each
+    /// centroid, each summed over the dimensions in ascending order.
+    pub fn sq_dists(&self, x: &Matrix) -> Matrix {
+        let c = &self.centroids.value;
+        Matrix::from_fn(x.rows(), c.rows(), |r, j| x.row_sq_dist(r, c, j))
     }
 
-    fn backward(&mut self, grad: &Matrix) -> Matrix {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Rbf::backward called before forward");
-        let phi = self
-            .cached_output
-            .as_ref()
-            .expect("Rbf::backward called before forward");
+    /// Turns [`Rbf::sq_dists`] into activations, in place.
+    pub fn activate(&self, mut sq_dists: Matrix) -> Matrix {
+        let denom = 2.0 * self.gamma * self.gamma;
+        for v in sq_dists.data_mut() {
+            *v = (-*v / denom).exp();
+        }
+        sq_dists
+    }
+
+    /// The `batch x k` activations for input `x`.
+    pub fn forward(&self, x: &Matrix) -> Matrix {
+        self.activate(self.sq_dists(x))
+    }
+
+    /// Adds the centroid gradients for `grad` (the gradient w.r.t. the
+    /// activations `phi` of a forward over `x`):
+    /// `d phi / d c = phi * (z - c) / gamma^2`.
+    pub fn accumulate_grads(&mut self, x: &Matrix, phi: &Matrix, grad: &Matrix) {
         let g2 = self.gamma * self.gamma;
-        let mut grad_in = Matrix::zeros(x.rows(), x.cols());
+        let Tensor {
+            value: c,
+            grad: c_grad,
+        } = &mut self.centroids;
         for r in 0..x.rows() {
-            for j in 0..self.centroids.value.rows() {
-                // d phi / d z = phi * (c - z) / gamma^2
-                // d phi / d c = phi * (z - c) / gamma^2
+            for j in 0..c.rows() {
                 let coeff = grad.get(r, j) * phi.get(r, j) / g2;
                 if coeff == 0.0 {
                     continue;
                 }
-                for d in 0..x.cols() {
-                    let diff = self.centroids.value.get(j, d) - x.get(r, d);
-                    grad_in.set(r, d, grad_in.get(r, d) + coeff * diff);
-                    self.centroids
-                        .grad
-                        .set(j, d, self.centroids.grad.get(j, d) - coeff * diff);
+                let diffs = c.row(j).iter().zip(x.row(r)).map(|(c, z)| c - z);
+                for (g, diff) in c_grad.row_mut(j).iter_mut().zip(diffs) {
+                    *g -= coeff * diff;
+                }
+            }
+        }
+    }
+
+    /// The gradient w.r.t. the forward's input `x`, given `grad` w.r.t.
+    /// its activations `phi`: `d phi / d z = phi * (c - z) / gamma^2`.
+    pub fn input_grad(&self, x: &Matrix, phi: &Matrix, grad: &Matrix) -> Matrix {
+        let g2 = self.gamma * self.gamma;
+        let c = &self.centroids.value;
+        let mut grad_in = Matrix::zeros(x.rows(), x.cols());
+        for r in 0..x.rows() {
+            for j in 0..c.rows() {
+                let coeff = grad.get(r, j) * phi.get(r, j) / g2;
+                if coeff == 0.0 {
+                    continue;
+                }
+                let diffs = c.row(j).iter().zip(x.row(r)).map(|(c, z)| c - z);
+                for (g, diff) in grad_in.row_mut(r).iter_mut().zip(diffs) {
+                    *g += coeff * diff;
                 }
             }
         }
         grad_in
-    }
-
-    fn tensors(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.centroids]
-    }
-
-    fn name(&self) -> &'static str {
-        "RBF"
     }
 }
 
@@ -370,33 +286,35 @@ mod tests {
         let mut r = rng();
         let mut d = Dense::new(3, 2, &mut r);
         d.load(Matrix::zeros(3, 2), Matrix::row_vector(&[1.0, -1.0]));
-        let out = d.forward(&Matrix::zeros(4, 3), false);
+        let out = d.forward(&Matrix::zeros(4, 3));
         assert_eq!((out.rows(), out.cols()), (4, 2));
         assert_eq!(out.row(0), &[1.0, -1.0]);
     }
 
     #[test]
     fn relu_masks_negative_values() {
-        let mut l = Relu::new();
-        let out = l.forward(&Matrix::row_vector(&[-1.0, 0.0, 2.0]), true);
-        assert_eq!(out.data(), &[0.0, 0.0, 2.0]);
-        let g = l.backward(&Matrix::row_vector(&[1.0, 1.0, 1.0]));
+        let mut x = Matrix::row_vector(&[-1.0, 0.0, 2.0]);
+        let mask = relu(&mut x);
+        assert_eq!(x.data(), &[0.0, 0.0, 2.0]);
+        let mut g = Matrix::row_vector(&[1.0, 1.0, 1.0]);
+        apply_mask(&mut g, &mask);
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
     }
 
+    /// Inference never calls dropout, so the eval-mode identity is the
+    /// model's (`Dtm::predict` applies no mask); the identity left here
+    /// is rate 0, which draws no mask at all.
     #[test]
     fn dropout_eval_is_identity() {
-        let mut l = Dropout::new(0.5, 1);
-        let x = Matrix::row_vector(&[1.0, 2.0, 3.0]);
-        let out = l.forward(&x, false);
-        assert_eq!(out.data(), x.data());
+        let mut l = Dropout::new(0.0, 1);
+        assert!(l.mask(1, 3).is_none());
     }
 
     #[test]
     fn dropout_train_preserves_expectation() {
         let mut l = Dropout::new(0.5, 9);
-        let x = Matrix::filled(1, 10_000, 1.0);
-        let out = l.forward(&x, true);
+        let mut out = Matrix::filled(1, 10_000, 1.0);
+        apply_mask(&mut out, &l.mask(1, 10_000).expect("rate > 0"));
         let mean = out.mean();
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
     }
@@ -406,70 +324,62 @@ mod tests {
         let mut r = rng();
         let mut l = Rbf::new(2, 1, 0.5, &mut r);
         l.load(Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        let near = l.forward(&Matrix::row_vector(&[1.0, 1.0]), false);
+        let near = l.forward(&Matrix::row_vector(&[1.0, 1.0]));
         assert!((near.get(0, 0) - 1.0).abs() < 1e-12);
-        let far = l.forward(&Matrix::row_vector(&[5.0, 5.0]), false);
+        let far = l.forward(&Matrix::row_vector(&[5.0, 5.0]));
         assert!(far.get(0, 0) < 1e-10);
     }
 
-    /// Finite-difference gradient check for a layer's parameters and inputs.
-    /// Backward-feeding forwards run with `train = true` (inference
-    /// forwards no longer cache); the probe forwards stay inference-mode.
-    fn grad_check(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64) {
-        // Scalar loss = sum of outputs; then dL/dout = 1 everywhere.
-        let out = layer.forward(x, true);
-        let ones = Matrix::filled(out.rows(), out.cols(), 1.0);
-        layer.zero_grad();
-        let grad_in = layer.backward(&ones);
+    /// The finite-difference checks below take the scalar loss to be the
+    /// sum of a layer's outputs, so the gradient w.r.t. every output is 1.
+    fn ones_like(m: &Matrix) -> Matrix {
+        Matrix::filled(m.rows(), m.cols(), 1.0)
+    }
 
-        // Check input gradients.
+    /// Checks `grad_in` (the analytic gradient of `sum(forward(x))` w.r.t.
+    /// `x`) against central differences of `forward`.
+    fn check_input_grad(
+        forward: impl Fn(&Matrix) -> Matrix,
+        x: &Matrix,
+        grad_in: &Matrix,
+        eps: f64,
+        tol: f64,
+    ) {
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let fp = layer.forward(&xp, false).sum();
-            let fm = layer.forward(&xm, false).sum();
-            let num = (fp - fm) / (2.0 * eps);
+            let num = (forward(&xp).sum() - forward(&xm).sum()) / (2.0 * eps);
             let ana = grad_in.data()[i];
             assert!(
                 (num - ana).abs() < tol,
                 "input grad {i}: numeric {num} vs analytic {ana}"
             );
         }
+    }
 
-        // Check parameter gradients: recompute analytic grads cleanly first.
-        layer.forward(x, true);
-        layer.zero_grad();
-        layer.backward(&ones);
-        let analytic: Vec<Vec<f64>> = layer
-            .tensors()
+    /// Checks the gradients accumulated into `tensors(layer)` against
+    /// central differences of `sum(forward(layer))` over each parameter.
+    fn check_param_grads<L>(
+        layer: &mut L,
+        tensors: impl Fn(&mut L) -> Vec<&mut Tensor>,
+        forward: impl Fn(&L) -> Matrix,
+        eps: f64,
+        tol: f64,
+    ) {
+        let analytic: Vec<Vec<f64>> = tensors(layer)
             .iter()
             .map(|t| t.grad.data().to_vec())
             .collect();
-        let n_tensors = analytic.len();
-        // Index loops on purpose: each probe re-borrows `layer.tensors()`
-        // mutably, so iterating `analytic` by reference would alias.
-        #[allow(clippy::needless_range_loop)]
-        for ti in 0..n_tensors {
-            let n = analytic[ti].len();
-            for i in 0..n {
-                {
-                    let mut ts = layer.tensors();
-                    ts[ti].value.data_mut()[i] += eps;
-                }
-                let fp = layer.forward(x, false).sum();
-                {
-                    let mut ts = layer.tensors();
-                    ts[ti].value.data_mut()[i] -= 2.0 * eps;
-                }
-                let fm = layer.forward(x, false).sum();
-                {
-                    let mut ts = layer.tensors();
-                    ts[ti].value.data_mut()[i] += eps;
-                }
+        for (ti, grads) in analytic.iter().enumerate() {
+            for (i, &ana) in grads.iter().enumerate() {
+                tensors(layer)[ti].value.data_mut()[i] += eps;
+                let fp = forward(layer).sum();
+                tensors(layer)[ti].value.data_mut()[i] -= 2.0 * eps;
+                let fm = forward(layer).sum();
+                tensors(layer)[ti].value.data_mut()[i] += eps;
                 let num = (fp - fm) / (2.0 * eps);
-                let ana = analytic[ti][i];
                 assert!(
                     (num - ana).abs() < tol,
                     "tensor {ti} grad {i}: numeric {num} vs analytic {ana}"
@@ -483,7 +393,12 @@ mod tests {
         let mut r = rng();
         let mut l = Dense::new(3, 2, &mut r);
         let x = Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 1.5, 0.3, -0.7]);
-        grad_check(&mut l, &x, 1e-5, 1e-6);
+        let (eps, tol) = (1e-5, 1e-6);
+        let ones = ones_like(&l.forward(&x));
+        let grad_in = l.input_grad(&ones);
+        check_input_grad(|x| l.forward(x), &x, &grad_in, eps, tol);
+        l.accumulate_grads(&x, &ones);
+        check_param_grads(&mut l, |l| l.tensors().into(), |l| l.forward(&x), eps, tol);
     }
 
     #[test]
@@ -491,6 +406,18 @@ mod tests {
         let mut r = rng();
         let mut l = Rbf::new(2, 3, 0.7, &mut r);
         let x = Matrix::from_vec(2, 2, vec![0.2, -0.4, 1.1, 0.9]);
-        grad_check(&mut l, &x, 1e-5, 1e-6);
+        let (eps, tol) = (1e-5, 1e-6);
+        let phi = l.forward(&x);
+        let ones = ones_like(&phi);
+        let grad_in = l.input_grad(&x, &phi, &ones);
+        check_input_grad(|x| l.forward(x), &x, &grad_in, eps, tol);
+        l.accumulate_grads(&x, &phi, &ones);
+        check_param_grads(
+            &mut l,
+            |l| vec![l.centroids_mut()],
+            |l| l.forward(&x),
+            eps,
+            tol,
+        );
     }
 }

@@ -6,11 +6,16 @@
 //! * a dense row-major [`matrix::Matrix`] whose blocked `matmul` kernel
 //!   (bit-identical to the naive triple loop it replaced) carries every
 //!   `Dense` forward pass;
-//! * [`layer`]s: fully connected ([`layer::Dense`]), ReLU, inverted dropout,
-//!   and the Gaussian radial-basis-function layer of Eq. 1;
+//! * [`layer`]s that hold only their parameters: fully connected
+//!   ([`layer::Dense`]), ReLU, inverted dropout, and the Gaussian
+//!   radial-basis-function layer of Eq. 1. Forwards are pure; backward is
+//!   split into `accumulate_grads` (parameter gradients) and `input_grad`,
+//!   and the caller's training pass owns every activation and mask they
+//!   read;
 //! * [`loss`]es: categorical cross-entropy (`L_CCE`), the Kendall-&-Gal
 //!   heteroscedastic regression loss (`L_Reg`), and the Chamfer centroid
-//!   regularizer (`L_Cham`);
+//!   regularizer (`L_Cham`), which reads the RBF layer's own distance
+//!   matrix;
 //! * the [`optim::Adam`] optimizer;
 //! * [`norm`]: z-score feature/target normalization;
 //! * [`rng`]: Box–Muller Gaussian sampling on top of `rand`.
@@ -26,7 +31,7 @@ pub mod norm;
 pub mod optim;
 pub mod rng;
 
-pub use layer::{Dense, Dropout, Layer, Rbf, Relu, Tensor};
+pub use layer::{Dense, Dropout, Rbf, Tensor};
 pub use matrix::Matrix;
 pub use norm::{ScalarNorm, ZScore};
 pub use optim::Adam;

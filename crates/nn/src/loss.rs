@@ -114,15 +114,20 @@ pub fn heteroscedastic_regression(
 /// Symmetric Chamfer distance between a centroid set and a batch of points.
 ///
 /// `L = (1/k) sum_j min_i ||c_j - z_i||^2 + (1/b) sum_i min_j ||z_i - c_j||^2`.
+/// `sq_dists` holds `||z_i - c_j||^2` at row `i`, column `j` (the
+/// [`crate::Rbf::sq_dists`] matrix of the layer whose centroids these
+/// are), so both directions read the distances the layer's forward
+/// computed instead of computing them again.
 /// Returns the loss and the gradient with respect to the centroids. Gradients
 /// with respect to the batch points are intentionally not propagated: the
 /// Chamfer term is a *centroid* regularizer (it pulls prototypes onto the
 /// latent distribution, cf. §3.2), and letting it also reshape the latents
 /// would fight the prediction losses.
-pub fn chamfer(centroids: &Matrix, batch: &Matrix) -> (f64, Matrix) {
+pub fn chamfer(centroids: &Matrix, batch: &Matrix, sq_dists: &Matrix) -> (f64, Matrix) {
     assert_eq!(centroids.cols(), batch.cols(), "dimension mismatch");
     let k = centroids.rows();
     let b = batch.rows();
+    assert_eq!((sq_dists.rows(), sq_dists.cols()), (b, k), "distance shape");
     let mut grad_c = Matrix::zeros(k, centroids.cols());
     if k == 0 || b == 0 {
         return (0.0, grad_c);
@@ -134,7 +139,7 @@ pub fn chamfer(centroids: &Matrix, batch: &Matrix) -> (f64, Matrix) {
         let mut best = f64::INFINITY;
         let mut best_i = 0;
         for i in 0..b {
-            let d2 = centroids.row_sq_dist(j, batch, i);
+            let d2 = sq_dists.get(i, j);
             if d2 < best {
                 best = d2;
                 best_i = i;
@@ -151,8 +156,7 @@ pub fn chamfer(centroids: &Matrix, batch: &Matrix) -> (f64, Matrix) {
     for i in 0..b {
         let mut best = f64::INFINITY;
         let mut best_j = 0;
-        for j in 0..k {
-            let d2 = batch.row_sq_dist(i, centroids, j);
+        for (j, &d2) in sq_dists.row(i).iter().enumerate() {
             if d2 < best {
                 best = d2;
                 best_j = j;
@@ -171,6 +175,11 @@ pub fn chamfer(centroids: &Matrix, batch: &Matrix) -> (f64, Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `chamfer`'s distance argument for centroids `c` and points `z`.
+    fn dists(c: &Matrix, z: &Matrix) -> Matrix {
+        Matrix::from_fn(z.rows(), c.rows(), |i, j| z.row_sq_dist(i, c, j))
+    }
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -251,7 +260,7 @@ mod tests {
     #[test]
     fn chamfer_zero_when_centroids_cover_points() {
         let pts = Matrix::from_vec(2, 2, vec![0.0, 0.0, 1.0, 1.0]);
-        let (loss, grad) = chamfer(&pts, &pts);
+        let (loss, grad) = chamfer(&pts, &pts, &dists(&pts, &pts));
         assert!(loss.abs() < 1e-12);
         assert!(grad.max_abs() < 1e-12);
     }
@@ -260,15 +269,15 @@ mod tests {
     fn chamfer_gradient_matches_finite_difference() {
         let c = Matrix::from_vec(2, 2, vec![0.1, 0.2, 0.9, 1.1]);
         let z = Matrix::from_vec(3, 2, vec![0.0, 0.0, 1.0, 1.0, 0.5, 0.4]);
-        let (_, grad) = chamfer(&c, &z);
+        let (_, grad) = chamfer(&c, &z, &dists(&c, &z));
         let eps = 1e-6;
         for i in 0..c.len() {
             let mut cp = c.clone();
             cp.data_mut()[i] += eps;
             let mut cm = c.clone();
             cm.data_mut()[i] -= eps;
-            let (fp, _) = chamfer(&cp, &z);
-            let (fm, _) = chamfer(&cm, &z);
+            let (fp, _) = chamfer(&cp, &z, &dists(&cp, &z));
+            let (fm, _) = chamfer(&cm, &z, &dists(&cm, &z));
             let num = (fp - fm) / (2.0 * eps);
             assert!(
                 (num - grad.data()[i]).abs() < 1e-5,
@@ -282,7 +291,7 @@ mod tests {
     fn chamfer_pulls_lone_centroid_toward_points() {
         let c = Matrix::from_vec(1, 1, vec![10.0]);
         let z = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
-        let (_, grad) = chamfer(&c, &z);
+        let (_, grad) = chamfer(&c, &z, &dists(&c, &z));
         // Gradient must be positive: moving the centroid down (toward the
         // points) reduces the loss.
         assert!(grad.get(0, 0) > 0.0);

@@ -4,14 +4,15 @@
 //! pluggable search algorithm, and records the exploration history:
 //!
 //! * [`clock`] — the virtual clock all budgets are charged against;
-//! * [`cache`] — the kernel-image cache behind §3.1's rebuild-skip, and
-//!   its lock-shared multi-worker form;
+//! * [`cache`] — the kernel-image cache behind §3.1's rebuild-skip, a
+//!   bounded LRU the session owns and hands to each wave's dispatch;
 //! * [`workers`] — per-candidate evaluation: one worker's build → boot →
 //!   benchmark of one configuration ([`workers::evaluate_candidate`]),
-//!   its per-candidate seed derivation ([`derive_seed`]), and parallel
-//!   benchmark repetitions;
-//! * [`backend`] — the [`backend::EvalBackend`] trait and its persistent
-//!   [`backend::InProcessBackend`] implementation (where waves execute);
+//!   its per-candidate seed derivation ([`derive_seed`]), and benchmark
+//!   repetitions run one after the other;
+//! * [`backend`] — the [`backend::EvalBackend`] trait and its
+//!   [`backend::InProcessBackend`] implementation, which evaluates each
+//!   wave inline on the session's thread over virtual worker lanes;
 //! * [`remote`] — [`remote::RemoteBackend`]: workers behind a
 //!   process/socket boundary speaking the length-prefixed `wf-evald`
 //!   protocol;

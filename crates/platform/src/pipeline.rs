@@ -1,4 +1,5 @@
-//! The core exploration loop (§3.1), batched across a VM-worker pool.
+//! The core exploration loop (§3.1), batched in waves of up to `workers`
+//! candidates.
 //!
 //! "1) build and boot an OS image based on a given configuration in a VM;
 //! 2) benchmark the target application running on that OS image; and

@@ -391,6 +391,23 @@ struct RemoteLane {
     child: Option<Child>,
 }
 
+/// Reads `stream`'s hello frame and seats the stream in `lanes` (one
+/// slot per worker) at the lane it announces. A lane out of range, or
+/// one already taken, is an error.
+fn seat_by_hello(mut stream: UnixStream, lanes: &mut [Option<UnixStream>]) -> io::Result<()> {
+    let hello = read_frame(&mut stream)?.ok_or_else(|| bad("worker hung up before hello"))?;
+    let lane = hello
+        .get("lane")
+        .and_then(JsonValue::as_usize)
+        .filter(|l| *l < lanes.len())
+        .ok_or_else(|| bad("malformed hello frame"))?;
+    if lanes[lane].is_some() {
+        return Err(bad("two workers announced the same lane"));
+    }
+    lanes[lane] = Some(stream);
+    Ok(())
+}
+
 /// Accepts one hello-announced connection per worker, in any arrival
 /// order, returning the streams in lane order. `children` is only
 /// polled (`try_wait`) to detect a worker that died before connecting;
@@ -408,18 +425,7 @@ fn accept_workers(
         match listener.accept() {
             Ok((stream, _)) => {
                 stream.set_nonblocking(false)?;
-                let mut stream = stream;
-                let hello =
-                    read_frame(&mut stream)?.ok_or_else(|| bad("worker hung up before hello"))?;
-                let lane = hello
-                    .get("lane")
-                    .and_then(JsonValue::as_usize)
-                    .filter(|l| *l < workers)
-                    .ok_or_else(|| bad("malformed hello frame"))?;
-                if streams[lane].is_some() {
-                    return Err(bad("two workers announced the same lane"));
-                }
-                streams[lane] = Some(stream);
+                seat_by_hello(stream, &mut streams)?;
                 connected += 1;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -533,27 +539,18 @@ impl RemoteBackend {
     pub fn from_streams(streams: Vec<UnixStream>) -> io::Result<RemoteBackend> {
         let workers = streams.len();
         assert!(workers >= 1, "a backend needs at least one lane");
-        let mut lanes: Vec<Option<RemoteLane>> = (0..workers).map(|_| None).collect();
-        for mut stream in streams {
-            let hello =
-                read_frame(&mut stream)?.ok_or_else(|| bad("worker hung up before hello"))?;
-            let lane = hello
-                .get("lane")
-                .and_then(JsonValue::as_usize)
-                .filter(|l| *l < workers)
-                .ok_or_else(|| bad("malformed hello frame"))?;
-            if lanes[lane].is_some() {
-                return Err(bad("two workers announced the same lane"));
-            }
-            lanes[lane] = Some(RemoteLane {
-                stream: Some(stream),
-                child: None,
-            });
+        let mut seated: Vec<Option<UnixStream>> = (0..workers).map(|_| None).collect();
+        for stream in streams {
+            seat_by_hello(stream, &mut seated)?;
         }
         Ok(RemoteBackend {
-            lanes: lanes
+            // One stream per slot, each seated once: every lane is taken.
+            lanes: seated
                 .into_iter()
-                .map(|l| l.expect("all lanes announced"))
+                .map(|stream| RemoteLane {
+                    stream,
+                    child: None,
+                })
                 .collect(),
             socket_path: None,
             frame: String::new(),

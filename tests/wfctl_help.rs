@@ -39,9 +39,23 @@ fn every_subcommand_answers_help_with_the_usage() {
             assert!(stderr.is_empty(), "wfctl {sub} {flag}: {stderr}");
         }
     }
-    // `lint` keeps a help of its own.
-    let lint = wfctl(&["lint", "--help"]);
-    assert!(String::from_utf8_lossy(&lint.stderr).contains("wfctl lint: usage:"));
+    // `lint` has a usage of its own, answered just as strictly.
+    for flag in ["--help", "-h"] {
+        let out = wfctl(&["lint", flag]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "wfctl lint {flag}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("usage: wfctl lint [ROOT]"),
+            "wfctl lint {flag}: {stdout}"
+        );
+        assert!(stderr.is_empty(), "wfctl lint {flag}: {stderr}");
+    }
+    // A bad lint flag is still a usage error (exit 2), reported on stderr.
+    let bad = wfctl(&["lint", "--nosuch"]);
+    assert_eq!(bad.status.code(), Some(2));
+    assert!(bad.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown flag"));
     // An unknown subcommand is still an error, whatever follows it.
     let unknown = wfctl(&["nosuch", "--help"]);
     assert!(!unknown.status.success());
