@@ -383,9 +383,11 @@ impl Dtm {
             .accumulate_grads(&pass.phi2, &grad_sigma_raw);
         let g_phi2 = self.sigma_head.input_grad(&grad_sigma_raw);
         self.rbf2.accumulate_grads(&pass.z2, &pass.phi2, &g_phi2);
-        // Split z2 grads back to phi1 (ignore the h1 part: stop-gradient).
-        let g_z2 = self.rbf2.input_grad(&pass.z2, &pass.phi2, &g_phi2);
-        let (g_phi1, _g_h1_unc) = g_z2.split_cols(self.cfg.centroids);
+        // Only phi1's columns of z2's gradient flow on; the h1 columns
+        // are never computed (stop-gradient, see module docs).
+        let g_phi1 = self
+            .rbf2
+            .input_grad(&pass.z2, &pass.phi2, &g_phi2, self.cfg.centroids);
         self.rbf1.accumulate_grads(pass.x, &pass.phi1, &g_phi1);
 
         // --- L_Cham: pull centroids onto the latent distribution. --------

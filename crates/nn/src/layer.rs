@@ -251,12 +251,14 @@ impl Rbf {
         }
     }
 
-    /// The gradient w.r.t. the forward's input `x`, given `grad` w.r.t.
-    /// its activations `phi`: `d phi / d z = phi * (c - z) / gamma^2`.
-    pub fn input_grad(&self, x: &Matrix, phi: &Matrix, grad: &Matrix) -> Matrix {
+    /// The gradient w.r.t. the first `dims` columns of the forward's
+    /// input `x` (all of it at `x.cols()`), given `grad` w.r.t. its
+    /// activations `phi`: `d phi / d z = phi * (c - z) / gamma^2`.
+    pub fn input_grad(&self, x: &Matrix, phi: &Matrix, grad: &Matrix, dims: usize) -> Matrix {
+        assert!(dims <= x.cols(), "input_grad past the input width");
         let g2 = self.gamma * self.gamma;
         let c = &self.centroids.value;
-        let mut grad_in = Matrix::zeros(x.rows(), x.cols());
+        let mut grad_in = Matrix::zeros(x.rows(), dims);
         for r in 0..x.rows() {
             for j in 0..c.rows() {
                 let coeff = grad.get(r, j) * phi.get(r, j) / g2;
@@ -409,7 +411,7 @@ mod tests {
         let (eps, tol) = (1e-5, 1e-6);
         let phi = l.forward(&x);
         let ones = ones_like(&phi);
-        let grad_in = l.input_grad(&x, &phi, &ones);
+        let grad_in = l.input_grad(&x, &phi, &ones, x.cols());
         check_input_grad(|x| l.forward(x), &x, &grad_in, eps, tol);
         l.accumulate_grads(&x, &phi, &ones);
         check_param_grads(
