@@ -115,7 +115,6 @@ pub fn declared_ops() -> Vec<(String, u64)> {
     ops.push(("deeptune/score_batch".to_string(), 256));
     ops.push(("deeptune/train_batch".to_string(), 64));
     ops.push(("nn/matmul_blocked".to_string(), 256));
-    ops.push(("nn/matmul_naive".to_string(), 256));
     ops.push(("store/jsonl_append".to_string(), 64));
     ops.push(("store/jsonl_append_waves".to_string(), 8));
     ops.push(("store/replay".to_string(), 64));
@@ -505,10 +504,9 @@ pub fn run_suite(quick: bool) -> Vec<OpResult> {
         |b| b.iter(|| black_box(train_model.train_batch(&x64, &y64, &c64))),
     );
 
-    // --- The nn kernel under every Dense forward: blocked vs naive
-    // matmul on DTM-shaped operands (a 256-row feature batch times a
-    // features x 128 weight). Outputs are bit-identical (proven in
-    // wf-nn); the delta here is pure cache behavior.
+    // --- The nn kernel under every Dense forward: the blocked matmul on
+    // DTM-shaped operands (a 256-row feature batch times a features x 128
+    // weight).
     let hidden = 128usize;
     let wdata: Vec<f64> = (0..dim * hidden)
         .map(|i| ((i.wrapping_mul(2_654_435_761) % 2048) as f64) / 1024.0 - 1.0)
@@ -520,13 +518,6 @@ pub fn run_suite(quick: bool) -> Vec<OpResult> {
         "nn/matmul_blocked",
         256,
         |b| b.iter(|| black_box(x256.matmul(&weight))),
-    );
-    bench_op(
-        &mut results,
-        samples(quick, false),
-        "nn/matmul_naive",
-        256,
-        |b| b.iter(|| black_box(x256.matmul_naive(&weight))),
     );
 
     // --- Session store: JSONL append and deterministic replay. ----------

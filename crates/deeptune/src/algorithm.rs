@@ -264,14 +264,10 @@ impl DeepTune {
             }
         }
     }
-}
 
-impl SearchAlgorithm for DeepTune {
-    fn name(&self) -> &'static str {
-        "deeptune"
-    }
-
-    fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
+    /// Fig. 3 steps 1–4: the top-ranked candidate of a fresh pool (a
+    /// policy sample until the model is ready).
+    fn propose_one(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
         if self.pending_checkpoint.is_some() {
             self.ensure_model(ctx.encoder.dim());
         }
@@ -325,7 +321,8 @@ impl SearchAlgorithm for DeepTune {
         }
     }
 
-    fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
+    /// Fig. 3 step 5: records one observation and retrains.
+    fn observe_one(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
         let x = ctx.encoder.encode(ctx.space, &obs.config);
         self.xs.push(x);
         self.goodness.push(obs.value.map(|v| ctx.goodness(v)));
@@ -333,6 +330,27 @@ impl SearchAlgorithm for DeepTune {
         self.refit_normalizers();
         self.ensure_model(ctx.encoder.dim());
         self.train();
+    }
+}
+
+impl SearchAlgorithm for DeepTune {
+    fn name(&self) -> &'static str {
+        "deeptune"
+    }
+
+    fn propose_batch(
+        &mut self,
+        n: usize,
+        ctx: &SearchContext<'_>,
+        rng: &mut StdRng,
+    ) -> Vec<Configuration> {
+        (0..n).map(|_| self.propose_one(ctx, rng)).collect()
+    }
+
+    fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]) {
+        for obs in batch {
+            self.observe_one(ctx, obs);
+        }
     }
 
     fn begin_epoch(&mut self, transfer: bool) {

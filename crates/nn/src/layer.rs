@@ -63,22 +63,6 @@ impl Dense {
         [&mut self.weight, &mut self.bias]
     }
 
-    /// Overwrites the parameters.
-    pub fn load(&mut self, weight: Matrix, bias: Matrix) {
-        assert_eq!(
-            (weight.rows(), weight.cols()),
-            (self.weight.value.rows(), self.weight.value.cols()),
-            "weight shape mismatch"
-        );
-        assert_eq!(
-            (bias.rows(), bias.cols()),
-            (self.bias.value.rows(), self.bias.value.cols()),
-            "bias shape mismatch"
-        );
-        self.weight.value = weight;
-        self.bias.value = bias;
-    }
-
     /// The layer output for a `batch x in_dim` input.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut out = x.matmul(&self.weight.value);
@@ -197,16 +181,6 @@ impl Rbf {
         &mut self.centroids
     }
 
-    /// Overwrites the centroids.
-    pub fn load(&mut self, centroids: Matrix) {
-        assert_eq!(
-            (centroids.rows(), centroids.cols()),
-            (self.centroids.value.rows(), self.centroids.value.cols()),
-            "centroid shape mismatch"
-        );
-        self.centroids.value = centroids;
-    }
-
     /// The `batch x k` squared distances from each input row to each
     /// centroid, each summed over the dimensions in ascending order.
     pub fn sq_dists(&self, x: &Matrix) -> Matrix {
@@ -287,7 +261,9 @@ mod tests {
     fn dense_forward_shape_and_bias() {
         let mut r = rng();
         let mut d = Dense::new(3, 2, &mut r);
-        d.load(Matrix::zeros(3, 2), Matrix::row_vector(&[1.0, -1.0]));
+        let [weight, bias] = d.tensors();
+        weight.value = Matrix::zeros(3, 2);
+        bias.value = Matrix::row_vector(&[1.0, -1.0]);
         let out = d.forward(&Matrix::zeros(4, 3));
         assert_eq!((out.rows(), out.cols()), (4, 2));
         assert_eq!(out.row(0), &[1.0, -1.0]);
@@ -325,7 +301,7 @@ mod tests {
     fn rbf_activation_peaks_at_centroid() {
         let mut r = rng();
         let mut l = Rbf::new(2, 1, 0.5, &mut r);
-        l.load(Matrix::from_vec(1, 2, vec![1.0, 1.0]));
+        l.centroids_mut().value = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let near = l.forward(&Matrix::row_vector(&[1.0, 1.0]));
         assert!((near.get(0, 0) - 1.0).abs() < 1e-12);
         let far = l.forward(&Matrix::row_vector(&[5.0, 5.0]));

@@ -10,9 +10,8 @@
 //! matrix is streamed once per row-block instead of once per output row.
 //! Per output element the accumulation still walks `k` in ascending order
 //! and keeps the zero-skip, so the result is **bit-for-bit identical** to
-//! the straightforward triple loop, which survives as
-//! [`Matrix::matmul_naive`] (the exactness oracle for the unit tests and
-//! the `nn/matmul_*` bench ops).
+//! the straightforward triple loop, which the unit tests keep as the
+//! exactness oracle.
 //!
 //! ```
 //! use wf_nn::Matrix;
@@ -20,7 +19,14 @@
 //! // that exercise the blocked kernel's remainder edges.
 //! let a = Matrix::from_fn(13, 9, |r, c| (((r * 9 + c) % 5) as f64 - 2.0).max(0.0));
 //! let b = Matrix::from_fn(9, 70, |r, c| ((r * 70 + c) % 11) as f64 / 3.0 - 1.5);
-//! assert_eq!(a.matmul(&b).data(), a.matmul_naive(&b).data());
+//! let product = a.matmul(&b);
+//! for i in 0..13 {
+//!     for j in 0..70 {
+//!         // Each element is the dot product summed in ascending k.
+//!         let dot = (0..9).fold(0.0, |acc, k| acc + a.get(i, k) * b.get(k, j));
+//!         assert_eq!(product.get(i, j).to_bits(), dot.to_bits());
+//!     }
+//! }
 //! ```
 
 use std::fmt;
@@ -167,9 +173,8 @@ impl Matrix {
     /// `self` instead of once per output row, which is where the naive
     /// row-major loop spends its memory bandwidth. The per-element
     /// accumulation order (ascending `k`) and the `a == 0.0` skip (ReLU
-    /// activations make whole columns vanish) are exactly
-    /// [`Matrix::matmul_naive`]'s, so the product is bit-for-bit
-    /// identical to the naive kernel.
+    /// activations make whole columns vanish) are exactly the triple
+    /// loop's, so the product is bit-for-bit identical to it.
     ///
     /// # Panics
     ///
@@ -198,37 +203,6 @@ impl Matrix {
                             *o += a * b;
                         }
                     }
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * other` by the straightforward row-major
-    /// triple loop — the reference kernel [`Matrix::matmul`] is proven
-    /// bit-identical against (unit tests, the module doctest, and the
-    /// `nn/matmul_naive` bench op).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (j, &b) in b_row.iter().enumerate() {
-                    out_row[j] += a * b;
                 }
             }
         }
@@ -281,11 +255,6 @@ impl Matrix {
         out
     }
 
-    /// Returns the transpose as a new matrix.
-    pub fn transposed(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
-    }
-
     /// Element-wise addition into `self`.
     ///
     /// # Panics
@@ -295,14 +264,6 @@ impl Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
-        }
-    }
-
-    /// Element-wise subtraction into `self`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= b;
         }
     }
 
@@ -316,25 +277,6 @@ impl Matrix {
         let mut out = self.clone();
         out.add_assign(other);
         out
-    }
-
-    /// Returns `self - other` as a new matrix.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.sub_assign(other);
-        out
-    }
-
-    /// Element-wise (Hadamard) product as a new matrix.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
     }
 
     /// Returns a new matrix with `f` applied to every element.
@@ -409,18 +351,6 @@ impl Matrix {
         out
     }
 
-    /// Splits the columns at `at`, returning the left and right parts.
-    pub fn split_cols(&self, at: usize) -> (Matrix, Matrix) {
-        assert!(at <= self.cols);
-        let mut left = Matrix::zeros(self.rows, at);
-        let mut right = Matrix::zeros(self.rows, self.cols - at);
-        for r in 0..self.rows {
-            left.row_mut(r).copy_from_slice(&self.row(r)[..at]);
-            right.row_mut(r).copy_from_slice(&self.row(r)[at..]);
-        }
-        (left, right)
-    }
-
     /// Extracts the rows with the given indices into a new matrix.
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
@@ -483,6 +413,28 @@ mod tests {
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
+    /// The straightforward row-major triple loop: the oracle the blocked
+    /// [`Matrix::matmul`] must match bit for bit.
+    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for (k, &x) in a.row(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// The transpose, built element by element.
+    fn transpose(m: &Matrix) -> Matrix {
+        Matrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r))
+    }
+
     /// Deterministic pseudo-random fill with mixed signs, magnitudes, and
     /// exact zeros (the ReLU-sparsity case the kernels special-case).
     fn fill(rows: usize, cols: usize, salt: u64) -> Matrix {
@@ -518,7 +470,7 @@ mod tests {
             let a = fill(m, k, si as u64 * 2 + 1);
             let b = fill(k, n, si as u64 * 2 + 2);
             let blocked = a.matmul(&b);
-            let naive = a.matmul_naive(&b);
+            let naive = naive_matmul(&a, &b);
             assert_eq!(blocked.rows(), naive.rows());
             assert_eq!(blocked.cols(), naive.cols());
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -531,7 +483,7 @@ mod tests {
         let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 4, (0..12).map(|v| v as f64).collect());
         let fast = a.t_matmul(&b);
-        let slow = a.transposed().matmul(&b);
+        let slow = transpose(&a).matmul(&b);
         assert_eq!(fast.data(), slow.data());
     }
 
@@ -540,7 +492,7 @@ mod tests {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(4, 3, (0..12).map(|v| v as f64).collect());
         let fast = a.matmul_t(&b);
-        let slow = a.matmul(&b.transposed());
+        let slow = a.matmul(&transpose(&b));
         assert_eq!(fast.data(), slow.data());
     }
 
@@ -554,15 +506,16 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_split_roundtrip() {
+    fn concat_cols_keeps_both_blocks() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Matrix::from_vec(2, 1, vec![5.0, 6.0]);
         let c = a.concat_cols(&b);
         assert_eq!(c.cols(), 3);
         assert_eq!(c.row(0), &[1.0, 2.0, 5.0]);
-        let (l, r) = c.split_cols(2);
-        assert_eq!(l.data(), a.data());
-        assert_eq!(r.data(), b.data());
+        for r in 0..2 {
+            assert_eq!(&c.row(r)[..2], a.row(r));
+            assert_eq!(&c.row(r)[2..], b.row(r));
+        }
     }
 
     #[test]
@@ -589,12 +542,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_hadamard() {
+    fn map_applies_to_every_element() {
         let a = Matrix::from_vec(1, 3, vec![1.0, -2.0, 3.0]);
         let b = a.map(f64::abs);
         assert_eq!(b.data(), &[1.0, 2.0, 3.0]);
-        let h = a.hadamard(&b);
-        assert_eq!(h.data(), &[1.0, -4.0, 9.0]);
     }
 
     #[test]

@@ -146,7 +146,6 @@ pub(crate) fn run_item(
     repetitions: usize,
     item: WorkItem,
 ) -> WorkResult {
-    let mut tree = item.working_tree;
     let (eval, image) = evaluate_candidate(
         target,
         &item.config,
@@ -154,7 +153,7 @@ pub(crate) fn run_item(
         session_seed,
         repetitions,
         item.reuse.as_ref(),
-        &mut tree,
+        item.working_tree.as_ref(),
     );
     WorkResult {
         slot: item.slot,

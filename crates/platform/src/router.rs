@@ -486,9 +486,10 @@ mod tests {
 
     /// The wave protocol written out sequentially, one wave of `width`
     /// candidates at a time: probe every candidate, evaluate them in
-    /// order (candidate `j` of the wave on lane `j`'s tree), then publish
-    /// every built image in order. Returns the evaluations and the
-    /// lanes' final working trees.
+    /// order (candidate `j` of the wave on lane `j`'s tree, which moves
+    /// to the candidate when an image comes back), then publish every
+    /// built image in order. Returns the evaluations and the lanes' final
+    /// working trees.
     fn sequential_reference(
         target: &dyn EvalTarget,
         candidates: &[Configuration],
@@ -508,7 +509,19 @@ mod tests {
                 .zip(&reuses)
                 .enumerate()
                 .map(|(j, ((config, tree), reuse))| {
-                    evaluate_candidate(target, config, w * width + j, 42, 2, reuse.as_ref(), tree)
+                    let (eval, image) = evaluate_candidate(
+                        target,
+                        config,
+                        w * width + j,
+                        42,
+                        2,
+                        reuse.as_ref(),
+                        tree.as_ref(),
+                    );
+                    if image.is_some() {
+                        *tree = Some(config.clone());
+                    }
+                    (eval, image)
                 })
                 .collect();
             for (eval, image) in results {

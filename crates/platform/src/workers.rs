@@ -38,9 +38,8 @@
 //!     App::by_id(AppId::Nginx),
 //! );
 //! let config = target.space().default_config();
-//! let (mut tree_a, mut tree_b) = (None, None);
-//! let (a, _) = evaluate_candidate(&target, &config, 3, 42, 2, None, &mut tree_a);
-//! let (b, _) = evaluate_candidate(&target, &config, 3, 42, 2, None, &mut tree_b);
+//! let (a, _) = evaluate_candidate(&target, &config, 3, 42, 2, None, None);
+//! let (b, _) = evaluate_candidate(&target, &config, 3, 42, 2, None, None);
 //! assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
 //! assert_eq!(a.outcome.is_ok(), b.outcome.is_ok());
 //! ```
@@ -180,7 +179,8 @@ pub(crate) fn build_candidate(
 /// shared RNG, so the outcome does not depend on which worker ran it or
 /// what ran before it. `reuse` is the cache probe's answer for this
 /// candidate's fingerprint; `working_tree` is the worker's last-built
-/// configuration (incremental-rebuild timing on compile targets).
+/// configuration (incremental-rebuild timing on compile targets). The
+/// caller advances that tree to `config` when an image comes back.
 pub fn evaluate_candidate(
     target: &dyn EvalTarget,
     config: &Configuration,
@@ -188,14 +188,14 @@ pub fn evaluate_candidate(
     session_seed: u64,
     repetitions: usize,
     reuse: Option<&KernelImage>,
-    working_tree: &mut Option<Configuration>,
+    working_tree: Option<&Configuration>,
 ) -> (CandidateEval, Option<KernelImage>) {
     let candidate_seed = derive_seed(session_seed, index as u64);
     let mut boot_rng = StdRng::seed_from_u64(derive_seed(candidate_seed, STREAM_BOOT));
 
     let build_skipped = reuse.is_some();
-    let tree = working_tree.as_ref();
-    let (built, build_s) = build_candidate(target, config, index, session_seed, reuse, tree);
+    let (built, build_s) =
+        build_candidate(target, config, index, session_seed, reuse, working_tree);
 
     let image = match built {
         Err(crash) => {
@@ -210,7 +210,6 @@ pub fn evaluate_candidate(
         }
         Ok(image) => image,
     };
-    *working_tree = Some(config.clone());
 
     let (booted, boot_s) = target.boot(&image, config, &mut boot_rng);
     if let Err(crash) = booted {

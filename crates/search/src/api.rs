@@ -195,7 +195,7 @@ pub fn fill_distinct(
 ///
 /// Every field is a deterministic function of the calls the algorithm
 /// has seen, so replay re-derives it. Host time is not here: the caller
-/// times `propose`/`observe` itself ([`crate::host_clock`]).
+/// times the ask and the tell itself ([`crate::host_clock`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AlgoStats {
     /// Bytes of live memory attributable to the algorithm's data
@@ -205,55 +205,48 @@ pub struct AlgoStats {
 
 /// A pluggable search algorithm.
 ///
-/// The driving loop alternates [`SearchAlgorithm::propose`] →
-/// evaluate → [`SearchAlgorithm::observe`].
-///
 /// # The batch ask/tell protocol
 ///
 /// A multi-worker platform evaluates several configurations concurrently,
-/// so the driving loop becomes [`SearchAlgorithm::propose_batch`] ("ask
-/// for a wave of candidates") → evaluate the wave across workers →
+/// so the driving loop is [`SearchAlgorithm::propose_batch`] ("ask for a
+/// wave of candidates") → evaluate the wave across workers →
 /// [`SearchAlgorithm::observe_batch`] ("tell the algorithm every
-/// outcome"). The default implementations delegate to the
-/// single-candidate methods, so existing algorithms keep working
-/// unchanged; algorithms with a model override them to propose *diverse*
-/// waves (no point paying for n workers that all test the same
-/// hypothesis) and to amortize one model refit over the whole wave.
+/// outcome"). These two are the only ask/tell methods an algorithm
+/// implements: model-based algorithms propose *diverse* waves (no point
+/// paying for n workers that all test the same hypothesis) and amortize
+/// one model refit over the whole wave.
+///
+/// The paper's one-candidate loop (Fig. 3) alternates
+/// [`SearchAlgorithm::propose`] → evaluate → [`SearchAlgorithm::observe`],
+/// which are the one-candidate case of the batch methods, so each
+/// algorithm has a single proposal rule.
 pub trait SearchAlgorithm {
     /// Algorithm name for reports (`random`, `bayesian`, `deeptune`, ...).
     fn name(&self) -> &'static str;
 
-    /// Chooses the next configuration to evaluate.
-    fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration;
-
-    /// Integrates a completed observation (model update).
-    fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation);
-
     /// Asks for `n` candidates to evaluate concurrently.
-    ///
-    /// The default draws `n` sequential [`SearchAlgorithm::propose`]
-    /// calls, which consumes the RNG exactly like `n` single-candidate
-    /// iterations would — history-independent algorithms therefore
-    /// propose the same stream at every worker count.
     fn propose_batch(
         &mut self,
         n: usize,
         ctx: &SearchContext<'_>,
         rng: &mut StdRng,
-    ) -> Vec<Configuration> {
-        (0..n).map(|_| self.propose(ctx, rng)).collect()
-    }
+    ) -> Vec<Configuration>;
 
     /// Tells the algorithm every outcome of a completed wave, in the
     /// order the candidates were proposed.
-    ///
-    /// The default replays `n` sequential [`SearchAlgorithm::observe`]
-    /// calls; model-based algorithms override it to ingest the whole
-    /// wave and refit once.
-    fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]) {
-        for obs in batch {
-            self.observe(ctx, obs);
-        }
+    fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]);
+
+    /// Chooses the next configuration to evaluate: the one candidate of
+    /// `propose_batch(1, ..)`.
+    fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
+        self.propose_batch(1, ctx, rng)
+            .pop()
+            .expect("propose_batch returns n candidates")
+    }
+
+    /// Integrates a completed observation: a wave of one.
+    fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
+        self.observe_batch(ctx, std::slice::from_ref(obs));
     }
 
     /// Cost statistics for the most recent iteration.

@@ -10,10 +10,11 @@
 //! The default surrogate never pays that cost unless the matrix needs
 //! jitter:
 //!
-//! * every [`SearchAlgorithm::observe`] and every wave boundary
-//!   ([`SearchAlgorithm::observe_batch`]) appends the new rows to the
-//!   packed Cholesky factor one at a time (per row: forward-solve the new
-//!   off-diagonal row, then one scalar pivot) and solves `α = K⁻¹y` once
+//! * every wave boundary ([`SearchAlgorithm::observe_batch`]; a single
+//!   [`SearchAlgorithm::observe`] is a wave of one) appends the new rows
+//!   to the packed Cholesky factor one at a time (per row: forward-solve
+//!   the new off-diagonal row, then one scalar pivot) and solves
+//!   `α = K⁻¹y` once
 //!   against the extended factor — O(w·n²) for a wave of `w` instead of
 //!   O(n³). Each row performs exactly the operations a from-scratch
 //!   factorization performs for that row, so the factor, `α`, and every
@@ -477,7 +478,8 @@ impl BayesOpt {
     /// such entry on ties). Fewer than `n` when the pool runs out of
     /// distinct fingerprints. Each entry keeps its running product and
     /// multiplies in the newest pick's factor, the same product in the
-    /// same order as folding over every pick at every step.
+    /// same order as folding over every pick at every step; the `n`-th
+    /// pick's factor is never applied, because no later pick reads it.
     fn penalized_picks(&self, pool: &[PoolEntry], n: usize) -> Vec<usize> {
         let mut picks = Vec::with_capacity(n);
         let mut penalty = vec![1.0f64; pool.len()];
@@ -499,6 +501,9 @@ impl BayesOpt {
             // up with fresh samples outside the pool.
             let Some(pick) = best_idx else { break };
             picks.push(pick);
+            if picks.len() == n {
+                break;
+            }
             for (i, entry) in pool.iter().enumerate() {
                 open[i] = open[i] && entry.fingerprint != pool[pick].fingerprint;
                 if open[i] {
@@ -551,38 +556,6 @@ impl BayesOpt {
 impl SearchAlgorithm for BayesOpt {
     fn name(&self) -> &'static str {
         "bayesian"
-    }
-
-    fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
-        if self.xs.len() < self.n_init || self.chol.is_none() {
-            ctx.policy.sample(ctx.space, rng)
-        } else {
-            // Sample the pool first, then score it in one batched pass.
-            // The RNG stream, the candidate order, and the strict-`>`
-            // argmax are exactly the sequential loop's, so the proposal
-            // is unchanged bit for bit.
-            let best = self.standardized_best();
-            let mut configs = Vec::with_capacity(self.pool);
-            let mut xs = Vec::with_capacity(self.pool);
-            for _ in 0..self.pool {
-                let c = ctx.policy.sample(ctx.space, rng);
-                xs.push(ctx.encoder.encode(ctx.space, &c));
-                configs.push(c);
-            }
-            let eis = self.pool_ei(&xs, best);
-            let mut best_idx = None;
-            let mut best_ei = f64::MIN;
-            for (i, ei) in eis.iter().enumerate() {
-                if *ei > best_ei {
-                    best_ei = *ei;
-                    best_idx = Some(i);
-                }
-            }
-            match best_idx {
-                Some(i) => configs.swap_remove(i),
-                None => ctx.policy.sample(ctx.space, rng),
-            }
-        }
     }
 
     fn propose_batch(
@@ -640,11 +613,6 @@ impl SearchAlgorithm for BayesOpt {
             fill_distinct(&mut picked, n, ctx, rng, &mut picked_fps);
             picked
         }
-    }
-
-    fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
-        self.ingest(ctx, obs);
-        self.extend_or_refit();
     }
 
     fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]) {

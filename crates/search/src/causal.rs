@@ -580,21 +580,6 @@ impl SearchAlgorithm for CausalSearch {
         "causal"
     }
 
-    fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
-        if self.xs.len() < self.n_init || self.outcome_corr.is_empty() {
-            ctx.policy.sample(ctx.space, rng)
-        } else {
-            // Intervene: score candidates by the linear causal estimate of
-            // the outcome from features adjacent to it.
-            let scored = self.scored_pool(ctx, rng, self.pool);
-            scored
-                .into_iter()
-                .reduce(|best, cand| if cand.0 > best.0 { cand } else { best })
-                .expect("pool is non-empty")
-                .1
-        }
-    }
-
     fn propose_batch(
         &mut self,
         n: usize,
@@ -630,11 +615,6 @@ impl SearchAlgorithm for CausalSearch {
             fill_distinct(&mut picked, n, ctx, rng, &mut fps);
             picked
         }
-    }
-
-    fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
-        self.ingest(ctx, obs);
-        self.rebuild();
     }
 
     fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]) {

@@ -60,6 +60,26 @@ impl GridSearch {
     pub fn exhausted(&self, space: &ConfigSpace) -> bool {
         self.param >= space.len()
     }
+
+    /// The next sweep point (a random sample once the sweep is
+    /// exhausted). Consecutive points can repeat the default
+    /// configuration, once per axis.
+    fn sweep_step(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
+        // Advance past exhausted axes.
+        while self.param < ctx.space.len() {
+            let axis = self.axis(ctx.space, self.param);
+            if self.step < axis.len() {
+                let mut c = ctx.space.default_config();
+                c.set(self.param, axis[self.step]);
+                self.step += 1;
+                return c;
+            }
+            self.param += 1;
+            self.step = 0;
+        }
+        // Grid exhausted: fall back to random sampling.
+        ctx.policy.sample(ctx.space, rng)
+    }
 }
 
 /// `steps` values spanning `[min, max]`, inclusive of both ends.
@@ -86,23 +106,6 @@ impl SearchAlgorithm for GridSearch {
         "grid"
     }
 
-    fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
-        // Advance past exhausted axes.
-        while self.param < ctx.space.len() {
-            let axis = self.axis(ctx.space, self.param);
-            if self.step < axis.len() {
-                let mut c = ctx.space.default_config();
-                c.set(self.param, axis[self.step]);
-                self.step += 1;
-                return c;
-            }
-            self.param += 1;
-            self.step = 0;
-        }
-        // Grid exhausted: fall back to random sampling.
-        ctx.policy.sample(ctx.space, rng)
-    }
-
     fn propose_batch(
         &mut self,
         n: usize,
@@ -118,7 +121,7 @@ impl SearchAlgorithm for GridSearch {
         let mut out: Vec<Configuration> = Vec::with_capacity(n);
         let mut fps = std::collections::HashSet::new();
         while out.len() < n && !self.exhausted(ctx.space) {
-            let c = self.propose(ctx, rng);
+            let c = self.sweep_step(ctx, rng);
             if fps.insert(c.fingerprint()) {
                 out.push(c);
             }
@@ -127,7 +130,7 @@ impl SearchAlgorithm for GridSearch {
         out
     }
 
-    fn observe(&mut self, _ctx: &SearchContext<'_>, _obs: &Observation) {}
+    fn observe_batch(&mut self, _ctx: &SearchContext<'_>, _batch: &[Observation]) {}
 }
 
 #[cfg(test)]

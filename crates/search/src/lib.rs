@@ -1,14 +1,15 @@
 //! `wf-search`: the pluggable search-algorithm API and the paper's
 //! baseline algorithms (§3.1, §2.3).
 //!
-//! * [`api`] — the [`SearchAlgorithm`] trait (single-candidate *and*
-//!   batch ask/tell: `propose_batch`/`observe_batch`), observations,
-//!   contexts, sampling policies, and per-iteration cost statistics;
+//! * [`api`] — the [`SearchAlgorithm`] trait (batch ask/tell:
+//!   `propose_batch`/`observe_batch`, whose one-candidate case is
+//!   `propose`/`observe`), observations, contexts, sampling policies, and
+//!   per-iteration cost statistics;
 //! * [`random`] — the random-search baseline;
 //! * [`grid`] — systematic coordinate sweeps;
 //! * [`bayes`] — Gaussian-process Bayesian optimization (RBF kernel,
 //!   packed Cholesky, expected improvement). The default extends the
-//!   factor by the new rows at every observe and every wave boundary
+//!   factor by the new rows at every wave boundary
 //!   (O(n²) per row), refitting from scratch only when the matrix needs
 //!   jitter, and scores proposal pools with one batched matrix-level
 //!   triangular solve; the from-scratch O(n³)-per-observe profile the

@@ -21,20 +21,9 @@ impl RandomSearch {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-// Batch note: random search keeps the default `propose_batch` (n
-// sequential `propose` calls). That IS its real batch strategy — `propose`
-// inserts each accepted fingerprint into `seen` at proposal time, so a
-// wave is intra-batch unique, and the RNG stream is identical to n
-// single-candidate iterations, which is what makes same-seed sessions
-// worker-count invariant.
-impl SearchAlgorithm for RandomSearch {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn propose(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
+    /// Draws one unseen configuration and marks it seen.
+    fn propose_one(&mut self, ctx: &SearchContext<'_>, rng: &mut StdRng) -> Configuration {
         // Reject duplicates, but give up after a bounded number of tries:
         // tiny spaces can be exhausted, and the platform still needs a
         // configuration back.
@@ -46,9 +35,31 @@ impl SearchAlgorithm for RandomSearch {
         }
         ctx.policy.sample(ctx.space, rng)
     }
+}
 
-    fn observe(&mut self, _ctx: &SearchContext<'_>, obs: &Observation) {
-        self.seen.insert(obs.config.fingerprint());
+// Batch note: a wave is `n` sequential one-candidate draws. Each draw
+// inserts its fingerprint into `seen` at proposal time, so a wave is
+// intra-batch unique, and the RNG stream is identical to n
+// single-candidate iterations, which is what makes same-seed sessions
+// worker-count invariant.
+impl SearchAlgorithm for RandomSearch {
+    fn name(&self) -> &'static str {
+        "random"
+    }
+
+    fn propose_batch(
+        &mut self,
+        n: usize,
+        ctx: &SearchContext<'_>,
+        rng: &mut StdRng,
+    ) -> Vec<Configuration> {
+        (0..n).map(|_| self.propose_one(ctx, rng)).collect()
+    }
+
+    fn observe_batch(&mut self, _ctx: &SearchContext<'_>, batch: &[Observation]) {
+        for obs in batch {
+            self.seen.insert(obs.config.fingerprint());
+        }
     }
 }
 
