@@ -44,7 +44,7 @@ use wf_jobfile::{Budget, Direction, RoutingStrategy};
 use wf_kconfig::LinuxVersion;
 use wf_nn::Matrix;
 use wf_ossim::{App, AppId, SimOs};
-use wf_platform::store::JsonValue;
+use wf_platform::store::{write_event, JsonValue, CHAIN_GENESIS};
 use wf_platform::{
     derive_seed, EventSink, JsonlSink, Record, Router, Session, SessionSpec, WaveStats,
 };
@@ -117,6 +117,7 @@ pub fn declared_ops() -> Vec<(String, u64)> {
     ops.push(("nn/matmul_blocked".to_string(), 256));
     ops.push(("store/jsonl_append".to_string(), 64));
     ops.push(("store/jsonl_append_waves".to_string(), 8));
+    ops.push(("store/write_event".to_string(), 64));
     ops.push(("store/replay".to_string(), 64));
     ops.push(("drift/detector_step".to_string(), 256));
     for w in POOL_WIDTHS {
@@ -573,6 +574,27 @@ pub fn run_suite(quick: bool) -> Vec<OpResult> {
                 },
                 criterion::BatchSize::LargeInput,
             )
+        },
+    );
+
+    // The same 65 events encoded into one reused buffer, with no file:
+    // the ledger codec alone, without the open and tail-heal of a fresh
+    // log that dominate both append ops.
+    let mut line = String::new();
+    bench_op(
+        &mut results,
+        samples(quick, false),
+        "store/write_event",
+        64,
+        |b| {
+            b.iter(|| {
+                line.clear();
+                for e in &events {
+                    write_event(e, Some(CHAIN_GENESIS), &mut line);
+                    line.push('\n');
+                }
+                black_box(line.len())
+            })
         },
     );
 

@@ -1,6 +1,6 @@
 //! Parameter values and the Kconfig tristate.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Kconfig tristate value: `n` (absent), `m` (module), `y` (built-in).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,6 +53,17 @@ impl Tristate {
         }
     }
 
+    /// The single-letter Kconfig form: `n`, `m` or `y`. The one spelling
+    /// of a tristate, behind both [`fmt::Display`] and the session
+    /// store's value tokens; [`Tristate::parse`] reads it back.
+    pub fn letter(self) -> char {
+        match self {
+            Tristate::No => 'n',
+            Tristate::Module => 'm',
+            Tristate::Yes => 'y',
+        }
+    }
+
     /// Parses the single-letter Kconfig form.
     pub fn parse(s: &str) -> Option<Tristate> {
         match s {
@@ -66,12 +77,7 @@ impl Tristate {
 
 impl fmt::Display for Tristate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let c = match self {
-            Tristate::No => 'n',
-            Tristate::Module => 'm',
-            Tristate::Yes => 'y',
-        };
-        write!(f, "{c}")
+        f.write_char(self.letter())
     }
 }
 
@@ -169,7 +175,9 @@ mod tests {
 
     #[test]
     fn tristate_parse_roundtrip() {
+        assert_eq!(Tristate::ALL.map(Tristate::letter), ['n', 'm', 'y']);
         for t in Tristate::ALL {
+            assert_eq!(t.to_string(), t.letter().to_string());
             assert_eq!(Tristate::parse(&t.to_string()), Some(t));
         }
         assert_eq!(Tristate::parse("x"), None);

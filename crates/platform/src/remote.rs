@@ -37,11 +37,10 @@
 //! The connection closing (EOF) is the shutdown signal.
 
 use crate::backend::{run_item, EvalBackend, LaneError, WorkItem, WorkResult};
-use crate::store::{config_from_json, phase_from_str, phase_str, Fields, JsonValue};
+use crate::store::{config_from_json, phase_from_str, phase_str, push_u64, Fields, JsonValue};
 use crate::target::EvalTarget;
 use crate::workers::CandidateEval;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -166,8 +165,9 @@ fn image_field(f: &mut Fields, key: &str, image: Option<&KernelImage>) {
         return f.null(key);
     };
     f.key(key);
-    // Writing into a `String` cannot fail.
-    let _ = write!(f.out, "{{\"fp\":\"{}\"", img.fingerprint);
+    f.out.push_str("{\"fp\":\"");
+    push_u64(img.fingerprint, f.out);
+    f.out.push('"');
     f.num("mb", img.image_mb);
     f.int("opts", img.enabled_options as i64);
     f.out.push('}');

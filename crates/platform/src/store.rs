@@ -88,6 +88,8 @@ pub const EVENTS_FILE: &str = "events.jsonl";
 /// are detected on load; no line holds a host measurement, so the log is
 /// a deterministic function of the job.
 pub const FORMAT_VERSION: i64 = 3;
+/// How every event object begins: its [`FORMAT_VERSION`] stamp.
+const LINE_START: &str = "{\"v\":3";
 /// The chain state before any line exists: the [`line_hash`] of zero
 /// bytes (the FNV-1a 64-bit offset basis). The first line of a log
 /// carries this value in its `prev` field.
@@ -126,8 +128,44 @@ pub fn chain_hex(hash: u64) -> String {
 
 /// Appends [`chain_hex`]'s spelling of `hash` to `out`.
 fn push_chain_hex(hash: u64, out: &mut String) {
-    // Writing into a `String` cannot fail.
-    let _ = write!(out, "{hash:016x}");
+    push_ascii(&hex_digits(hash), out);
+}
+
+/// The 16 lower-case hex digits of `v`, zero-padded: the bytes of
+/// `{v:016x}`, made without `core::fmt`.
+fn hex_digits(v: u64) -> [u8; 16] {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    std::array::from_fn(|i| NIBBLES[(v >> (60 - 4 * i)) as usize & 0xf])
+}
+
+/// Appends the decimal digits of `v` to `out`: the bytes of `{v}`, made
+/// without `core::fmt`. Every integer on a ledger line or a protocol
+/// frame is written through it.
+pub(crate) fn push_u64(mut v: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    push_ascii(&digits[start..], out);
+}
+
+/// [`push_u64`] for a signed integer: `-` before the magnitude.
+fn push_i64(v: i64, out: &mut String) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(v.unsigned_abs(), out);
+}
+
+/// Appends ASCII `bytes` to `out`.
+fn push_ascii(bytes: &[u8], out: &mut String) {
+    out.extend(bytes.iter().map(|&b| char::from(b)));
 }
 
 // ---------------------------------------------------------------------------
@@ -251,14 +289,11 @@ impl<'a> JsonValue<'a> {
 
     /// Appends this value's compact JSON text to `out`.
     pub(crate) fn encode_into(&self, out: &mut String) {
-        // Writing into a `String` cannot fail.
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
+            JsonValue::Int(v) => push_i64(*v, out),
             JsonValue::Num(v) => push_f64(*v, out),
             JsonValue::Str(s) => encode_string(s, out),
             JsonValue::Arr(items) => {
@@ -321,7 +356,8 @@ fn encode_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                out.push_str("\\u");
+                push_ascii(&hex_digits(u64::from(c))[12..], out);
             }
             c => out.push(c),
         }
@@ -783,17 +819,19 @@ fn byte_marks(word: u64, b: u8) -> u64 {
 /// payload (`b1`, `tm`, `i42`, `c3`). The one spelling of a value, shared
 /// by ledger lines and protocol frames; [`token_value`] reads it back.
 pub(crate) fn push_value_token(v: &Value, out: &mut String) {
-    // Writing into a `String` cannot fail.
     match v {
         Value::Bool(b) => out.push_str(if *b { "b1" } else { "b0" }),
         Value::Tristate(t) => {
-            let _ = write!(out, "t{t}");
+            out.push('t');
+            out.push(t.letter());
         }
         Value::Int(i) => {
-            let _ = write!(out, "i{i}");
+            out.push('i');
+            push_i64(*i, out);
         }
         Value::Choice(c) => {
-            let _ = write!(out, "c{c}");
+            out.push('c');
+            push_u64(*c as u64, out);
         }
     }
 }
@@ -935,22 +973,25 @@ impl<'a> LineView<'a> {
 
 /// Reads one ledger line as [`SessionStore::load`] needs it: every
 /// field of its [`LineView`], the configuration included.
-fn read_line(line: &str) -> Result<LineView<'_>, JsonError> {
-    read_view(line, true)
+fn read_line<'t>(line: &'t str, values: &mut Vec<Value>) -> Result<LineView<'t>, JsonError> {
+    read_view(line, Some(values))
 }
 
 /// Reads one ledger line as [`SessionStore::verify_chain`] needs it:
 /// its `config` is validated but not decoded.
-fn read_chain(line: &str) -> Result<LineView<'_>, JsonError> {
-    read_view(line, false)
+fn read_chain<'t>(line: &'t str, _: &mut Vec<Value>) -> Result<LineView<'t>, JsonError> {
+    read_view(line, None)
 }
 
 /// Reads one ledger line with a [`JsonCursor`], decoding its first
-/// `config` when `config` is set. The whole line is validated, skipped
-/// values included, so a line this reader accepts is exactly a line
-/// [`JsonValue::parse`] accepts, and a rejected line fails with the same
-/// error. A line that is not an object leaves every field empty.
-fn read_view(line: &str, config: bool) -> Result<LineView<'_>, JsonError> {
+/// `config` through `values` when given. The whole line is validated,
+/// skipped values included, so a line this reader accepts is exactly a
+/// line [`JsonValue::parse`] accepts, and a rejected line fails with the
+/// same error. A line that is not an object leaves every field empty.
+fn read_view<'t>(
+    line: &'t str,
+    mut values: Option<&mut Vec<Value>>,
+) -> Result<LineView<'t>, JsonError> {
     let mut view = LineView {
         fields: [const { None }; KEYS],
         config: None,
@@ -961,8 +1002,8 @@ fn read_view(line: &str, config: bool) -> Result<LineView<'_>, JsonError> {
         let mut first = true;
         while let Some(key) = cursor.next_key(first)? {
             first = false;
-            if config && key == "config" && view.config.is_none() {
-                view.config = Some(read_config(&mut cursor)?);
+            if let (Some(values), "config", None) = (values.as_deref_mut(), &*key, &view.config) {
+                view.config = Some(read_config(&mut cursor, values)?);
                 continue;
             }
             let slot = match Key::of(&key) {
@@ -990,14 +1031,20 @@ fn read_view(line: &str, config: bool) -> Result<LineView<'_>, JsonError> {
 
 /// Reads the `config` value at the cursor: its value tokens decoded
 /// into a configuration, or `None` when it is not an array of valid
-/// tokens (read past and validated all the same).
-fn read_config(cursor: &mut JsonCursor) -> Result<Option<Configuration>, JsonError> {
+/// tokens (read past and validated all the same). The tokens are
+/// decoded into `values`, a buffer kept from line to line, and the
+/// configuration is collected from it in one allocation.
+fn read_config(
+    cursor: &mut JsonCursor,
+    values: &mut Vec<Value>,
+) -> Result<Option<Configuration>, JsonError> {
     if cursor.kind() != Kind::Arr {
         cursor.skip()?;
         return Ok(None);
     }
     cursor.open()?;
-    let mut values = Some(Vec::new());
+    values.clear();
+    let mut valid = true;
     let mut first = true;
     while cursor.next_item(first)? {
         first = false;
@@ -1007,12 +1054,12 @@ fn read_config(cursor: &mut JsonCursor) -> Result<Option<Configuration>, JsonErr
             cursor.skip()?;
             None
         };
-        match (value, &mut values) {
-            (Some(value), Some(values)) => values.push(value),
-            _ => values = None,
+        match value {
+            Some(value) if valid => values.push(value),
+            _ => valid = false,
         }
     }
-    Ok(values.map(Configuration::from_values))
+    Ok(valid.then(|| values.iter().copied().collect()))
 }
 
 fn record_from_view(v: &mut LineView) -> Option<Record> {
@@ -1090,8 +1137,7 @@ fn wave_stats_from_view(v: &LineView) -> Option<WaveStats> {
 /// );
 /// ```
 pub fn write_event(event: &SessionEvent, chain: Option<u64>, out: &mut String) {
-    // Writing into a `String` cannot fail.
-    let _ = write!(out, "{{\"v\":{FORMAT_VERSION}");
+    out.push_str(LINE_START);
     if let Some(prev) = chain {
         out.push_str(",\"prev\":\"");
         push_chain_hex(prev, out);
@@ -1233,14 +1279,16 @@ impl Fields<'_> {
 
     pub(crate) fn int(&mut self, key: &str, v: i64) {
         self.key(key);
-        let _ = write!(self.out, "{v}");
+        push_i64(v, self.out);
     }
 
     /// A `u64` as a decimal string, so the full range survives where the
     /// i64-based integer literal would not.
     pub(crate) fn u64(&mut self, key: &str, v: u64) {
         self.key(key);
-        let _ = write!(self.out, "\"{v}\"");
+        self.out.push('"');
+        push_u64(v, self.out);
+        self.out.push('"');
     }
 
     pub(crate) fn num(&mut self, key: &str, v: f64) {
@@ -1816,7 +1864,9 @@ impl SessionStore {
 /// How the walk reads one line into its fields: [`read_line`] for
 /// `load`, [`read_chain`] for `verify_chain`. The tests also walk with
 /// the tree-building reader the streaming one replaced, as the oracle.
-type LineReader = for<'t> fn(&'t str) -> Result<LineView<'t>, JsonError>;
+/// The second argument is a buffer the walk lends every line, for
+/// decoding its configuration.
+type LineReader = for<'t> fn(&'t str, &mut Vec<Value>) -> Result<LineView<'t>, JsonError>;
 
 /// What the walk does with each verified line's fields; an error is
 /// corruption at that line.
@@ -1866,6 +1916,7 @@ fn walk_lines(
         source,
     };
     let mut buf = Vec::new();
+    let mut values = Vec::new();
     let mut chain = CHAIN_GENESIS;
     let mut verified = 0;
     let mut number = 0;
@@ -1898,7 +1949,7 @@ fn walk_lines(
         if raw.trim().is_empty() {
             continue;
         }
-        let mut view = match read(raw) {
+        let mut view = match read(raw, &mut values) {
             Ok(view) => view,
             Err(_) if is_final()? => break,
             Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
@@ -1924,10 +1975,10 @@ fn check_chain(view: &LineView, chain: u64) -> Result<(), String> {
         .get(Key::Prev)
         .and_then(JsonValue::as_str)
         .ok_or("record missing prev hash")?;
-    let expected = chain_hex(chain);
-    if prev != expected {
+    if prev.as_bytes() != hex_digits(chain) {
         return Err(format!(
-            "hash chain broken: prev is {prev} but the prior line hashes to {expected}"
+            "hash chain broken: prev is {prev} but the prior line hashes to {}",
+            chain_hex(chain)
         ));
     }
     Ok(())
@@ -2260,6 +2311,121 @@ mod tests {
         }
         assert_eq!(token_value("x1"), None);
         assert_eq!(token_value(""), None);
+    }
+
+    /// The digit writer against `core::fmt`, which wrote every token,
+    /// integer and chain hash before it: each spelling must be the bytes
+    /// the old `write!` made, so no ledger or frame moves.
+    mod spelling {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The old token writer.
+        fn format_token(v: &Value) -> String {
+            match v {
+                Value::Bool(b) => (if *b { "b1" } else { "b0" }).to_string(),
+                Value::Tristate(t) => format!("t{t}"),
+                Value::Int(i) => format!("i{i}"),
+                Value::Choice(c) => format!("c{c}"),
+            }
+        }
+
+        fn check_value(v: Value) {
+            let mut token = String::new();
+            push_value_token(&v, &mut token);
+            assert_eq!(token, format_token(&v));
+            assert_eq!(token_value(&token), Some(v), "{token}");
+        }
+
+        fn check_int(v: i64) {
+            let mut out = String::new();
+            Fields { out: &mut out }.int("k", v);
+            assert_eq!(out, format!(",\"k\":{v}"));
+            assert_eq!(JsonValue::Int(v).encode(), format!("{v}"));
+        }
+
+        fn check_u64(v: u64) {
+            let mut out = String::new();
+            Fields { out: &mut out }.u64("k", v);
+            assert_eq!(out, format!(",\"k\":\"{v}\""));
+            assert_eq!(chain_hex(v), format!("{v:016x}"));
+        }
+
+        /// Unsigned integers of every length: a full-range draw shifted
+        /// right by a drawn amount, so short spellings come up as often
+        /// as long ones.
+        fn magnitude() -> impl Strategy<Value = u64> {
+            (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift)
+        }
+
+        fn int() -> impl Strategy<Value = i64> {
+            (magnitude(), any::<bool>()).prop_map(|(m, negative)| {
+                if negative {
+                    (m as i64).wrapping_neg()
+                } else {
+                    m as i64
+                }
+            })
+        }
+
+        fn value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                any::<bool>().prop_map(Value::Bool),
+                (0..Tristate::ALL.len()).prop_map(|i| Value::Tristate(Tristate::ALL[i])),
+                int().prop_map(Value::Int),
+                magnitude().prop_map(|m| Value::Choice(m as usize)),
+            ]
+        }
+
+        #[test]
+        fn the_edges_are_spelled_as_format_spelled_them() {
+            for v in [i64::MIN, i64::MIN + 1, -10, -9, -1, 0, 1, 9, 10, i64::MAX] {
+                check_value(Value::Int(v));
+                check_int(v);
+            }
+            for v in [0, 1, 9, 10, usize::MAX] {
+                check_value(Value::Choice(v));
+            }
+            for v in [false, true] {
+                check_value(Value::Bool(v));
+            }
+            for t in Tristate::ALL {
+                check_value(Value::Tristate(t));
+            }
+            for v in [0, 1, 0xf, 0x10, u64::MAX / 10, u64::MAX] {
+                check_u64(v);
+            }
+            assert_eq!(LINE_START, format!("{{\"v\":{FORMAT_VERSION}"));
+        }
+
+        #[test]
+        fn control_characters_escape_as_format_escaped_them() {
+            for c in (0u8..0x20).map(char::from) {
+                let encoded = JsonValue::Str(c.to_string().into()).encode();
+                let expected = match c {
+                    '\n' => "\"\\n\"".to_string(),
+                    '\r' => "\"\\r\"".to_string(),
+                    '\t' => "\"\\t\"".to_string(),
+                    c => format!("\"\\u{:04x}\"", c as u32),
+                };
+                assert_eq!(encoded, expected);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn every_token_is_spelled_as_format_spelled_it(v in value()) {
+                check_value(v);
+            }
+
+            #[test]
+            fn every_integer_is_spelled_as_format_spelled_it(i in int(), u in magnitude()) {
+                check_int(i);
+                check_u64(u);
+            }
+        }
     }
 
     #[test]
@@ -2820,6 +2986,7 @@ mod tests {
                     })
                 }
             };
+            let mut values = Vec::new();
             let mut chain = CHAIN_GENESIS;
             let mut verified = 0;
             let mut lines = text.lines().enumerate().peekable();
@@ -2832,7 +2999,7 @@ mod tests {
                     line: i + 1,
                     message,
                 };
-                let mut view = match read(raw) {
+                let mut view = match read(raw, &mut values) {
                     Ok(view) => view,
                     Err(_) if lines.peek().is_none() => break,
                     Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
@@ -2882,7 +3049,7 @@ mod tests {
         /// field looked up with [`JsonValue::get`] and the configuration
         /// decoded with [`config_from_json`], as the loader did before it
         /// streamed.
-        fn read_tree(line: &str) -> Result<LineView<'_>, JsonError> {
+        fn read_tree<'t>(line: &'t str, _: &mut Vec<Value>) -> Result<LineView<'t>, JsonError> {
             let tree = JsonValue::parse(line)?;
             let mut view = LineView {
                 fields: [const { None }; KEYS],

@@ -250,9 +250,15 @@ fn ping(socket: &Path) -> String {
 /// A daemon that has already dropped the connection may reset the
 /// write; only the daemon's survival matters here.
 fn send_raw(socket: &Path, bytes: &[u8]) {
+    drop(open_raw(socket, bytes));
+}
+
+/// Writes `bytes` on a fresh connection and keeps it open.
+fn open_raw(socket: &Path, bytes: &[u8]) -> UnixStream {
     use std::io::Write;
     let mut stream = UnixStream::connect(socket).expect("hostile client connects");
     let _ = stream.write_all(bytes);
+    stream
 }
 
 /// One length-prefixed frame around `body`.
@@ -277,17 +283,6 @@ fn hostile_clients_neither_stop_the_daemon_nor_touch_a_tenant_ledger() {
         || wfd.socket.exists(),
     );
 
-    let job = base.join("job.yaml");
-    std::fs::write(&job, job_yaml("tenant", 21)).unwrap();
-    let job = job.to_str().unwrap().to_string();
-    let (ok, out) = wfctl(&["submit", &job, "--daemon", &root_s]);
-    assert!(ok, "submit succeeds:\n{out}");
-    let store = out
-        .lines()
-        .find_map(|l| l.strip_prefix("store: "))
-        .unwrap_or_else(|| panic!("submit prints the store dir:\n{out}"))
-        .to_string();
-
     let mut deep = br#"{"op":"#.to_vec();
     deep.extend(std::iter::repeat_n(b'[', 200));
     deep.extend(std::iter::repeat_n(b']', 200));
@@ -296,13 +291,40 @@ fn hostile_clients_neither_stop_the_daemon_nor_touch_a_tenant_ledger() {
     truncated.extend_from_slice(br#"{"op":"pi"#);
     let hostile: [Vec<u8>; 4] = [
         (16 * 1024 * 1024 + 1u32).to_be_bytes().to_vec(),
-        truncated,
+        truncated.clone(),
         frame(&[0xff, 0xfe, 0x80, 0x81]),
         frame(&deep),
     ];
 
-    // Repeat the hostile round until the tenant is seen finished, so at
-    // least one round lands while it runs.
+    // A client stuck mid-frame and a silent one stay connected from
+    // before the first submit until both tenants finish, so hostile
+    // input is in flight for the whole of both runs.
+    let held = [
+        open_raw(&wfd.socket, &truncated),
+        open_raw(&wfd.socket, &[]),
+    ];
+
+    // Two tenants run at once, each long enough for hostile rounds to
+    // land while both run.
+    let seeds = [21u64, 22];
+    let mut tenants = Vec::new();
+    for (i, &seed) in seeds.iter().enumerate() {
+        let job = base.join(format!("job{i}.yaml"));
+        let text =
+            job_yaml(&format!("tenant-{i}"), seed).replace("iterations: 8", "iterations: 2000");
+        std::fs::write(&job, text).unwrap();
+        let job = job.to_str().unwrap().to_string();
+        let (ok, out) = wfctl(&["submit", &job, "--daemon", &root_s]);
+        assert!(ok, "submit succeeds:\n{out}");
+        let store = out
+            .lines()
+            .find_map(|l| l.strip_prefix("store: "))
+            .unwrap_or_else(|| panic!("submit prints the store dir:\n{out}"))
+            .to_string();
+        tenants.push((job, store));
+    }
+
+    // Repeat the hostile round until both tenants are seen finished.
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         for bytes in &hostile {
@@ -310,16 +332,17 @@ fn hostile_clients_neither_stop_the_daemon_nor_touch_a_tenant_ledger() {
         }
         let (ok, out) = wfctl(&["sessions", "--daemon", &root_s]);
         assert!(ok, "sessions succeeds:\n{out}");
-        assert!(!out.contains("failed"), "the tenant may not fail:\n{out}");
-        if out.contains("finished") {
+        assert!(!out.contains("failed"), "no tenant may fail:\n{out}");
+        if out.matches("finished").count() == seeds.len() {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "timed out waiting for the tenant"
+            "timed out waiting for the tenants"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+    drop(held);
 
     // A silent client, connected and sending nothing: `ping` must still
     // answer within its 5 s read timeout, well inside the daemon's 10 s
@@ -333,18 +356,20 @@ fn hostile_clients_neither_stop_the_daemon_nor_touch_a_tenant_ledger() {
     );
     drop(silent);
 
-    let (ok, out) = wfctl(&["verify", &store]);
-    assert!(ok, "the tenant ledger verifies:\n{out}");
-    let reference = base.join("ref");
-    let reference = reference.to_str().unwrap();
-    let (ok, _) = wfctl(&["run", &job, "--out", reference]);
-    assert!(ok, "reference run");
-    let tenant_events = std::fs::read(Path::new(&store).join("events.jsonl")).unwrap();
-    let solo_events = std::fs::read(Path::new(reference).join("events.jsonl")).unwrap();
-    assert!(
-        tenant_events == solo_events,
-        "the tenant must write the byte-identical events.jsonl of its solo run"
-    );
+    for (i, (job, store)) in tenants.iter().enumerate() {
+        let (ok, out) = wfctl(&["verify", store]);
+        assert!(ok, "tenant {i}'s ledger verifies:\n{out}");
+        let reference = base.join(format!("ref{i}"));
+        let reference = reference.to_str().unwrap();
+        let (ok, _) = wfctl(&["run", job, "--out", reference]);
+        assert!(ok, "reference run {i}");
+        let tenant_events = std::fs::read(Path::new(store).join("events.jsonl")).unwrap();
+        let solo_events = std::fs::read(Path::new(reference).join("events.jsonl")).unwrap();
+        assert!(
+            tenant_events == solo_events,
+            "tenant {i} must write the byte-identical events.jsonl of its solo run"
+        );
+    }
     drop(wfd);
     std::fs::remove_dir_all(&base).ok();
 }
