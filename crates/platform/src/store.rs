@@ -1002,9 +1002,11 @@ fn read_view<'t>(
         let mut first = true;
         while let Some(key) = cursor.next_key(first)? {
             first = false;
-            if let (Some(values), "config", None) = (values.as_deref_mut(), &*key, &view.config) {
-                view.config = Some(read_config(&mut cursor, values)?);
-                continue;
+            if key == "config" && view.config.is_none() {
+                if let Some(values) = values.as_deref_mut() {
+                    view.config = Some(read_config(&mut cursor, values)?);
+                    continue;
+                }
             }
             let slot = match Key::of(&key) {
                 Some(k) if view.fields[k as usize].is_none() => &mut view.fields[k as usize],
