@@ -40,13 +40,14 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use wf_configspace::{ConfigSpace, Encoder};
 use wf_deeptune::{rank, Dtm, DtmConfig, Prediction, ScoreParams};
-use wf_jobfile::{Budget, Direction, RoutingStrategy};
+use wf_jobfile::{Budget, Direction, Job, RoutingStrategy};
 use wf_kconfig::LinuxVersion;
 use wf_nn::Matrix;
 use wf_ossim::{App, AppId, SimOs};
 use wf_platform::store::{write_event, JsonValue, CHAIN_GENESIS};
 use wf_platform::{
-    derive_seed, EventSink, JsonlSink, Record, Router, Session, SessionSpec, WaveStats,
+    derive_seed, EventSink, JsonlSink, Record, Router, Session, SessionSpec, SessionStore,
+    WaveStats,
 };
 use wf_search::{
     BayesOpt, CausalSearch, GridSearch, Observation, RandomSearch, SamplePolicy, SearchAlgorithm,
@@ -71,6 +72,9 @@ pub const POOL_WIDTHS: [usize; 3] = [1, 4, 8];
 
 /// Wave width used when feeding and exercising batch ops.
 const WAVE: usize = 8;
+
+/// Candidates in the ledger the `store/load` and `store/verify` ops read.
+const LEDGER_CANDIDATES: usize = 256;
 
 /// Synthetic source files the `lint/scan_workspace` op analyzes.
 const LINT_FILES: usize = 64;
@@ -119,6 +123,8 @@ pub fn declared_ops() -> Vec<(String, u64)> {
     ops.push(("store/jsonl_append_waves".to_string(), 8));
     ops.push(("store/write_event".to_string(), 64));
     ops.push(("store/replay".to_string(), 64));
+    ops.push(("store/load".to_string(), LEDGER_CANDIDATES as u64));
+    ops.push(("store/verify".to_string(), LEDGER_CANDIDATES as u64));
     ops.push(("drift/detector_step".to_string(), 256));
     for w in POOL_WIDTHS {
         ops.push(("platform/wave_dispatch".to_string(), w as u64));
@@ -633,6 +639,44 @@ pub fn run_suite(quick: bool) -> Vec<OpResult> {
                 criterion::BatchSize::LargeInput,
             )
         },
+    );
+
+    // A ledger written by a real seeded session on `linux-4.19`, 200
+    // config tokens per candidate line, read back by the two passes every
+    // report, resume and verify makes over a store.
+    let store = SessionStore::create(tmp.join("ledger"), &Job::default()).expect("create store");
+    {
+        let mut writer = Session::new(
+            SimOs::linux_runtime(LinuxVersion::V4_19, 200),
+            App::by_id(AppId::Nginx),
+            Box::new(RandomSearch::new()),
+            SessionSpec {
+                budget: Budget {
+                    iterations: Some(LEDGER_CANDIDATES),
+                    time_seconds: None,
+                },
+                seed: SEED,
+                workers: 4,
+                ..SessionSpec::default()
+            },
+        );
+        let mut sink = store.sink().expect("open sink");
+        let _ = writer.run_with(&mut sink);
+        sink.flush().expect("flush");
+    }
+    bench_op(
+        &mut results,
+        samples(quick, false),
+        "store/load",
+        LEDGER_CANDIDATES as u64,
+        |b| b.iter(|| black_box(store.load().expect("load").records.len())),
+    );
+    bench_op(
+        &mut results,
+        samples(quick, false),
+        "store/verify",
+        LEDGER_CANDIDATES as u64,
+        |b| b.iter(|| black_box(store.verify_chain().expect("verify"))),
     );
 
     // --- Drift detection: a step signal streamed through the mean-shift

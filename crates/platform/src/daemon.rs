@@ -431,6 +431,8 @@ impl Daemon {
     /// Creates the state root (and its `sessions/` directory), binds the
     /// socket at `<root>/wfd.sock` (replacing a stale socket file from a
     /// dead daemon), and returns the daemon ready to [`Daemon::run`].
+    /// `wfd.sock` exists only once the socket accepts connections, so
+    /// waiting for the path is waiting for the daemon.
     pub fn bind(root: impl AsRef<Path>, launcher: Arc<dyn SessionLauncher>) -> io::Result<Daemon> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(root.join(SESSIONS_DIR))?;
@@ -448,7 +450,17 @@ impl Daemon {
             }
             std::fs::remove_file(&socket_path)?;
         }
-        let listener = UnixListener::bind(&socket_path)?;
+        // Bound and listening under a name of its own first, the socket
+        // is then linked as `wfd.sock`: the path appears only once it
+        // accepts, so a client that waits for the path is never refused.
+        // A link, unlike a rename, fails on a path another daemon has
+        // taken since the probe above.
+        let staging = root.join(format!("{DAEMON_SOCKET}.{}", std::process::id()));
+        let _ = std::fs::remove_file(&staging);
+        let listener = UnixListener::bind(&staging)?;
+        let linked = std::fs::hard_link(&staging, &socket_path);
+        std::fs::remove_file(&staging)?;
+        linked?;
         listener.set_nonblocking(true)?;
         Ok(Daemon {
             listener,
@@ -747,6 +759,7 @@ mod tests {
     use super::*;
     use crate::events::NullSink;
     use crate::store::SessionStore;
+    use std::time::Instant;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wfd-test-{}-{tag}", std::process::id()));
@@ -785,6 +798,46 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         (handle, stop)
+    }
+
+    #[test]
+    fn the_socket_path_appears_only_once_it_accepts() {
+        let root = temp_root("ready");
+        let path = root.join(DAEMON_SOCKET);
+        for round in 0..100 {
+            // Connects over and over until the path is there: any
+            // other error than a missing path is a refused client.
+            let watching = Arc::new(AtomicBool::new(false));
+            let watcher = {
+                let (path, watching) = (path.clone(), Arc::clone(&watching));
+                std::thread::spawn(move || {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    loop {
+                        match UnixStream::connect(&path) {
+                            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                                watching.store(true, Ordering::SeqCst);
+                                assert!(Instant::now() < deadline, "the socket never appeared");
+                            }
+                            connected => return connected.map(drop),
+                        }
+                    }
+                })
+            };
+            while !watching.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            let daemon = Daemon::bind(&root, noop_launcher()).unwrap();
+            let connected = watcher.join().unwrap();
+            assert!(connected.is_ok(), "round {round}: {connected:?}");
+            drop(daemon);
+            std::fs::remove_file(&path).unwrap();
+        }
+        let left: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(left, [SESSIONS_DIR], "no staging socket is left behind");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -73,6 +73,7 @@ use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use wf_configspace::{Configuration, Tristate, Value};
 use wf_jobfile::Job;
@@ -110,12 +111,68 @@ pub const CHAIN_GENESIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// assert_ne!(line_hash("{\"v\":2}"), line_hash("{\"v\":2} "));
 /// ```
 pub fn line_hash(line: &str) -> u64 {
-    let mut hash = CHAIN_GENESIS;
-    for byte in line.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+    line.bytes().fold(CHAIN_GENESIS, fnv_step)
+}
+
+/// One byte of FNV-1a 64: the hash state after `byte`.
+#[inline]
+fn fnv_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+}
+
+/// How many lines [`hash_lines`] hashes at once.
+const LANES: usize = 4;
+
+/// The [`line_hash`] of every line `buf[span]` of `lines`, into
+/// `hashes`. Each hash is one byte-serial FNV-1a chain, as it must be
+/// to keep its bits, but [`LANES`] lines are hashed side by side, so
+/// the multiplies of one chain overlap those of the others instead of
+/// waiting on their own. A lane takes the next line when its line ends;
+/// once no line is left, an idle lane rehashes another lane's bytes and
+/// its result is dropped.
+fn hash_lines(buf: &[u8], lines: &[Range<usize>], hashes: &mut Vec<u64>) {
+    hashes.clear();
+    hashes.resize(lines.len(), CHAIN_GENESIS);
+    let mut queue = 0..lines.len();
+    // Each lane's line, its bytes not yet hashed, and its hash so far.
+    let mut line: [Option<usize>; LANES] = [None; LANES];
+    let mut rest: [&[u8]; LANES] = [&[]; LANES];
+    let mut hash = [CHAIN_GENESIS; LANES];
+    loop {
+        for lane in 0..LANES {
+            while rest[lane].is_empty() {
+                if let Some(i) = line[lane].take() {
+                    hashes[i] = hash[lane];
+                }
+                let Some(i) = queue.next() else { break };
+                line[lane] = Some(i);
+                rest[lane] = &buf[lines[i].clone()];
+                hash[lane] = CHAIN_GENESIS;
+            }
+        }
+        let Some(longest) = (0..LANES)
+            .filter(|&lane| line[lane].is_some())
+            .max_by_key(|&lane| rest[lane].len())
+        else {
+            return;
+        };
+        for lane in 0..LANES {
+            if line[lane].is_none() {
+                rest[lane] = rest[longest];
+            }
+        }
+        let step = rest.iter().map(|r| r.len()).min().unwrap_or(0);
+        let [a, b, c, d] = rest.map(|r| &r[..step]);
+        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+            hash = [
+                fnv_step(hash[0], a),
+                fnv_step(hash[1], b),
+                fnv_step(hash[2], c),
+                fnv_step(hash[3], d),
+            ];
+        }
+        rest = rest.map(|r| &r[step..]);
     }
-    hash
 }
 
 /// The canonical hex spelling of a chain hash, as stored in `prev`
@@ -675,6 +732,19 @@ impl<'a> JsonCursor<'a> {
         self.escaped_string(start).map(Cow::Owned)
     }
 
+    /// Reads the string at the cursor as a config token: its value, or
+    /// `None` when the string is no valid token. A canonical spelling is
+    /// read by [`canonical_token`]; anything else by [`JsonCursor::string`]
+    /// and [`token_value`], which give the same value, rejection and
+    /// cursor position for a canonical one.
+    fn value_token(&mut self) -> Result<Option<Value>, JsonError> {
+        if let Some((value, len)) = canonical_token(&self.text.as_bytes()[self.pos..]) {
+            self.pos += len;
+            return Ok(Some(value));
+        }
+        Ok(token_value(&self.string()?))
+    }
+
     /// Moves the cursor to the next quote or backslash, or to the end,
     /// testing eight bytes at a time while eight remain.
     fn skip_run(&mut self) {
@@ -834,6 +904,61 @@ pub(crate) fn push_value_token(v: &Value, out: &mut String) {
             push_u64(*c as u64, out);
         }
     }
+}
+
+/// Reads the config token at the start of `bytes`, its opening quote,
+/// when it is spelled as [`push_value_token`] spells it, and returns it
+/// with the length of its spelling, closing quote included. The eight
+/// bytes after the type letter are loaded as one `u64`: the closing
+/// quote is found, and a digit token's payload tested and converted,
+/// with word arithmetic and no loop over the bytes. Anything else (a
+/// sign, nine or more digits, an upper-case tristate, an escape, fewer
+/// than eight bytes left after the type letter) is `None`, left to the
+/// cursor. Leading zeros are read as [`str::parse`] reads them.
+fn canonical_token(bytes: &[u8]) -> Option<(Value, usize)> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let word = u64::from_le_bytes(bytes.get(2..10)?.try_into().ok()?);
+    // Payload bytes before the closing quote: 8 when it follows the word.
+    let n = byte_marks(word, b'"').trailing_zeros() as usize / 8;
+    if n == 0 || (n == 8 && bytes.get(10) != Some(&b'"')) {
+        return None;
+    }
+    let first = word as u8;
+    let value = match bytes[1] {
+        kind @ (b'i' | b'c') => {
+            // The payload's n bytes, first digit lowest; each a digit iff
+            // its high nibble is 3 both before and after adding 6.
+            let mask = u64::MAX >> (64 - 8 * n);
+            let payload = word & mask;
+            let threes = (ONES * 0x30) & mask;
+            let high = ONES * 0xf0;
+            let sixes = (ONES * 6) & mask;
+            if ((payload & high) ^ threes) | ((payload.wrapping_add(sixes) & high) ^ threes) != 0 {
+                return None;
+            }
+            // Digit values shifted up until the last sits in the top
+            // byte: the number's eight digits with leading zeros, the
+            // most significant lowest, folded pairwise into one number.
+            let mut v = (payload - threes) << (64 - 8 * n);
+            v = (v.wrapping_mul(10) + (v >> 8)) & 0x00ff_00ff_00ff_00ff;
+            v = (v.wrapping_mul(100) + (v >> 16)) & 0x0000_ffff_0000_ffff;
+            v = (v.wrapping_mul(10_000) + (v >> 32)) & 0xffff_ffff;
+            if kind == b'i' {
+                Value::Int(v as i64)
+            } else {
+                Value::Choice(v as usize)
+            }
+        }
+        b'b' if n == 1 && first | 1 == b'1' => Value::Bool(first == b'1'),
+        b't' if n == 1 => Value::Tristate(match first {
+            b'n' => Tristate::No,
+            b'm' => Tristate::Module,
+            b'y' => Tristate::Yes,
+            _ => return None,
+        }),
+        _ => return None,
+    };
+    Some((value, n + 3))
 }
 
 pub(crate) fn token_value(s: &str) -> Option<Value> {
@@ -1051,7 +1176,7 @@ fn read_config(
     while cursor.next_item(first)? {
         first = false;
         let value = if cursor.kind() == Kind::Str {
-            token_value(&cursor.string()?)
+            cursor.value_token()?
         } else {
             cursor.skip()?;
             None
@@ -1892,18 +2017,27 @@ fn walk_log(path: &Path, read: LineReader, visit: &mut LineVisit) -> Result<usiz
     }
 }
 
+/// The most lines one batch of [`walk_lines`] holds.
+const BATCH_LINES: usize = 32;
+/// The bytes after which a batch of [`walk_lines`] takes no further line.
+const BATCH_BYTES: usize = 1 << 16;
+
 /// Walks the lines of the log at `path`, read from `log`. It holds one
-/// line at a time, so its memory does not grow with the log.
+/// batch of lines at a time, at most [`BATCH_LINES`] lines or
+/// [`BATCH_BYTES`] bytes plus the line that crosses that mark, so its
+/// memory does not grow with the log. A batch's lines are hashed
+/// together ([`hash_lines`]), then checked and visited one by one.
 ///
 /// Lines split as [`str::lines`] splits them: at `\n`, with one `\r`
 /// before it dropped, and a final line without a newline still counts;
 /// line numbers count blank lines. Blank lines are skipped. A *final*
 /// line that is not UTF-8 or does not parse is the torn tail of a killed
 /// writer and ends the walk. A line the read ended without a newline
-/// is final; a line with one is final when no byte follows it. A line
-/// cut short is judged by its missing newline alone: a second read
-/// after the end of the file may find bytes a live writer has appended
-/// since, which do not make the cut line whole. Every other line must be
+/// is final, and ends its batch; a line with one is final when no byte
+/// follows it, so only a batch's last line can be final. A line cut
+/// short is judged by its missing newline alone: a second read after
+/// the end of the file may find bytes a live writer has appended since,
+/// which do not make the cut line whole. Every other line must be
 /// UTF-8, parse, carry [`FORMAT_VERSION`], and carry as `prev` the
 /// [`line_hash`] of the line before it. `visit` then sees the line's
 /// fields.
@@ -1918,49 +2052,81 @@ fn walk_lines(
         source,
     };
     let mut buf = Vec::new();
+    // The batch's lines in `buf`, each without its newline and `\r`.
+    let mut lines: Vec<Range<usize>> = Vec::new();
+    let mut hashes = Vec::new();
     let mut values = Vec::new();
     let mut chain = CHAIN_GENESIS;
     let mut verified = 0;
     let mut number = 0;
     loop {
         buf.clear();
-        if log.read_until(b'\n', &mut buf).map_err(io_error)? == 0 {
+        lines.clear();
+        // Whether the batch's last line ended with a newline; every
+        // line before it did.
+        let mut last_ended = true;
+        // A read that failed after the batch's first line: reported
+        // once the lines read before it are walked.
+        let mut failed = None;
+        while last_ended && lines.len() < BATCH_LINES && buf.len() < BATCH_BYTES {
+            let start = buf.len();
+            match log.read_until(b'\n', &mut buf) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if lines.is_empty() => return Err(io_error(e)),
+                Err(e) => {
+                    buf.truncate(start);
+                    failed = Some(e);
+                    break;
+                }
+            }
+            let mut end = buf.len();
+            last_ended = buf[end - 1] == b'\n';
+            if last_ended {
+                end -= 1;
+                if end > start && buf[end - 1] == b'\r' {
+                    end -= 1;
+                }
+            }
+            lines.push(start..end);
+        }
+        if lines.is_empty() {
             break;
         }
-        number += 1;
-        let ended = buf.last() == Some(&b'\n');
-        if ended {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
+        hash_lines(&buf, &lines, &mut hashes);
+        let last = lines.len() - 1;
+        for (i, span) in lines.iter().enumerate() {
+            number += 1;
+            let mut is_final = || -> Result<bool, StoreError> {
+                Ok(i == last && (!last_ended || log.fill_buf().map_err(io_error)?.is_empty()))
+            };
+            let corrupt = |message| StoreError::Corrupt {
+                path: path.to_path_buf(),
+                line: number,
+                message,
+            };
+            let raw = match std::str::from_utf8(&buf[span.clone()]) {
+                Ok(raw) => raw,
+                Err(_) if is_final()? => return Ok(verified),
+                Err(e) => return Err(corrupt(format!("not UTF-8: {e}"))),
+            };
+            if raw.trim().is_empty() {
+                continue;
             }
+            let mut view = match read(raw, &mut values) {
+                Ok(view) => view,
+                Err(_) if is_final()? => return Ok(verified),
+                Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
+            };
+            check_chain(&view, chain)
+                .and_then(|()| visit(&mut view))
+                .map_err(corrupt)?;
+            chain = hashes[i];
+            verified += 1;
         }
-        let mut is_final = || -> Result<bool, StoreError> {
-            Ok(!ended || log.fill_buf().map_err(io_error)?.is_empty())
-        };
-        let corrupt = |message| StoreError::Corrupt {
-            path: path.to_path_buf(),
-            line: number,
-            message,
-        };
-        let raw = match std::str::from_utf8(&buf) {
-            Ok(raw) => raw,
-            Err(_) if is_final()? => break,
-            Err(e) => return Err(corrupt(format!("not UTF-8: {e}"))),
-        };
-        if raw.trim().is_empty() {
-            continue;
+        if let Some(e) = failed {
+            return Err(io_error(e));
         }
-        let mut view = match read(raw, &mut values) {
-            Ok(view) => view,
-            Err(_) if is_final()? => break,
-            Err(e) => return Err(corrupt(format!("bad JSON: {e}"))),
-        };
-        check_chain(&view, chain)
-            .and_then(|()| visit(&mut view))
-            .map_err(corrupt)?;
-        chain = line_hash(raw);
-        verified += 1;
     }
     Ok(verified)
 }
@@ -2426,6 +2592,143 @@ mod tests {
             fn every_integer_is_spelled_as_format_spelled_it(i in int(), u in magnitude()) {
                 check_int(i);
                 check_u64(u);
+            }
+        }
+    }
+
+    /// The read walk's two fast paths against the code they stand in
+    /// for: the token reader against [`JsonCursor::string`] plus
+    /// [`token_value`], and the hash lanes against [`line_hash`].
+    mod fast_paths {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What reading the token at the start of `text` gives, and where
+        /// the cursor stops: through the token reader, or through the
+        /// string reader and [`token_value`].
+        fn both_reads(text: &str) -> [(Result<Option<Value>, JsonError>, usize); 2] {
+            let mut fast = JsonCursor::new(text);
+            let mut slow = JsonCursor::new(text);
+            [
+                (fast.value_token(), fast.pos),
+                (slow.string().map(|s| token_value(&s)), slow.pos),
+            ]
+        }
+
+        /// Type letters, the last three no letter of any token.
+        const KINDS: [&str; 8] = ["b", "t", "i", "c", "\\u0069", "x", "T", ""];
+        const SIGNS: [&str; 4] = ["", "", "-", "+"];
+        /// How the string ends: its closing quote, whitespace before it,
+        /// an escaped quote before it, or not at all.
+        const ENDS: [&str; 5] = ["\"", "\"", " \"", "\\\"\"", ""];
+        /// What follows the string on the line: nothing, a few bytes, or
+        /// more than the eight the token reader loads.
+        const TAILS: [&str; 5] = ["", "]", "]}", ",\"b1\"]}", "]}\t\t\t\t\t\t\t\t"];
+
+        /// Raw JSON strings that are config tokens, or nearly are: every
+        /// type letter, canonical and non-canonical digits (signs,
+        /// leading zeros, 9 to 20 digits, digits mixed with the bytes
+        /// next to them, `/` and `:` to `?`), upper-case tristates,
+        /// escapes and whitespace, each followed by a tail.
+        fn token() -> impl Strategy<Value = String> {
+            let payload = prop_oneof![
+                "[0-9]{1,8}",
+                "[0-9]{9,20}",
+                "0[0-9]{1,8}",
+                "[/-?]{1,8}",
+                "[01nmyNMYq]",
+                "[01nmy]{2}",
+                "[ é\\\"a-z0-9]{0,3}",
+            ];
+            (
+                0..KINDS.len(),
+                0..SIGNS.len(),
+                payload,
+                0..ENDS.len(),
+                0..TAILS.len(),
+            )
+                .prop_map(|(kind, sign, payload, end, tail)| {
+                    format!(
+                        "\"{}{}{payload}{}{}",
+                        KINDS[kind], SIGNS[sign], ENDS[end], TAILS[tail]
+                    )
+                })
+        }
+
+        #[test]
+        fn canonical_tokens_take_the_fast_path() {
+            for v in [
+                Value::Bool(false),
+                Value::Bool(true),
+                Value::Tristate(Tristate::No),
+                Value::Tristate(Tristate::Module),
+                Value::Tristate(Tristate::Yes),
+                Value::Int(0),
+                Value::Int(7),
+                Value::Int(10),
+                Value::Int(12_345_678),
+                Value::Int(99_999_999),
+                Value::Choice(0),
+                Value::Choice(42),
+                Value::Choice(99_999_999),
+            ] {
+                let mut text = String::from("\"");
+                push_value_token(&v, &mut text);
+                let len = text.len() + 1;
+                text.push_str("\"]}\t\t\t\t\t\t\t");
+                assert_eq!(canonical_token(text.as_bytes()), Some((v, len)), "{text}");
+            }
+            for text in [
+                "\"i100000000\"]}\t\t\t",
+                "\"i-1\"]}\t\t\t\t\t\t",
+                "\"i+1\"]}\t\t\t\t\t\t",
+                "\"i1:\"]}\t\t\t\t\t\t",
+                "\"c?9\"]}\t\t\t\t\t\t",
+                "\"i12/4\"]}\t\t\t\t",
+                "\"tN\"]}\t\t\t\t\t\t\t",
+                "\"b2\"]}\t\t\t\t\t\t\t",
+                "\"i\"]}\t\t\t\t\t\t\t\t",
+                "\"\\u0069\"]}\t\t\t",
+                "\"b0\"]}",
+            ] {
+                assert_eq!(canonical_token(text.as_bytes()), None, "{text}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// The token reader gives the value or rejection, the error
+            /// and the cursor position that the string reader and
+            /// [`token_value`] give.
+            #[test]
+            fn the_token_reader_reads_as_string_and_token_value_read(text in token()) {
+                let [fast, slow] = both_reads(&text);
+                prop_assert_eq!(fast, slow, "{}", text);
+            }
+
+            /// Lines hashed in lanes hash as [`line_hash`] hashes each
+            /// alone, whatever their number, lengths and order.
+            #[test]
+            fn lanes_hash_every_line_as_line_hash_does(
+                lines in proptest::collection::vec(
+                    prop_oneof!["", "\\PC{0,8}", "\\PC{0,600}"],
+                    1..41,
+                ),
+                gap in 0usize..3,
+            ) {
+                let mut buf = Vec::new();
+                let mut spans = Vec::new();
+                for line in &lines {
+                    let start = buf.len();
+                    buf.extend_from_slice(line.as_bytes());
+                    spans.push(start..buf.len());
+                    buf.extend(std::iter::repeat_n(b'\n', gap));
+                }
+                let mut hashes = vec![1, 2, 3];
+                hash_lines(&buf, &spans, &mut hashes);
+                let expected: Vec<u64> = lines.iter().map(|line| line_hash(line)).collect();
+                prop_assert_eq!(hashes, expected);
             }
         }
     }

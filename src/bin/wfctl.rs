@@ -134,10 +134,24 @@ fn main() -> ExitCode {
     }
 }
 
+/// Prints the usage on stdout. A reader that stops early (`wfctl --help
+/// | head`) closes the pipe; the write then fails with `BrokenPipe`,
+/// which ends the help cleanly instead of panicking.
 fn help() -> ExitCode {
-    println!("wfctl: drive Wayfinder sessions against the simulated testbed");
-    println!("{USAGE}");
-    ExitCode::SUCCESS
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    let written = writeln!(
+        out,
+        "wfctl: drive Wayfinder sessions against the simulated testbed\n{USAGE}"
+    )
+    .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("wfctl: {e}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
 }
 
 const USAGE: &str = "usage:\n  wfctl run [<job.yaml>] [--os K] [--app A] [--workers N]\n            [--iterations I] [--time-budget-s S] [--repetitions R]\n            [--seed S] [--out DIR] [--backend B] [--routing R]\n                              run a job file to completion; flags override\n                              the job's keys (and WF_WORKERS). With --os\n                              and no job file, runs an ad-hoc random-search\n                              session on the registered target K. --out\n                              (or the job's `out:` key) writes a session\n                              store: manifest.yaml + events.jsonl.\n                              --backend picks where evaluations execute\n                              (in-process | remote; remote launches\n                              one wf-evald process per worker); --routing\n                              picks the slot->lane strategy (random |\n                              fastest | round-robin | preferred)\n  wfctl resume <DIR> [--iterations I] [--time-budget-s S]\n                              resume an interrupted session store where it\n                              stopped (optionally extending the budget);\n                              no completed evaluation is re-run\n  wfctl report <DIR>          render the full report of a session store,\n                              offline — zero re-evaluations\n  wfctl verify <DIR>          verify the store's hash-chained event\n                              ledger line by line (tamper/corruption check)\n  wfctl validate <job.yaml>   parse + resolve a job without running it\n  wfctl daemon [--root DIR]   serve the wfd multi-tenant daemon in the\n                              foreground over the state root DIR (or\n                              WF_DAEMON); Ctrl-C parks every session at\n                              its wave boundary, resumable\n  wfctl submit <job.yaml> [--daemon DIR]\n                              hand a job to a running daemon; prints the\n                              session id and store directory. The root\n                              resolves --daemon > WF_DAEMON > the job's\n                              `daemon:` key\n  wfctl sessions [--daemon DIR]\n                              list the daemon's sessions and statuses\n  wfctl watch <ID> [--daemon DIR]\n                              stream a daemon session's events until it\n                              ends (or Ctrl-C; the session keeps running)\n  wfctl stop <ID> [--daemon DIR]\n                              park a daemon session at its next wave\n                              boundary; its store resumes with\n                              `wfctl resume`\n  wfctl targets               list every registered target\n  wfctl bench [--quick] [--out PATH] [--target K]\n                              time the controller-side hot paths (search\n                              propose/observe batches, DeepTune batches,\n                              store append/replay, wave dispatch) and\n                              optionally write the machine-readable JSON\n                              (BENCH_search.json is the committed baseline\n                              the CI perf gate diffs against). --target K\n                              times the search hot paths on the registered\n                              target K's own space and sampling policy\n                              instead (BENCH_<K>.json are the committed\n                              per-target baselines)\n  wfctl probe                 run the §3.4 runtime-space inference\n  wfctl lint [ROOT] [--format human|json] [--out PATH] [--list-rules]\n                              run the wf-lint determinism & robustness\n                              static analysis over the workspace (ROOT\n                              defaults to `.`; config from wf-lint.toml);\n                              exits nonzero on any unsuppressed finding —\n                              the same check CI's lint-pass leg enforces\n  wfctl experiments           list the regeneration targets\n  wfctl --help                show this help";

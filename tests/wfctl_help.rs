@@ -1,8 +1,9 @@
 //! `wfctl <subcommand> --help` prints the usage and exits 0 for every
 //! subcommand, instead of reading `--help` as an unknown flag or as an
-//! operand (a job file, a store directory, a session id).
+//! operand (a job file, a store directory, a session id), and ends
+//! cleanly when its reader has closed the pipe.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn wfctl(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wfctl"))
@@ -60,4 +61,24 @@ fn every_subcommand_answers_help_with_the_usage() {
     let unknown = wfctl(&["nosuch", "--help"]);
     assert!(!unknown.status.success());
     assert!(String::from_utf8_lossy(&unknown.stderr).contains("unknown subcommand"));
+}
+
+#[test]
+fn help_into_a_closed_pipe_exits_without_a_panic() {
+    for args in [&["--help"][..], &["run", "--help"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_wfctl"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("wfctl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "wfctl {args:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("backtrace"),
+            "wfctl {args:?}: {stderr}"
+        );
+    }
 }
